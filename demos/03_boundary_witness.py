@@ -3,7 +3,7 @@ pairing is bounded away from zero, attach a concentrated bump at the
 degenerating point, and bisect the amplitude until the deformed metric sits
 on the taming boundary (certified on an analytic off-grid scan set).
 
-Runtime: about a minute at 16^4.
+Runtime: under a minute at 16^4.
 """
 
 import time

@@ -68,7 +68,6 @@ from .solver import (  # noqa: F401
     SolveReport,
     continuity_solve,
     kernel_check,
-    linearize_apply,
     make_handle,
     newton_solve,
 )

@@ -32,7 +32,13 @@ from .errors import (
     SearchFailure,
     SeedSearchError,
 )
-from .frame import LocalGeometry, build_frame, frame_tau_components, nijenhuis_coordinate
+from .frame import (
+    LocalGeometry,
+    build_frame,
+    frame_tau_components,
+    nijenhuis_coordinate,
+    nijenhuis_max_norm,
+)
 from .potentials import AnalyticPotential, default_candidates
 
 __all__ = [
@@ -48,7 +54,6 @@ __all__ = [
     "nijenhuis_pairing",
     "select_seed",
     "boundary_potential",
-    "tau12_lower_bound",
     "search_R",
     "frame_F",
 ]
@@ -88,6 +93,22 @@ def _safe_div(num, den, fill=0.0):
 # ---------------------------------------------------------------------------
 # Bump geometry.
 
+def _pair_radii(w):
+    """|zeta_a| of chart points w (m, 2n), shape (m, n)."""
+    return np.hypot(w[:, 0::2], w[:, 1::2])
+
+
+def _chart_matrix(frame, scale):
+    """Real (2n, 2n) matrix of the polydisk chart w -> x: columns
+    2*scale*Re(e_a) and -2*scale*Im(e_a) for the frame rows e_a."""
+    n = frame.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    for a in range(n):
+        M[:, 2 * a] = 2.0 * scale * frame[a].real
+        M[:, 2 * a + 1] = -2.0 * scale * frame[a].imag
+    return M
+
+
 @dataclass
 class BumpSpec:
     """Parameters of psi_R in the p0-adapted chart."""
@@ -115,15 +136,9 @@ class BumpField:
 
     def __init__(self, spec: BumpSpec):
         self.spec = spec
-        n = spec.frame.shape[0]
-        dim = 2 * n
-        M = np.zeros((dim, dim))
-        for a in range(n):
-            M[:, 2 * a] = 2.0 * spec.scale * spec.frame[a].real
-            M[:, 2 * a + 1] = -2.0 * spec.scale * spec.frame[a].imag
-        self.M = M
-        self.Minv = np.linalg.inv(M)
-        self.half_dim = n
+        self.M = _chart_matrix(spec.frame, spec.scale)
+        self.Minv = np.linalg.inv(self.M)
+        self.half_dim = spec.frame.shape[0]
 
     # -- chart <-> torus -----------------------------------------------------
     def chart_to_torus(self, w):
@@ -276,15 +291,9 @@ class BumpField:
 
     def support_mask(self, w):
         """psi_R support: some |zeta_i| <= 1/R^2 (i<2) and all |zeta_a| <= 1/R."""
-        spec = self.spec
-        r = [np.hypot(w[:, 2 * a], w[:, 2 * a + 1]) for a in range(self.half_dim)]
-        inner = np.zeros(w.shape[0], dtype=bool)
-        for i in range(min(2, self.half_dim)):
-            inner |= r[i] <= 1.0 / spec.R**2
-        outer = np.ones(w.shape[0], dtype=bool)
-        for a in range(self.half_dim):
-            outer &= r[a] <= 1.0 / spec.R
-        return inner & outer
+        r = _pair_radii(w)
+        inner = np.any(r[:, :2] <= 1.0 / self.spec.R**2, axis=1)
+        return inner & np.all(r <= 1.0 / self.spec.R, axis=1)
 
     def required_resolution(self):
         """Axis points needed for >= 4 grid cells across the inner 1/R^2 feature."""
@@ -377,13 +386,7 @@ class SeedPotential:
 def _chart_scale_bound(frame):
     """(rho_max, reach): largest rho keeping the chart image inside a quarter
     period, and the per-unit-rho coordinate reach of the unit polydisk."""
-    n = frame.shape[0]
-    dim = 2 * n
-    M = np.zeros((dim, dim))
-    for a in range(n):
-        M[:, 2 * a] = 2.0 * frame[a].real
-        M[:, 2 * a + 1] = -2.0 * frame[a].imag
-    reach = float(np.abs(M).sum(axis=1).max())
+    reach = float(np.abs(_chart_matrix(frame, 1.0)).sum(axis=1).max())
     return 0.25 / reach, reach
 
 
@@ -401,8 +404,6 @@ def _box_indices(chart, p0_idx, halfwidth):
 def select_seed(s, candidates=None, rng=None):
     """Pick the candidate, scaling, basepoint and polydisk maximizing the
     certified lower bound epsilon1 of |tau_12| near the basepoint."""
-    from .frame import nijenhuis_max_norm
-
     if nijenhuis_max_norm(s) <= NONINTEGRABILITY_THRESHOLD:
         raise NoSeedError(
             "structure is integrable (Nijenhuis tensor vanishes): tau is "
@@ -485,7 +486,7 @@ def select_seed(s, candidates=None, rng=None):
     if lamvals.min() <= 0:
         raise SeedSearchError(f"H(phi)(p0) not positive definite: eigenvalues {lamvals}")
 
-    pot = cy.Potential(chart, phi_vals, zero_mean=True)
+    pot = cy.Potential(chart, phi_vals)
     return SeedPotential(
         potential=pot,
         region=best["region"],
@@ -509,13 +510,6 @@ def frame_F(M, tau12):
     """F = det(M) + |tau_12|^2 for n = 2 (pointwise frame identity)."""
     det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real
     return det + np.abs(tau12) ** 2
-
-
-def _h_from_B(J, B):
-    """Symmetric form (B J - J^T B)/2 for coordinate deformation matrices."""
-    return 0.5 * (
-        np.einsum("ij...,jl...->il...", B, J) - np.einsum("ji...,jl...->il...", J, B)
-    )
 
 
 class _ScanGeometry:
@@ -543,11 +537,18 @@ class _ScanGeometry:
 
     def h_pencil(self):
         """(base, delta): coordinate h(phi + s psi) = base + s * delta."""
-        Bphi = self.lg.deformation_form(self.pa_phi, self.pabar_phi).real
-        Bpsi = self.lg.deformation_form(self.pa_psi, self.pabar_psi).real
-        base = self.lg.g + _h_from_B(self.lg.J, Bphi)
-        delta = _h_from_B(self.lg.J, Bpsi)
+        Bphi = self.lg.deformation_form(self.pa_phi, self.pabar_phi)
+        Bpsi = self.lg.deformation_form(self.pa_psi, self.pabar_psi)
+        base = self.lg.g + cy.h_matrix(self.lg.J, Bphi)
+        delta = cy.h_matrix(self.lg.J, Bpsi)
         return base, delta
+
+
+def _seed_bump(s, seed, R):
+    """psi_R in the polydisk chart at seed.p0, whose frame is rotated so that
+    H(phi)(p0) is diagonal."""
+    frame = LocalGeometry(s, seed.p0[None, :]).rotate(seed.U).e[..., 0]
+    return bump_psi(BumpSpec(R, seed.p0, frame, seed.lam, seed.chart_scale))
 
 
 def _scan_lattice(bump, R, rng):
@@ -585,11 +586,7 @@ def _grid_support_points(s, bump):
     keep = []
     for start in range(0, pts.shape[0], 1 << 20):
         block = pts[start : start + (1 << 20)]
-        w = bump.torus_to_chart(block)
-        r = np.max(
-            [np.hypot(w[:, 2 * a], w[:, 2 * a + 1]) for a in range(bump.half_dim)],
-            axis=0,
-        )
+        r = _pair_radii(bump.torus_to_chart(block)).max(axis=1)
         keep.append(block[r <= 1.5 / bump.spec.R])
     return np.concatenate(keep, axis=0)
 
@@ -657,9 +654,7 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
     if s.half_dim != 2:
         raise PreconditionError("boundary construction implemented for n = 2")
 
-    spec_frame = LocalGeometry(s, seed.p0[None, :]).rotate(seed.U).e[..., 0]
-    spec = BumpSpec(R, seed.p0, spec_frame, seed.lam, seed.chart_scale)
-    bump = bump_psi(spec)
+    bump = _seed_bump(s, seed, R)
 
     rng = np.random.default_rng(rng_seed)
     w_scan = _scan_lattice(bump, R, rng)
@@ -697,10 +692,7 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
             hi = mid
     a = 0.5 * (lo + hi)
     margin_final, loc = margin_at(a)
-    w_loc = bump.torus_to_chart(all_pts[loc][None, :])[0]
-    rmax = max(
-        np.hypot(w_loc[2 * i], w_loc[2 * i + 1]) for i in range(bump.half_dim)
-    )
+    rmax = _pair_radii(bump.torus_to_chart(all_pts[loc][None, :])).max()
     min_eig_in_disk = bool(rmax <= 1.0 / R + 1e-9)
 
     phi_R_vals = seed.potential.values + a * bump.values_on_grid(s.chart)
@@ -729,12 +721,7 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
 
     # lower bound on |tau12| over s in [0,1] on the Delta_R image; tau12 is
     # affine in s so the sampled minimum is cheap on the existing geometry.
-    w_all = bump.torus_to_chart(all_pts)
-    r_all = np.max(
-        [np.hypot(w_all[:, 2 * i], w_all[:, 2 * i + 1]) for i in range(bump.half_dim)],
-        axis=0,
-    )
-    in_disk = r_all <= 1.0 / R + 1e-12
+    in_disk = _pair_radii(bump.torus_to_chart(all_pts)).max(axis=1) <= 1.0 / R + 1e-12
     c_phi = geo.tau12(0.0)[in_disk]
     c_psi = (geo.tau12(1.0) - geo.tau12(0.0))[in_disk]
     tau12_bound = min(
@@ -758,23 +745,6 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
     return phi_R, report
 
 
-def tau12_lower_bound(s, seed, R, num_s=11, rng_seed=11):
-    """min over s in [0,1] and the Delta_R scan set of |tau_12(phi + s psi_R)|."""
-    spec_frame = LocalGeometry(s, seed.p0[None, :]).rotate(seed.U).e[..., 0]
-    spec = BumpSpec(R, seed.p0, spec_frame, seed.lam, seed.chart_scale)
-    bump = bump_psi(spec)
-    rng = np.random.default_rng(rng_seed)
-    w_scan = _scan_lattice(bump, R, rng)
-    pts = bump.chart_to_torus(w_scan)
-    geo = _ScanGeometry(s, seed, bump, pts)
-    c_phi = 2.0 * geo.lg.tau_of(geo.pa_phi)[0, 1]
-    c_psi = 2.0 * geo.lg.tau_of(geo.pa_psi)[0, 1]
-    best = np.inf
-    for sv in np.linspace(0.0, 1.0, num_s):
-        best = min(best, float(np.abs(c_phi + sv * c_psi).min()))
-    return best
-
-
 def epsilon0_floor(seed, half_dim):
     """Acceptance floor mirroring the proof's bound 2^{-n} eps1^2 prod lam."""
     extra = 1.0
@@ -786,9 +756,7 @@ def epsilon0_floor(seed, half_dim):
 def witness_density(s, seed, R, amplitude, chunk=SCAN_CHUNK):
     """Pointwise F(phi + a psi_R) at every grid point, normalized to unit
     mass; the positive target density realized by a boundary potential."""
-    spec_frame = LocalGeometry(s, seed.p0[None, :]).rotate(seed.U).e[..., 0]
-    spec = BumpSpec(R, seed.p0, spec_frame, seed.lam, seed.chart_scale)
-    bump = bump_psi(spec)
+    bump = _seed_bump(s, seed, R)
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
     out = np.empty(pts.shape[0])

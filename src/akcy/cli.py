@@ -43,14 +43,13 @@ carrying only the structure fields (kind, n, resolution, epsilon, generator,
 profile).
 
 Exit codes: 0 ok, 2 validation, 3 precondition, 4 resolution, 5 numerical
-failure.  AKCY_THREADS sets the default --threads value.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -213,7 +212,7 @@ def cmd_analyze(cfg, out, args):
         s, phi, compute_amplitude=bool(sec.get("amplitude", True))
     )
     serialize.write_report(out / "potential_report.json", report)
-    F = cy.F_total(s, phi)
+    F = report.F
     serialize.write_field(out / "F_field.bin", F)
     serialize.write_field(out / "phi_field.bin", phi)
     if sec.get("dump_fields", False):
@@ -358,21 +357,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory for reports")
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("AKCY_THREADS", "0") or 0),
-        help="BLAS/FFT thread cap (0 = leave library defaults)",
-    )
-    parser.add_argument(
         "--grid-override",
         default=None,
         help="comma-separated per-axis resolution replacing the config value",
     )
     args = parser.parse_args(argv)
-
-    if args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         if args.grid_override is not None:

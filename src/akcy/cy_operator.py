@@ -2,9 +2,10 @@
 taming margins, and the positivity amplitude.
 
 The coordinate path computed here is authoritative; the frame module provides
-an independent validation path.  F is always computed twice (direct top wedge
-power versus the component sum over F_j) and any disagreement raises, since
-that identity is the sharpest trap for sign or normalization errors.
+an independent validation path.  F is always computed along two paths from
+one evaluation of d(J dphi) (direct top wedge power versus the component sum
+over F_j) and any disagreement raises, since that identity is the sharpest
+trap for sign or normalization errors.
 
 Memory notes: all bidegree algebra runs on increasing-pair component storage
 (never the full 2n x 2n matrix field), and tau wedge tau-bar is evaluated via
@@ -24,7 +25,6 @@ from .frame import build_frame
 
 __all__ = [
     "Potential",
-    "HermitianField",
     "PotentialReport",
     "deformation_form",
     "deformed_form",
@@ -51,11 +51,10 @@ ZERO_MEAN_TOL = 1e-12
 
 @dataclass
 class Potential:
-    """Real scalar potential on the grid; zero_mean flags membership in A."""
+    """Real scalar potential on the grid."""
 
     chart: object
     values: np.ndarray
-    zero_mean: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -65,21 +64,6 @@ def _values(phi):
     if isinstance(phi, Potential):
         return phi.values
     return np.asarray(phi, dtype=float)
-
-
-@dataclass
-class HermitianField:
-    """Square matrix field (axes first): n x n complex frame coefficients of
-    H(phi), or the 2n x 2n real symmetric coordinate matrix of h(phi)."""
-
-    chart: object
-    matrix: np.ndarray
-
-    def hermitian_defect(self):
-        return float(np.abs(self.matrix - np.conj(np.swapaxes(self.matrix, 0, 1))).max())
-
-    def min_eigenvalue(self, chunk=1 << 19):
-        return min_eigenvalue_field(self.matrix, chunk=chunk)
 
 
 def min_eigenvalue_field(M, chunk=1 << 19):
@@ -125,19 +109,18 @@ def H_part(s, phi, f=None):
     if f is None:
         f = build_frame(s)
     H11 = forms.bidegree_project(s, deformed_form(s, phi), 1, 1)
-    M = frame_hermitian_components(f, H11)
-    return HermitianField(s.chart, M)
+    return frame_hermitian_components(f, H11)
 
 
-def h_matrix(s, comps):
+def h_matrix(J, comps):
     """Coordinate matrix of the symmetric form h associated with the real
     (1,1)-tamed 2-form B given in pair components: h = (B J - J^T B)/2.
 
-    For B = omega this returns g exactly.
+    J has its matrix axes first (2n, 2n, *b), comps its pair axis first; the
+    trailing axes broadcast.  For B = omega and J = s.J this returns g exactly.
     """
-    dim = s.chart.dim
+    dim = J.shape[0]
     pos = forms.index_positions(dim, 2)
-    J = s.J
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
     h = np.zeros((dim, dim) + shape)
     for i in range(dim):
@@ -159,13 +142,12 @@ def h_form(s, phi):
     Positive definiteness of h(phi) at every point is equivalent to
     omega(phi) taming J.
     """
-    w = deformed_form(s, phi)
-    return HermitianField(s.chart, h_matrix(s, w.comps))
+    return h_matrix(s.J, deformed_form(s, phi).comps)
 
 
 def taming_margin(s, phi):
     """Grid-min over points of the smallest eigenvalue of h(phi)."""
-    margin, _ = h_form(s, phi).min_eigenvalue()
+    margin, _ = min_eigenvalue_field(h_form(s, phi))
     return margin
 
 
@@ -179,6 +161,7 @@ class PotentialReport:
     margin: float
     amplitude: float | None
     components: list = field(default_factory=list)
+    F: np.ndarray = field(default=None, repr=False)   # the field itself; not in as_dict
 
     def as_dict(self):
         return {
@@ -206,18 +189,17 @@ def F_components(s, phi):
     (Bm^Bm + mixed^mixed)/4 where Bm is the J-anti-invariant part of dJdphi
     and mixed = (J^T Bm + Bm J)/2, avoiding complex intermediates.
     """
+    return _F_components(s, deformation_form(s, phi).comps)
+
+
+def _F_components(s, B):
+    """F_components from the pair components B of d(J dphi)."""
     n = s.half_dim
-    dim = s.chart.dim
     chart = s.chart
-    B = deformation_form(s, phi).comps
-    C = forms.j_conjugate_comps(s.J, B, dim)
-    Bm = 0.5 * (B - C)
-    C += B
-    C *= 0.5                      # C now holds the (1,1) part P11(B)
+    P11, Bm, mixed = forms.bidegree_parts(s.J, B, chart.dim)
     del B
-    C += forms.omega_form(s).comps  # broadcast add; C is now H(phi)
-    H = forms.FormField(chart, 2, C)
-    mixed = 0.5 * forms.j_anticommutator_comps(s.J, Bm, dim)
+    P11 += forms.omega_form(s).comps  # broadcast add; P11 is now H(phi)
+    H = forms.FormField(chart, 2, P11)
     BmF = forms.FormField(chart, 2, Bm)
     mixedF = forms.FormField(chart, 2, mixed)
     ttbar = 0.25 * (forms.wedge(BmF, BmF) + forms.wedge(mixedF, mixedF))
@@ -232,21 +214,22 @@ def F_components(s, phi):
         if n - 2 * j > 0:
             Hp = _wedge_power(H, n - 2 * j)
             top = Hp if top is None else forms.wedge(top, Hp)
-        Fj = cj * forms.top_ratio(s, top).values
+        Fj = cj * forms.top_ratio(s, top)
         out.append(Fj)
     return out
 
 
 def F_total(s, phi, check=True, return_components=False):
-    """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j."""
-    n = s.half_dim
-    w = deformed_form(s, phi)
-    direct = forms.top_ratio(s, _wedge_power(w, n)).values
-    del w
-    comps = F_components(s, phi)
-    total = comps[0]
-    for c in comps[1:]:
-        total = total + c
+    """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j.
+
+    Both paths start from one evaluation of d(J dphi); omega(phi) is dropped
+    before the F_j are built.
+    """
+    B = deformation_form(s, phi)
+    direct = forms.top_ratio(s, _wedge_power(forms.omega_form(s) + B, s.half_dim))
+    comps = _F_components(s, B.comps)
+    del B
+    total = sum(comps[1:], comps[0])
     if check:
         scale = max(1.0, float(np.abs(direct).max()))
         defect = float(np.abs(direct - total).max())
@@ -298,7 +281,7 @@ def positivity_amplitude(s, phi, s_max=1e6, tol=1e-10):
     if float(np.ptp(vals)) == 0.0:
         raise PreconditionError("positivity amplitude requires a non-constant potential")
     g = s.g
-    delta = h_matrix(s, deformation_form(s, phi).comps)
+    delta = h_matrix(s.J, deformation_form(s, phi).comps)
 
     def margin(a):
         m, _ = min_eigenvalue_field(g + a * delta)
@@ -329,16 +312,24 @@ def positivity_amplitude(s, phi, s_max=1e6, tol=1e-10):
 
 
 def project_zero_mean(s, phi):
-    """Subtract the omega^n-mean; idempotent; returns a flagged Potential."""
+    """Subtract the omega^n-mean; idempotent; returns a Potential."""
     vals = _values(phi)
     mean = forms.integrate(s, vals + np.zeros(s.chart.shape))
     out = vals - mean
-    return Potential(s.chart, out + np.zeros(s.chart.shape), zero_mean=True)
+    return Potential(s.chart, out + np.zeros(s.chart.shape))
 
 
 def analyze_potential(s, phi, compute_amplitude=True):
-    """Full diagnostic sweep of a potential: F bounds, margin, amplitude."""
+    """Full diagnostic sweep of a potential: F bounds, margin, amplitude.
+
+    The report carries the F field itself as ``report.F``.
+    """
     direct, comps = F_total(s, phi, return_components=True)
+    components = [
+        {"j": j, "min": float(c.min()), "max": float(c.max())}
+        for j, c in enumerate(comps)
+    ]
+    del comps
     margin = taming_margin(s, phi)
     amplitude = None
     if compute_amplitude:
@@ -346,10 +337,6 @@ def analyze_potential(s, phi, compute_amplitude=True):
             amplitude = positivity_amplitude(s, phi)
         except (AmplitudeError, PreconditionError):
             amplitude = None
-    components = [
-        {"j": j, "min": float(c.min()), "max": float(c.max())}
-        for j, c in enumerate(comps)
-    ]
     return PotentialReport(
         F_min=float(direct.min()),
         F_max=float(direct.max()),
@@ -357,4 +344,5 @@ def analyze_potential(s, phi, compute_amplitude=True):
         margin=margin,
         amplitude=amplitude,
         components=components,
+        F=direct,
     )

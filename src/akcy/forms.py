@@ -11,7 +11,7 @@ d(d(.)) = 0 to rounding, which the bidegree and conservation identities rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -22,11 +22,11 @@ from .errors import DegreeError, ShapeMismatchError, ConfigurationError
 __all__ = [
     "FormField",
     "ComplexFormField",
-    "TopFormRatio",
     "exterior_derivative",
     "d_scalar",
     "apply_J_oneform",
     "wedge",
+    "bidegree_parts",
     "bidegree_project",
     "top_ratio",
     "integrate",
@@ -146,14 +146,6 @@ class ComplexFormField(FormField):
         p, q = self.bidegree if self.bidegree else (None, None)
         bid = (q, p) if self.bidegree else None
         return ComplexFormField(self.chart, self.degree, np.conj(self.comps), bid)
-
-
-@dataclass
-class TopFormRatio:
-    """Pointwise scalar (2n-form)/(omega^n)."""
-
-    chart: object
-    values: np.ndarray
 
 
 def d_scalar(chart, f):
@@ -278,6 +270,21 @@ def j_anticommutator_comps(J, comps, dim):
     return out
 
 
+def bidegree_parts(J, comps, dim):
+    """(P11, Bm, mixed) of a 2-form given by increasing-pair comps.
+
+    P11 = (b + b(J.,J.))/2 is the (1,1) part, Bm = b - P11 the J-anti-invariant
+    part, and mixed = (J^T Bm + Bm J)/2 its J-rotated partner; the (2,0) part
+    is (Bm - i*mixed)/2 and the (0,2) part its conjugate.
+    """
+    P11 = j_conjugate_comps(J, comps, dim)
+    Bm = 0.5 * (comps - P11)
+    P11 += comps
+    P11 *= 0.5
+    mixed = 0.5 * j_anticommutator_comps(J, Bm, dim)
+    return P11, Bm, mixed
+
+
 def bidegree_project(s, b, p, q):
     """Projection of a 2-form onto bidegree (p,q) for the structure's J.
 
@@ -289,22 +296,14 @@ def bidegree_project(s, b, p, q):
         raise ConfigurationError(f"invalid bidegree ({p},{q}) for a 2-form")
     if b.degree != 2:
         raise DegreeError("bidegree projection defined for 2-forms")
-    dim = s.chart.dim
-    C = j_conjugate_comps(s.J, b.comps, dim)
+    P11, Bm, mixed = bidegree_parts(s.J, b.comps, s.chart.dim)
     if (p, q) == (1, 1):
-        return ComplexFormField(s.chart, 2, 0.5 * (b.comps + C), (1, 1))
-    Bm = 0.5 * (b.comps - C)
-    mixed = 0.5 * j_anticommutator_comps(s.J, Bm, dim)
+        return ComplexFormField(s.chart, 2, P11, (1, 1))
     if (p, q) == (2, 0):
         T = 0.5 * (Bm - 1j * mixed)
     else:
         T = 0.5 * (Bm + 1j * mixed)
     return ComplexFormField(s.chart, 2, T, (p, q))
-
-
-def _matrix_comps(chart, B):
-    pairs = multi_indices(chart.dim, 2)
-    return np.stack([B[i, j] for (i, j) in pairs])
 
 
 def omega_form(s):
@@ -318,34 +317,16 @@ def omega_form(s):
     return FormField(chart, 2, comps)
 
 
-@lru_cache(maxsize=None)
-def _omega_top_coefficient(half_dim):
-    """Top coefficient of omega^n in the increasing-index convention (= n!)."""
-    from .structure import GridChart
-
-    chart = GridChart(half_dim, (8,) * (2 * half_dim))
-
-    class _Stub:
-        pass
-
-    s = _Stub()
-    s.chart = chart
-    s.half_dim = half_dim
-    w = omega_form(s)
-    acc = w
-    for _ in range(half_dim - 1):
-        acc = wedge(acc, w)
-    return float(acc.comps[0].ravel()[0])
-
-
 def top_ratio(s, t):
-    """Pointwise scalar t / omega^n for a top-degree form t."""
+    """Pointwise scalar t / omega^n for a top-degree form t.
+
+    In the increasing-index convention omega^n has the constant top
+    coefficient n!.
+    """
     chart = s.chart
     if t.degree != chart.dim:
         raise DegreeError("top_ratio needs a top-degree form")
-    coeff = _omega_top_coefficient(chart.half_dim)
-    vals = t.comps[0] / coeff
-    return TopFormRatio(chart, vals)
+    return t.comps[0] / math.factorial(chart.half_dim)
 
 
 def integrate(s, f):
@@ -355,7 +336,7 @@ def integrate(s, f):
     on the unit box; Definition-level conditions (zero mean, mass matching)
     are insensitive to this constant.
     """
-    vals = f.values if isinstance(f, TopFormRatio) else np.asarray(f)
+    vals = np.asarray(f)
     if vals.ndim < s.chart.dim:
         vals = vals.reshape((1,) * (s.chart.dim - vals.ndim) + vals.shape)
     return s.chart.integrate_scalar(vals)

@@ -1,7 +1,8 @@
 """Unitary frames, the second canonical connection, torsion, and covariant
 derivatives of potentials.
 
-Two evaluation paths share the same algebraic kernels:
+Two evaluation paths share the same algebraic kernels (Gram-Schmidt frame,
+connection, torsion split, and the tau and H frame coefficients):
 
 * the grid path differentiates the structure's fields with the chart's
   centered differences (production validation path, O(h^2) accurate);
@@ -181,6 +182,12 @@ def _lc_bracket(dg):
     return A + Bt - Ct
 
 
+def _levi_civita(g, dg):
+    """Levi-Civita coefficients gamma[k,i,j] from g and dg[d] = partial_d g."""
+    ginv = np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    return 0.5 * np.einsum("kl...,ilj...->kij...", ginv, _lc_bracket(dg))
+
+
 def _gamma1(J, dJ, gamma):
     """Second canonical connection coefficients Gamma1[d,k,l].
 
@@ -245,9 +252,6 @@ class TorsionField:
     def max_mixed(self):
         return float(np.abs(self.mixed).max())
 
-    def antisymmetry_defect(self):
-        return float(np.abs(self.N + np.swapaxes(self.N, 1, 2)).max())
-
 
 def connection_forms(s, f):
     """Grid-path second canonical connection for a built frame."""
@@ -255,12 +259,8 @@ def connection_forms(s, f):
         chart = s.chart
         g = s.g
         dg = np.stack([chart.diff(g, d) for d in range(chart.dim)])
-        gperm = np.moveaxis(g, (0, 1), (-2, -1))
-        ginv = np.linalg.inv(gperm)
-        ginv = np.moveaxis(ginv, (-2, -1), (0, 1))
-        gamma = 0.5 * np.einsum("kl...,ilj...->kij...", ginv, _lc_bracket(dg))
         dJ = np.stack([chart.diff(s.J, d) for d in range(chart.dim)])
-        gamma1, nabJ = _gamma1(s.J, dJ, gamma)
+        gamma1, nabJ = _gamma1(s.J, dJ, _levi_civita(g, dg))
 
         de = np.stack([chart.diff(f.e, d) for d in range(chart.dim)])
         omega = _connection_matrix(f.theta, f.e, de, gamma1)
@@ -341,29 +341,46 @@ def covariant_hessian(s, f, c, phi):
     phi = np.asarray(phi, dtype=float)
     dphi = np.stack([chart.diff(phi, d) for d in range(chart.dim)])
     phi_a = np.einsum("ak...,k...->a...", f.e, dphi)
-    u = np.stack([chart.diff(phi_a, d) for d in range(chart.dim)])    # u[d,a]
-    u = np.einsum("da...->ad...", u) - np.einsum("b...,abd...->ad...", phi_a, c.omega)
-    phi_ab = np.einsum("ad...,bd...->ab...", u, f.e)
-    phi_abar = np.einsum("ad...,bd...->ab...", u, np.conj(f.e))
-    return CovariantHessian(chart, phi_a, phi_ab, phi_abar)
+    dpa = np.stack([chart.diff(phi_a, d) for d in range(chart.dim)])
+    return CovariantHessian(chart, phi_a, *_second_covariant(phi_a, dpa, c.omega, f.e))
+
+
+def _second_covariant(phi_a, dpa, conn_omega, e):
+    """(phi_ab, phi_abar) from phi_a, its coordinate derivatives
+    dpa[d,a] = partial_d phi_a and the connection 1-forms."""
+    u = np.einsum("da...->ad...", dpa) - np.einsum("b...,abd...->ad...", phi_a, conn_omega)
+    phi_ab = np.einsum("ad...,bd...->ab...", u, e)
+    phi_abar = np.einsum("ad...,bd...->ab...", u, np.conj(e))
+    return phi_ab, phi_abar
 
 
 # ---------------------------------------------------------------------------
-# Frame-path operators (validation mirrors of the coordinate path).
+# Frame-path operators (validation mirrors of the coordinate path), shared by
+# the grid path and LocalGeometry.
 
-def tau_frame_path(s, tors, hess):
+def _tau_coefficients(phi_a, N):
     """tau coefficients c[b,c] = -2i sum_a conj(phi_a) conj(N^a_{bc}).
 
     tau = sum_{b,c} c[b,c] theta^b wedge theta^c (full double sum, c antisym).
     """
-    return -2j * np.einsum("a...,abc...->bc...", np.conj(hess.phi_a), np.conj(tors.N))
+    return -2j * np.einsum("a...,abc...->bc...", np.conj(phi_a), np.conj(N))
+
+
+def _hermitian_coefficients(phi_abar):
+    """H coefficient matrix delta_ab - 2 phi_abar (Hermitian to O(h^2))."""
+    n = phi_abar.shape[0]
+    eye = np.eye(n).reshape((n, n) + (1,) * (phi_abar.ndim - 2))
+    return eye - 2.0 * phi_abar
+
+
+def tau_frame_path(s, tors, hess):
+    """Grid-path tau coefficients (see _tau_coefficients)."""
+    return _tau_coefficients(hess.phi_a, tors.N)
 
 
 def hermitian_frame_path(hess):
-    """H coefficient matrix delta_ab - 2 phi_abar (Hermitian to O(h^2))."""
-    n = hess.phi_a.shape[0]
-    eye = np.eye(n).reshape((n, n) + (1,) * (hess.phi_abar.ndim - 2))
-    return eye - 2.0 * hess.phi_abar
+    """Grid-path H coefficient matrix (see _hermitian_coefficients)."""
+    return _hermitian_coefficients(hess.phi_abar)
 
 
 def frame_tau_components(f, cff):
@@ -421,10 +438,7 @@ class LocalGeometry:
         self.de = np.stack(de)
         self.dtheta = np.stack(dtheta)
 
-        gperm = np.moveaxis(self.g, (0, 1), (-2, -1))
-        ginv = np.moveaxis(np.linalg.inv(gperm), (-2, -1), (0, 1))
-        gamma = 0.5 * np.einsum("kl...,ilj...->kij...", ginv, _lc_bracket(self.dg))
-        self.gamma1, _ = _gamma1(self.J, self.dJ, gamma)
+        self.gamma1, _ = _gamma1(self.J, self.dJ, _levi_civita(self.g, self.dg))
         self.conn_omega = _connection_matrix(self.theta, self.e, self.de, self.gamma1)
         self.T, self.N, self.mixed = _torsion_components(
             self.dtheta, self.conn_omega, self.theta, self.e
@@ -453,23 +467,17 @@ class LocalGeometry:
         dpa = np.einsum("dak...,k...->da...", self.de, grad) + np.einsum(
             "ak...,dk...->da...", self.e, hess
         )
-        u = np.einsum("da...->ad...", dpa) - np.einsum(
-            "b...,abd...->ad...", phi_a, self.conn_omega
-        )
-        phi_ab = np.einsum("ad...,bd...->ab...", u, self.e)
-        phi_abar = np.einsum("ad...,bd...->ab...", u, np.conj(self.e))
-        return phi_a, phi_ab, phi_abar
+        return (phi_a,) + _second_covariant(phi_a, dpa, self.conn_omega, self.e)
 
     def tau_of(self, phi_a):
-        return -2j * np.einsum("a...,abc...->bc...", np.conj(phi_a), np.conj(self.N))
+        return _tau_coefficients(phi_a, self.N)
 
     def hermitian_of(self, phi_abar):
-        n = phi_abar.shape[0]
-        eye = np.eye(n).reshape((n, n) + (1,) * (phi_abar.ndim - 2))
-        return eye - 2.0 * phi_abar
+        return _hermitian_coefficients(phi_abar)
 
     def deformation_form(self, phi_a, phi_abar):
-        """Coordinate matrix of d(Jd phi) from the frame expansion
+        """Increasing-pair components (pair axis first) of the real 2-form
+        d(Jd phi) from the frame expansion
         -2i( conj(phi_a) conj(N) theta^b theta^c + phi_abar theta^a conj-theta^b
              - phi_a N conj-theta^b conj-theta^c )."""
         c20 = self.tau_of(phi_a)
@@ -482,5 +490,5 @@ class LocalGeometry:
         c02 = 2j * np.einsum("a...,abc...->bc...", phi_a, self.N)
         B02 = np.einsum("bc...,bi...,cj...->ij...", c02, thb, thb)
         B02 = B02 - np.swapaxes(B02, 0, 1)
-        total = B20 + B11 + B02
-        return total.real.astype(complex)
+        total = (B20 + B11 + B02).real
+        return np.stack([total[i, j] for i, j in forms.multi_indices(total.shape[0], 2)])

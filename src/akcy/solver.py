@@ -21,7 +21,6 @@ from .errors import PreconditionError, SolverFailure
 __all__ = [
     "LinearOperatorHandle",
     "SolveReport",
-    "linearize_apply",
     "make_handle",
     "newton_solve",
     "continuity_solve",
@@ -62,29 +61,19 @@ class LinearOperatorHandle:
                 f"linearization base is not taming (margin {self.margin:.3e}); "
                 "ellipticity lost"
             )
-        n = s.half_dim
-        w = cy.deformed_form(s, self.phi)
-        acc = w
-        for _ in range(n - 2):
-            acc = forms.wedge(acc, w)
-        self.wn1 = acc          # omega(phi)^{n-1}
-        self.n = n
+        self.n = s.half_dim
+        self.wn1 = cy._wedge_power(cy.deformed_form(s, self.phi), self.n - 1)
 
     def apply(self, u):
         """L(phi)u as a grid scalar field."""
         u = np.asarray(u, dtype=float).reshape(self.s.chart.shape)
         dJdu = cy.deformation_form(self.s, u)
         top = forms.wedge(self.wn1, dJdu)
-        return self.n * forms.top_ratio(self.s, top).values
+        return self.n * forms.top_ratio(self.s, top)
 
 
 def make_handle(s, phi, check_taming=True):
     return LinearOperatorHandle(s, phi, check_taming=check_taming)
-
-
-def linearize_apply(s, phi, u):
-    """One-shot L(phi)u (builds the handle; use make_handle for many applies)."""
-    return make_handle(s, phi).apply(u)
 
 
 def _fft_symbol(chart):
@@ -100,10 +89,6 @@ def _fft_symbol(chart):
         shape[d] = N
         sym = sym + s1.reshape(shape)
     return sym
-
-
-def _zero_mean(u):
-    return u - u.mean()
 
 
 class _Preconditioner:
@@ -236,7 +221,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12, lin_tol=1e-10,
         handle = make_handle(s, phi)
         trace.append((it, res, handle.margin, alpha))
 
-    pot = cy.Potential(chart, cy.project_zero_mean(s, phi).values, zero_mean=True)
+    pot = cy.project_zero_mean(s, phi)
     report = SolveReport(True, it, res, handle.margin)
     report.trace = trace
     return pot, report
@@ -274,7 +259,7 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
                     reason="aliasing_floor",
                 )
                 rep.trace = trace
-                return cy.Potential(s.chart, phi, zero_mean=True), rep
+                return cy.Potential(s.chart, phi), rep
             dt *= 0.5
             if dt < 1e-4:
                 rep = SolveReport(
@@ -286,7 +271,7 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
                     reason=f"continuation stalled: {exc.report.reason if exc.report else ''}",
                 )
                 rep.trace = trace
-                return cy.Potential(s.chart, phi, zero_mean=True), rep
+                return cy.Potential(s.chart, phi), rep
     rep = SolveReport(
         True,
         last_report.iters if last_report else 0,
@@ -295,7 +280,7 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
         t_reached=1.0,
     )
     rep.trace = trace
-    return cy.Potential(s.chart, phi, zero_mean=True), rep
+    return cy.Potential(s.chart, phi), rep
 
 
 def kernel_check(s, phi, num_singular=4):

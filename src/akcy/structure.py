@@ -12,7 +12,9 @@ is Euclidean in the standard case.
 
 Non-integrable structures are produced by symplectic conjugation
 ``J(p) = A(p) J0 A(p)^-1`` with ``A(p) = exp(eps * t(p) * S)`` for an
-infinitesimally symplectic generator ``S`` and a periodic profile ``t``.
+infinitesimally symplectic generator ``S`` and a periodic profile ``t``;
+``A`` is evaluated for all points at once by ``scipy.linalg.expm`` on the
+stacked matrices ``eps * t(p) * S`` (scaling and squaring).
 Conjugation by a symplectic matrix preserves omega-compatibility
 identically, so compatibility never has to be repaired after the fact.
 """
@@ -69,10 +71,6 @@ class GridChart:
     def shape(self):
         return self.resolution
 
-    @property
-    def num_points(self):
-        return int(np.prod(self.resolution))
-
     def axis_coords(self, d):
         """Coordinates of axis d, shaped for broadcasting against grid fields."""
         N = self.resolution[d]
@@ -89,10 +87,6 @@ class GridChart:
 
     def index_to_point(self, idx):
         return np.asarray(idx, dtype=float) * np.asarray(self.spacing)
-
-    def wrap_displacement(self, delta):
-        """Minimum-image displacement on the unit torus."""
-        return (np.asarray(delta) + 0.5) % 1.0 - 0.5
 
     def diff(self, f, d):
         """Centered second-order periodic difference along grid axis d.
@@ -234,44 +228,13 @@ class StructureRecipe:
             )
 
 
-class _GeneratorExp:
-    """Fast exp(c*S) over arrays of scalars c, via eigendecomposition when the
-    generator is safely diagonalizable, scipy.linalg.expm otherwise."""
-
-    def __init__(self, S):
-        self.S = np.asarray(S, dtype=float)
-        self._eig = None
-        try:
-            w, V = np.linalg.eig(self.S)
-            Vinv = np.linalg.inv(V)
-            recon = (V * w) @ Vinv
-            scale = max(np.max(np.abs(self.S)), 1.0)
-            if np.max(np.abs(recon - self.S)) < 1e-13 * scale and np.linalg.cond(V) < 1e7:
-                self._eig = (w, V, Vinv)
-        except np.linalg.LinAlgError:
-            pass
-
-    def __call__(self, c):
-        c = np.asarray(c, dtype=float)
-        if self._eig is not None:
-            w, V, Vinv = self._eig
-            E = np.exp(np.multiply.outer(c, w))  # (..., 2n)
-            A = np.einsum("ij,...j,jk->...ik", V, E, Vinv)
-            return np.ascontiguousarray(A.real)
-        flat = c.reshape(-1)
-        out = np.empty(flat.shape + self.S.shape)
-        for i, ci in enumerate(flat):
-            out[i] = scipy.linalg.expm(ci * self.S)
-        return out.reshape(c.shape + self.S.shape)
-
-
 class CompatibleStructure:
     """A chart plus pointwise J, constant omega, and derived metric g.
 
     ``J`` and ``g`` are stored with shape (2n, 2n, *bshape) where bshape is
     broadcastable to the grid (size-1 along axes the twist does not use).
-    ``J_at``/``g_at`` evaluate the same structure at arbitrary points, which
-    the boundary module uses for off-grid polydisk scans.
+    ``J_at`` evaluates the same structure at arbitrary points, which the
+    boundary module uses for off-grid polydisk scans.
     """
 
     def __init__(self, chart, J, recipe, J_at):
@@ -291,17 +254,9 @@ class CompatibleStructure:
     def bshape(self):
         return self.J.shape[2:]
 
-    @property
-    def is_standard(self):
-        return self.recipe.kind == "standard" or self.recipe.amplitude == 0.0
-
     def J_at(self, points):
         """J at arbitrary physical points, shape (..., 2n) -> (..., 2n, 2n)."""
         return self._J_at(np.asarray(points, dtype=float))
-
-    def g_at(self, points):
-        J = self.J_at(points)
-        return np.einsum("ij,...jk->...ik", self.omega, J)
 
     def cache(self, key, builder):
         if key not in self._cache:
@@ -331,8 +286,12 @@ def twisted_structure(chart, recipe):
     n = chart.half_dim
     J0 = standard_J(n)
     prof, axes = PROFILES[recipe.profile]
-    expS = _GeneratorExp(recipe.generator)
+    S = np.asarray(recipe.generator, dtype=float)
     eps = float(recipe.amplitude)
+
+    def expS(c):
+        """exp(c*S) for every scalar of the array c, shape c.shape + (2n, 2n)."""
+        return scipy.linalg.expm(np.multiply.outer(c, S))
 
     # Profile sampled on the broadcast-reduced lattice only.
     bshape = tuple(chart.resolution[d] if d in axes else 1 for d in range(chart.dim))

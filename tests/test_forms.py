@@ -6,6 +6,8 @@ import pytest
 from akcy import forms
 from akcy.errors import DegreeError
 
+from conftest import make_twisted
+
 
 def random_form(chart, degree, rng, waves=1):
     ncomp = len(forms.multi_indices(chart.dim, degree))
@@ -61,15 +63,21 @@ def test_wedge_associativity(s_std12, rng):
 
 
 def test_omega_top_power_coefficient():
+    """omega^n has top coefficient n! in the increasing-index convention."""
     for n in (2, 3):
-        assert forms._omega_top_coefficient(n) == pytest.approx(math.factorial(n))
+        s = make_twisted([8] * (2 * n), profile="sin_x1")
+        w = forms.omega_form(s)
+        wn = w
+        for _ in range(n - 1):
+            wn = forms.wedge(wn, w)
+        assert np.abs(wn.comps[0] - math.factorial(n)).max() < 1e-12 * math.factorial(n)
 
 
 def test_top_ratio_of_omega_power_is_one(s_tw12):
     w = forms.omega_form(s_tw12)
     wn = forms.wedge(w, w)
     ratio = forms.top_ratio(s_tw12, wn)
-    assert np.abs(ratio.values - 1.0).max() < 1e-14
+    assert np.abs(ratio - 1.0).max() < 1e-14
 
 
 def test_integrate_normalized_to_unit_volume(s_tw12):

@@ -128,7 +128,7 @@ def test_frame_paths_match_coordinate_paths(s_tw16):
     tau_check = fr.frame_tau_components(f, tau_coord)
     assert np.abs(tau_frame - tau_check).max() < 5e-3
 
-    M_coord = cy.H_part(s_tw16, phi, f=f).matrix
+    M_coord = cy.H_part(s_tw16, phi, f=f)
     M_frame = fr.hermitian_frame_path(h)
     assert np.abs(M_frame - M_coord).max() < 5e-3
 

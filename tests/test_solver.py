@@ -27,13 +27,14 @@ def test_flat_plane_wave_eigenvalue():
     h = 1.0 / 12.0
     X = s.chart.grid_points()
     u = np.sin(2 * np.pi * X[..., 0])
-    Lu = sv.linearize_apply(s, 0.0, u)
+    L = sv.make_handle(s, 0.0)
+    Lu = L.apply(u)
     lam = (np.sin(2 * np.pi * h) / h) ** 2
     assert np.abs(Lu - lam * u).max() < 1e-12 * lam
 
     v = np.sin(2 * np.pi * (X[..., 1] + 2 * X[..., 2]))
     lam2 = (np.sin(2 * np.pi * h) / h) ** 2 + (np.sin(4 * np.pi * h) / h) ** 2
-    Lv = sv.linearize_apply(s, 0.0, v)
+    Lv = L.apply(v)
     assert np.abs(Lv - lam2 * v).max() < 1e-11 * lam2
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from akcy import structure as st
 from akcy.errors import ConfigurationError, RecipeError
@@ -70,6 +71,28 @@ def test_J_at_matches_grid_values(s_tw12):
     )
     ref = full[::4, ::4, ::4, ::4].reshape(-1, 4, 4)
     assert np.abs(J_pt - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_J_at_non_nilpotent_generator_matches_pointwise_expm(n):
+    """S = Omega^-1 M with M symmetric positive definite has a nonzero
+    (imaginary) spectrum, unlike the nilpotent default generator."""
+    rng = np.random.default_rng(17 + n)
+    Q = rng.standard_normal((2 * n, 2 * n))
+    M = Q @ Q.T + np.eye(2 * n)
+    S = np.linalg.solve(st.omega_matrix(n), M)
+    assert np.abs(np.linalg.eigvals(S)).min() > 1e-3
+    chart = st.build_grid(n, [8] * (2 * n))
+    eps = 0.05
+    s = st.twisted_structure(chart, st.StructureRecipe("twisted", S, eps, "sin_x1"))
+    pts = rng.uniform(0.0, 1.0, size=(40, 2 * n))
+    J0 = st.standard_J(n)
+    ref = []
+    for p in pts:
+        c = eps * np.sin(2.0 * np.pi * p[0])
+        ref.append(scipy.linalg.expm(c * S) @ J0 @ scipy.linalg.expm(-c * S))
+    assert np.abs(s.J_at(pts) - np.array(ref)).max() < 1e-12
+    assert np.abs(s.J_at(pts[0]) - ref[0]).max() < 1e-12
 
 
 def test_recipe_rejects_non_symplectic_generator():
