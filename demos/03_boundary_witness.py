@@ -1,7 +1,8 @@
 """Boundary-of-the-cone construction: pick a seed potential whose torsion
 pairing is bounded away from zero, attach a concentrated bump at the
-degenerating point, and bisect the amplitude until the deformed metric sits
-on the taming boundary (certified on an analytic off-grid scan set).
+degenerating point, and scale it by the closed-form pencil amplitude at which
+the deformed metric sits on the taming boundary (certified on an analytic
+off-grid scan set).
 
 Runtime: under a minute at 16^4.
 """

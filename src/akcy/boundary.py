@@ -59,7 +59,9 @@ __all__ = [
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
+# Points per LocalGeometry batch, and per batch of plain grid-point sweeps.
 SCAN_CHUNK = 50_000
+GRID_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +301,17 @@ class BumpField:
         """Axis points needed for >= 4 grid cells across the inner 1/R^2 feature."""
         return int(np.ceil(2.0 * self.spec.R**2 / self.spec.scale))
 
-    def values_on_grid(self, chart, chunk=1 << 20):
+    def values_on_grid(self, chart):
         """psi_R sampled at grid points (values only; exact zeros off-support)."""
         pts = chart.grid_points().reshape(-1, chart.dim)
         out = np.zeros(pts.shape[0])
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
+        for start in range(0, pts.shape[0], GRID_CHUNK):
+            block = pts[start : start + GRID_CHUNK]
             w = self.torus_to_chart(block)
             mask = self.support_mask(w)
             if np.any(mask):
                 psi, _, _ = self.chart_eval(w[mask], order=0)
-                out[start : start + chunk][mask] = psi
+                out[start : start + GRID_CHUNK][mask] = psi
         return out.reshape(chart.shape)
 
     def sample_on_grid(self, chart):
@@ -333,15 +335,12 @@ def bump_psi(spec: BumpSpec) -> BumpField:
 # ---------------------------------------------------------------------------
 # Pseudo-holomorphic diagnostics.
 
-def pseudo_holomorphic_defect(s, fvals, point=None):
-    """|df o J - i df| per grid point (or at one grid index)."""
+def pseudo_holomorphic_defect(s, fvals):
+    """|df o J - i df| per grid point."""
     fvals = np.asarray(fvals, dtype=complex)
     df = forms.d_scalar(s.chart, fvals)
     dfJ = forms.apply_J_oneform(s, df)
-    defect = np.sqrt(np.sum(np.abs(dfJ.comps - 1j * df.comps) ** 2, axis=0))
-    if point is not None:
-        return float(defect[tuple(point)])
-    return defect
+    return np.sqrt(np.sum(np.abs(dfJ.comps - 1j * df.comps) ** 2, axis=0))
 
 
 def nijenhuis_pairing(s, fvals):
@@ -364,7 +363,6 @@ class SeedPotential:
     """Scaled candidate with certified nonvanishing tau_12 near p0."""
 
     potential: cy.Potential
-    region: tuple                  # ((lo, hi) per axis) index box around p0
     epsilon1: float
     basepoint: tuple               # grid index of p0
     lam: np.ndarray                # eigenvalues of H(phi)(p0), ascending
@@ -401,9 +399,9 @@ def _box_indices(chart, p0_idx, halfwidth):
     return sels
 
 
-def select_seed(s, candidates=None, rng=None):
-    """Pick the candidate, scaling, basepoint and polydisk maximizing the
-    certified lower bound epsilon1 of |tau_12| near the basepoint."""
+def select_seed(s):
+    """Pick the default candidate, scaling, basepoint and polydisk maximizing
+    the certified lower bound epsilon1 of |tau_12| near the basepoint."""
     if nijenhuis_max_norm(s) <= NONINTEGRABILITY_THRESHOLD:
         raise NoSeedError(
             "structure is integrable (Nijenhuis tensor vanishes): tau is "
@@ -411,17 +409,13 @@ def select_seed(s, candidates=None, rng=None):
         )
     n = s.half_dim
     chart = s.chart
-    if candidates is None:
-        candidates = default_candidates(n)
-    if not candidates:
-        raise SeedSearchError("empty candidate list")
 
     f = build_frame(s)
     rho_max, reach = _chart_scale_bound(f.e[(...,) + (0,) * chart.dim])
 
     best = None
     diagnostics = []
-    for cand in candidates:
+    for cand in default_candidates(n):
         vals = cand.value(chart.grid_points())
         try:
             amp = cy.positivity_amplitude(s, vals)
@@ -442,14 +436,14 @@ def select_seed(s, candidates=None, rng=None):
                 for frac in (1.0, 0.75, 0.5, 0.25):
                     rho_try = rho_max * frac
                     halfwidth = 1.05 * rho_try * reach
-                    sels_try = _box_indices(chart, p0_idx, halfwidth)
-                    e1 = float(mag[np.ix_(*sels_try)].min())
-                    options.append((rho_try, e1, sels_try))
+                    sels = _box_indices(chart, p0_idx, halfwidth)
+                    e1 = float(mag[np.ix_(*sels)].min())
+                    options.append((rho_try, e1))
                     diagnostics.append((cand.name, (a, b), frac, e1))
-                e1_best = max(e1 for _, e1, _ in options)
+                e1_best = max(e1 for _, e1 in options)
                 # Largest polydisk whose certified bound stays comparable:
                 # bigger rho eases grid/support resolution downstream.
-                rho, eps1, sels = next(
+                rho, eps1 = next(
                     opt for opt in options if opt[1] >= 0.25 * e1_best
                 )
                 score = eps1
@@ -461,9 +455,6 @@ def select_seed(s, candidates=None, rng=None):
                         "p0_idx": tuple(int(i) for i in p0_idx),
                         "rho": rho,
                         "eps1": eps1,
-                        "region": tuple(
-                            (int(sel[0]), int(sel[-1])) for sel in sels
-                        ),
                     }
     if best is None or best["eps1"] <= 1e-9:
         raise SeedSearchError(
@@ -489,7 +480,6 @@ def select_seed(s, candidates=None, rng=None):
     pot = cy.Potential(chart, phi_vals)
     return SeedPotential(
         potential=pot,
-        region=best["region"],
         epsilon1=best["eps1"],
         basepoint=best["p0_idx"],
         lam=lamvals,
@@ -584,29 +574,29 @@ def _grid_support_points(s, bump):
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
     keep = []
-    for start in range(0, pts.shape[0], 1 << 20):
-        block = pts[start : start + (1 << 20)]
+    for start in range(0, pts.shape[0], GRID_CHUNK):
+        block = pts[start : start + GRID_CHUNK]
         r = _pair_radii(bump.torus_to_chart(block)).max(axis=1)
         keep.append(block[r <= 1.5 / bump.spec.R])
     return np.concatenate(keep, axis=0)
 
 
-def _seed_grid_F(s, seed, chunk=SCAN_CHUNK):
+def _seed_grid_F(s, seed):
     """F(phi) at every grid point via the exact pointwise path (cached)."""
 
     def _build():
         chart = s.chart
         pts = chart.grid_points().reshape(-1, chart.dim)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
+        for start in range(0, pts.shape[0], SCAN_CHUNK):
+            block = pts[start : start + SCAN_CHUNK]
             lg = LocalGeometry(s, block)
             pa, _, pabar = lg.covariant_of(
                 seed.analytic_grad(block), seed.analytic_hess(block)
             )
             M = lg.hermitian_of(pabar)
             tau12 = 2.0 * lg.tau_of(pa)[0, 1]
-            out[start : start + chunk] = frame_F(M, tau12)
+            out[start : start + SCAN_CHUNK] = frame_F(M, tau12)
         return out
 
     return s.cache(("seed_grid_F", id(seed)), _build)
@@ -643,9 +633,10 @@ class BoundaryReport:
         }
 
 
-def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7):
+def boundary_potential(s, seed, R, rng_seed=7):
     """phi_R = phi + a*psi_R with a the positivity amplitude of the bump
-    direction; returns the potential and a BoundaryReport.
+    direction on the scan set (cy.pencil_amplitude); returns the potential
+    and a BoundaryReport.
 
     All certification (margin, minF, tau_12) runs on the analytic scan set,
     which contains every grid point inside the bump support; the uniform grid
@@ -665,59 +656,36 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
     geo = _ScanGeometry(s, seed, bump, all_pts)
     base, delta = geo.h_pencil()
 
-    def margin_at(a):
-        return cy.min_eigenvalue_field(base + a * delta)
-
-    m0, _ = margin_at(0.0)
+    m0, _ = cy.min_eigenvalue_field(base)
     if m0 <= cy.TAMING_THRESHOLD:
         raise PreconditionError(
             f"seed potential is not strictly taming on the scan set (margin {m0:.3e})"
         )
-
-    lo, hi = 0.0, 1.0
-    m_hi, _ = margin_at(hi)
-    amplitude_in_range = True
-    while m_hi > 0.0:
-        lo = hi
-        hi *= 2.0
-        amplitude_in_range = False
-        if hi > 1e6:
-            raise AmplitudeError("bump direction never violates taming (unexpected)")
-        m_hi, _ = margin_at(hi)
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if margin_at(mid)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
-    margin_final, loc = margin_at(a)
+    a = cy.pencil_amplitude(base, delta)
+    margin_final, loc = cy.min_eigenvalue_field(base + a * delta)
     rmax = _pair_radii(bump.torus_to_chart(all_pts[loc][None, :])).max()
     min_eig_in_disk = bool(rmax <= 1.0 / R + 1e-9)
 
     phi_R_vals = seed.potential.values + a * bump.values_on_grid(s.chart)
     phi_R = cy.project_zero_mean(s, phi_R_vals)
 
-    minF = None
-    minF1 = None
-    if compute_F:
-        F_scan = geo.F(a)
-        grid_F = _seed_grid_F(s, seed)
-        # On grid points outside the support psi vanishes identically, so
-        # F(phi_R) = F(phi) there; inside, the scan geometry covers them.
-        min_outside = np.inf
-        pts_flat = s.chart.grid_points().reshape(-1, s.chart.dim)
-        for start in range(0, pts_flat.shape[0], 1 << 20):
-            block = pts_flat[start : start + (1 << 20)]
-            outside = ~bump.support_mask(bump.torus_to_chart(block))
-            if np.any(outside):
-                min_outside = min(
-                    min_outside, float(grid_F[start : start + (1 << 20)][outside].min())
-                )
-        minF = float(min(F_scan.min(), min_outside))
-        near = np.max(np.abs(w_scan), axis=1) <= 1.2 / R**2
-        tau12_near = geo.tau12(a)[: len(w_scan)][near]
-        minF1 = float(np.min(np.abs(tau12_near) ** 2))
+    F_scan = geo.F(a)
+    grid_F = _seed_grid_F(s, seed)
+    # On grid points outside the support psi vanishes identically, so
+    # F(phi_R) = F(phi) there; inside, the scan geometry covers them.
+    min_outside = np.inf
+    pts_flat = s.chart.grid_points().reshape(-1, s.chart.dim)
+    for start in range(0, pts_flat.shape[0], GRID_CHUNK):
+        block = pts_flat[start : start + GRID_CHUNK]
+        outside = ~bump.support_mask(bump.torus_to_chart(block))
+        if np.any(outside):
+            min_outside = min(
+                min_outside, float(grid_F[start : start + GRID_CHUNK][outside].min())
+            )
+    minF = float(min(F_scan.min(), min_outside))
+    near = np.max(np.abs(w_scan), axis=1) <= 1.2 / R**2
+    tau12_near = geo.tau12(a)[: len(w_scan)][near]
+    minF1 = float(np.min(np.abs(tau12_near) ** 2))
 
     # lower bound on |tau12| over s in [0,1] on the Delta_R image; tau12 is
     # affine in s so the sampled minimum is cheap on the existing geometry.
@@ -738,7 +706,7 @@ def boundary_potential(s, seed, R, compute_F=True, bisect_tol=1e-12, rng_seed=7)
         p0=seed.basepoint,
         lam=list(seed.lam),
         min_eig_in_disk=min_eig_in_disk,
-        amplitude_in_range=amplitude_in_range and a <= 1.0 + 1e-8,
+        amplitude_in_range=a <= 1.0 + 1e-8,
         tau12_bound=tau12_bound,
         diagnostics={"scan_points": int(all_pts.shape[0])},
     )
@@ -753,17 +721,17 @@ def epsilon0_floor(seed, half_dim):
     return 0.5 * (seed.epsilon1 / 2.0) ** 2 * extra * 2.0 ** (-half_dim)
 
 
-def witness_density(s, seed, R, amplitude, chunk=SCAN_CHUNK):
+def witness_density(s, seed, R, amplitude):
     """Pointwise F(phi + a psi_R) at every grid point, normalized to unit
     mass; the positive target density realized by a boundary potential."""
     bump = _seed_bump(s, seed, R)
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
+    for start in range(0, pts.shape[0], SCAN_CHUNK):
+        block = pts[start : start + SCAN_CHUNK]
         geo = _ScanGeometry(s, seed, bump, block)
-        out[start : start + chunk] = geo.F(amplitude)
+        out[start : start + SCAN_CHUNK] = geo.F(amplitude)
     f = out.reshape(chart.shape)
     return f / forms.integrate(s, f)
 

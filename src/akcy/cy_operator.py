@@ -36,6 +36,7 @@ __all__ = [
     "F_components",
     "F_total",
     "taming_margin",
+    "pencil_amplitude",
     "positivity_amplitude",
     "project_zero_mean",
     "analyze_potential",
@@ -46,7 +47,12 @@ __all__ = [
 # A+ membership threshold: margin must clear the discretization noise floor.
 TAMING_THRESHOLD = 1e-8
 F_CONSISTENCY_RTOL = 1e-10
-ZERO_MEAN_TOL = 1e-12
+# Amplitudes above AMPLITUDE_MAX count as unbounded; AMPLITUDE_RTOL is the
+# relative offset of the two sweeps that certify the closed-form amplitude.
+AMPLITUDE_MAX = 1e6
+AMPLITUDE_RTOL = 1e-9
+EIG_CHUNK = 1 << 19      # points per batched eigvalsh
+PENCIL_CHUNK = 1 << 18   # points per batched pencil reduction
 
 
 @dataclass
@@ -66,7 +72,7 @@ def _values(phi):
     return np.asarray(phi, dtype=float)
 
 
-def min_eigenvalue_field(M, chunk=1 << 19):
+def min_eigenvalue_field(M):
     """(min eigenvalue over all points, flat argmin index) of a Hermitian
     matrix field with matrix axes first; processes points in chunks."""
     k = M.shape[0]
@@ -74,8 +80,8 @@ def min_eigenvalue_field(M, chunk=1 << 19):
     npts = flat.shape[-1]
     best = np.inf
     best_idx = 0
-    for start in range(0, npts, chunk):
-        block = np.ascontiguousarray(np.moveaxis(flat[..., start : start + chunk], -1, 0))
+    for start in range(0, npts, EIG_CHUNK):
+        block = np.ascontiguousarray(np.moveaxis(flat[..., start : start + EIG_CHUNK], -1, 0))
         ev = np.linalg.eigvalsh(block)[:, 0]
         i = int(np.argmin(ev))
         if ev[i] < best:
@@ -219,7 +225,7 @@ def _F_components(s, B):
     return out
 
 
-def F_total(s, phi, check=True, return_components=False):
+def F_total(s, phi, return_components=False):
     """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j.
 
     Both paths start from one evaluation of d(J dphi); omega(phi) is dropped
@@ -230,20 +236,19 @@ def F_total(s, phi, check=True, return_components=False):
     comps = _F_components(s, B.comps)
     del B
     total = sum(comps[1:], comps[0])
-    if check:
-        scale = max(1.0, float(np.abs(direct).max()))
-        defect = float(np.abs(direct - total).max())
-        if defect > F_CONSISTENCY_RTOL * scale:
-            raise ConsistencyError(
-                f"top-power and component-sum paths for F disagree by {defect:.3e} "
-                f"(relative tolerance {F_CONSISTENCY_RTOL})"
-            )
+    scale = max(1.0, float(np.abs(direct).max()))
+    defect = float(np.abs(direct - total).max())
+    if defect > F_CONSISTENCY_RTOL * scale:
+        raise ConsistencyError(
+            f"top-power and component-sum paths for F disagree by {defect:.3e} "
+            f"(relative tolerance {F_CONSISTENCY_RTOL})"
+        )
     if return_components:
         return direct, comps
     return direct
 
 
-def _pencil_critical_scale(g, delta, chunk=1 << 18):
+def _pencil_critical_scale(g, delta):
     """min over points of sup{s : g + s*delta positive definite}, inf if none.
 
     Whitens the pencil by the Cholesky factor of g; the critical scale per
@@ -256,9 +261,9 @@ def _pencil_critical_scale(g, delta, chunk=1 << 18):
     dflat = delta.reshape(k, k, -1)
     npts = dflat.shape[-1]
     best = np.inf
-    for start in range(0, npts, chunk):
-        G = np.ascontiguousarray(np.moveaxis(gflat[..., start : start + chunk], -1, 0))
-        D = np.ascontiguousarray(np.moveaxis(dflat[..., start : start + chunk], -1, 0))
+    for start in range(0, npts, PENCIL_CHUNK):
+        G = np.ascontiguousarray(np.moveaxis(gflat[..., start : start + PENCIL_CHUNK], -1, 0))
+        D = np.ascontiguousarray(np.moveaxis(dflat[..., start : start + PENCIL_CHUNK], -1, 0))
         L = np.linalg.cholesky(G)
         A = np.linalg.solve(L, D)
         K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
@@ -269,46 +274,38 @@ def _pencil_critical_scale(g, delta, chunk=1 << 18):
     return best
 
 
-def positivity_amplitude(s, phi, s_max=1e6, tol=1e-10):
-    """a = sup{ s > 0 : h(s*phi) positive definite everywhere }, by bisection.
+def pencil_amplitude(base, delta):
+    """a = sup{ s > 0 : base + s*delta positive definite at every point }.
 
-    h(s*phi) = g + s*Delta is affine in s per point, so the grid-min
-    eigenvalue is concave in s and the positive set is an interval.  The
-    bisection bracket is seeded from the closed-form critical scale of the
-    symmetric pencil, which the bisection then certifies.
+    The pencil is affine in s per point, so a is the closed-form critical
+    scale of the symmetric-definite pencil (Cholesky reduction, Golub & Van
+    Loan 8.7).  Two eigenvalue sweeps certify it: the margin must be positive
+    at a*(1 - 1e-9) and non-positive at a*(1 + 1e-9).
+    """
+    a = _pencil_critical_scale(base, delta)
+    if not np.isfinite(a) or a > AMPLITUDE_MAX:
+        raise AmplitudeError(
+            f"no taming sign change up to {AMPLITUDE_MAX:.1e}; amplitude unbounded"
+        )
+    below, _ = min_eigenvalue_field(base + a * (1.0 - AMPLITUDE_RTOL) * delta)
+    above, _ = min_eigenvalue_field(base + a * (1.0 + AMPLITUDE_RTOL) * delta)
+    if not (below > 0.0 and above <= 0.0):
+        raise ConsistencyError(
+            f"pencil critical scale {a!r} is not a taming sign change: margin "
+            f"{below:.3e} just below, {above:.3e} just above"
+        )
+    return a
+
+
+def positivity_amplitude(s, phi):
+    """a = sup{ s > 0 : h(s*phi) positive definite everywhere }.
+
+    h(s*phi) = g + s*Delta is affine in s per point; see pencil_amplitude.
     """
     vals = _values(phi)
     if float(np.ptp(vals)) == 0.0:
         raise PreconditionError("positivity amplitude requires a non-constant potential")
-    g = s.g
-    delta = h_matrix(s.J, deformation_form(s, phi).comps)
-
-    def margin(a):
-        m, _ = min_eigenvalue_field(g + a * delta)
-        return m
-
-    guess = _pencil_critical_scale(g, delta)
-    if not np.isfinite(guess) or guess > s_max:
-        raise AmplitudeError(
-            f"no taming sign change up to s_max={s_max:.1e}; amplitude unbounded"
-        )
-    lo = guess * (1.0 - 1e-9)
-    hi = guess * (1.0 + 1e-9)
-    if margin(lo) <= 0.0:
-        lo = 0.0
-    if margin(hi) > 0.0:
-        hi = min(2.0 * guess + 1.0, s_max)
-        if margin(hi) > 0.0:
-            raise AmplitudeError(
-                f"no taming sign change up to s_max={s_max:.1e}; amplitude unbounded"
-            )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return pencil_amplitude(s.g, h_matrix(s.J, deformation_form(s, phi).comps))
 
 
 def project_zero_mean(s, phi):

@@ -217,12 +217,10 @@ def form_to_matrix(a):
     return B
 
 
-def form_from_matrix(chart, B, cls=FormField, **kw):
+def form_from_matrix(chart, B):
     dim = chart.dim
     pairs = multi_indices(dim, 2)
     comps = np.stack([B[i, j] for (i, j) in pairs])
-    if cls is ComplexFormField:
-        return ComplexFormField(chart, 2, comps, kw.get("bidegree"))
     return FormField(chart, 2, comps)
 
 

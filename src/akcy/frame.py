@@ -55,6 +55,8 @@ TORSION_NIJENHUIS_RATIO = 0.125
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
+# Central-difference step of the pointwise path (LocalGeometry).
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _gram_schmidt(J, g, seeds):
     return e, theta
 
 
-def build_frame(s, seeds=None, jump_threshold=None):
+def build_frame(s, seeds=None):
     """Per-point Gram-Schmidt frame seeded from fixed coordinate vectors.
 
     Default seeds are d/dx_1, d/dx_2, ... (axes 0, 2, 4, ...); degeneracy is
@@ -152,9 +154,7 @@ def build_frame(s, seeds=None, jump_threshold=None):
             if e.shape[axis] == 1:
                 continue
             jump = max(jump, float(np.abs(e - np.roll(e, 1, axis=axis)).max()))
-        thresh = jump_threshold
-        if thresh is None:
-            thresh = 100.0 * max(s.chart.spacing)
+        thresh = 100.0 * max(s.chart.spacing)
         if jump > thresh:
             raise FrameError(
                 f"frame discontinuity: neighbor jump {jump:.3e} exceeds {thresh:.3e}"
@@ -406,24 +406,23 @@ class LocalGeometry:
     (m, 2n); all member arrays keep the point axis last.
     """
 
-    def __init__(self, s: CompatibleStructure, points, step=1e-5, seeds=None):
+    def __init__(self, s: CompatibleStructure, points):
         self.s = s
         self.points = np.asarray(points, dtype=float)
-        self.step = float(step)
         n = s.half_dim
         dim = 2 * n
-        self.seeds = seeds if seeds is not None else [2 * a for a in range(n)]
+        seeds = [2 * a for a in range(n)]
 
         def frame_at(pts):
             J = np.moveaxis(s.J_at(pts), (-2, -1), (0, 1))
             g = np.einsum("ij,jk...->ik...", s.omega, J)
-            e, theta = _gram_schmidt(J, g, self.seeds)
+            e, theta = _gram_schmidt(J, g, seeds)
             return J, g, e, theta
 
         self.J, self.g, self.e, self.theta = frame_at(self.points)
 
         dJ, dg, de, dtheta = [], [], [], []
-        h = self.step
+        h = FD_STEP
         for d in range(dim):
             dp = np.zeros(dim)
             dp[d] = h

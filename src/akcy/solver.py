@@ -27,6 +27,12 @@ __all__ = [
     "kernel_check",
 ]
 
+# GMRES relative tolerance and iteration cap of each Newton step, and the
+# smallest damping factor the line search tries before rejecting the step.
+LIN_TOL = 1e-10
+LIN_MAXITER = 400
+MIN_STEP = 1e-4
+
 
 @dataclass
 class SolveReport:
@@ -123,12 +129,10 @@ class _Preconditioner:
         return np.fft.ifftn(rhat * self.inv_sym).real
 
 
-def _solve_linear(s, handle, rhs, tol=1e-10, maxiter=400, precond=None):
+def _solve_linear(s, handle, rhs, precond):
     """GMRES for L(phi) delta = rhs on the complement of the flat kernel."""
     chart = s.chart
     npts = int(np.prod(chart.shape))
-    if precond is None:
-        precond = _Preconditioner(s, handle)
     rhs = precond.project(rhs).ravel()
 
     def matvec(u):
@@ -137,7 +141,7 @@ def _solve_linear(s, handle, rhs, tol=1e-10, maxiter=400, precond=None):
 
     A = LinearOperator((npts, npts), matvec=matvec)
     M = LinearOperator((npts, npts), matvec=lambda r: precond(r).ravel())
-    x, info = gmres(A, rhs, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
+    x, info = gmres(A, rhs, rtol=LIN_TOL, atol=0.0, maxiter=LIN_MAXITER, M=M)
     if info != 0:
         raise SolverFailure(f"linear solve stagnated (GMRES info={info})")
     x = precond.project(x)
@@ -158,8 +162,7 @@ def _check_target(s, f):
     return f
 
 
-def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12, lin_tol=1e-10,
-                 min_step=1e-4):
+def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     """Damped Newton for F(phi) = f inside the taming cone."""
     chart = s.chart
     f = _check_target(s, f)
@@ -182,21 +185,21 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12, lin_tol=1e-10,
     it = 0
     while res > tol:
         if res_proj <= 0.1 * tol:
-            report = SolveReport(False, it, res, handle.margin, reason="aliasing_floor")
-            report.trace = trace
+            report = SolveReport(False, it, res, handle.margin, reason="aliasing_floor",
+                                 trace=trace)
             raise SolverFailure(
                 f"target has flat-kernel content {res:.3e} above tol {tol:.1e}; "
                 "the reachable residual component is converged",
                 report=report,
             )
         if it >= max_iter:
-            report = SolveReport(False, it, res, handle.margin, reason="max_iter")
-            report.trace = trace
+            report = SolveReport(False, it, res, handle.margin, reason="max_iter",
+                                 trace=trace)
             raise SolverFailure("Newton did not converge within max_iter", report=report)
-        delta, lin_res = _solve_linear(s, handle, res_field, tol=lin_tol, precond=precond)
+        delta, lin_res = _solve_linear(s, handle, res_field, precond)
         alpha = 1.0
         accepted = False
-        while alpha >= min_step:
+        while alpha >= MIN_STEP:
             cand = phi + alpha * delta
             margin = cy.taming_margin(s, cand)
             if margin > cy.TAMING_THRESHOLD:
@@ -215,19 +218,16 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12, lin_tol=1e-10,
         it += 1
         if not accepted:
             reason = "margin_collapse" if margin <= cy.TAMING_THRESHOLD else "stagnation"
-            report = SolveReport(False, it, res, margin, reason=reason)
-            report.trace = trace
+            report = SolveReport(False, it, res, margin, reason=reason, trace=trace)
             raise SolverFailure(f"Newton step rejected ({reason})", report=report)
         handle = make_handle(s, phi)
         trace.append((it, res, handle.margin, alpha))
 
     pot = cy.project_zero_mean(s, phi)
-    report = SolveReport(True, it, res, handle.margin)
-    report.trace = trace
-    return pot, report
+    return pot, SolveReport(True, it, res, handle.margin, trace=trace)
 
 
-def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
+def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     """Continuation along f_t = c_t((1-t) + t f), multiplicative c_t keeping
     unit mass; Newton restarts from the previous solution."""
     f = _check_target(s, f)
@@ -241,9 +241,7 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
         blend = (1.0 - t_next) + t_next * f
         ft = blend / forms.integrate(s, blend)
         try:
-            pot, rep = newton_solve(
-                s, ft, phi_init=phi, tol=tol, max_iter=max_iter, min_step=min_step
-            )
+            pot, rep = newton_solve(s, ft, phi_init=phi, tol=tol, max_iter=max_iter)
             phi = pot.values
             t = t_next
             trace.append((t, rep.residual, rep.margin))
@@ -257,8 +255,8 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
                     exc.report.margin,
                     t_reached=t,
                     reason="aliasing_floor",
+                    trace=trace,
                 )
-                rep.trace = trace
                 return cy.Potential(s.chart, phi), rep
             dt *= 0.5
             if dt < 1e-4:
@@ -269,8 +267,8 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
                     exc.report.margin if exc.report else np.nan,
                     t_reached=t,
                     reason=f"continuation stalled: {exc.report.reason if exc.report else ''}",
+                    trace=trace,
                 )
-                rep.trace = trace
                 return cy.Potential(s.chart, phi), rep
     rep = SolveReport(
         True,
@@ -278,8 +276,8 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12, min_step=1e-4):
         last_report.residual if last_report else 0.0,
         last_report.margin if last_report else cy.taming_margin(s, phi),
         t_reached=1.0,
+        trace=trace,
     )
-    rep.trace = trace
     return cy.Potential(s.chart, phi), rep
 
 

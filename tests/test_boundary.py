@@ -3,6 +3,7 @@ import pytest
 
 from akcy import boundary as bd
 from akcy.errors import ConfigurationError, NoSeedError, ResolutionError
+from conftest import make_twisted
 
 
 def test_cutoff_plateau_and_tail():
@@ -140,3 +141,15 @@ def test_epsilon0_floor_formula():
 
     floor = bd.epsilon0_floor(Seed(), 2)
     assert floor == pytest.approx(0.5 * 0.02**2 * 1.0 * 0.25)
+
+
+def test_boundary_potential_sits_on_cone_boundary():
+    """Criterion 09's report conditions for one R on a small grid."""
+    s = make_twisted([14, 14, 14, 14])
+    seed = bd.select_seed(s)
+    _, report = bd.boundary_potential(s, seed, 8.0)
+    assert abs(report.margin) <= 1e-8
+    assert 0.0 < report.amplitude <= 1.0
+    assert report.amplitude_in_range
+    assert report.min_eig_in_disk
+    assert report.minF > 0.0

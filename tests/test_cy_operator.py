@@ -4,7 +4,7 @@ import pytest
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
-from akcy.errors import PreconditionError
+from akcy.errors import AmplitudeError, ConsistencyError, PreconditionError
 
 
 def sample_potential(s, rng, amp=0.01):
@@ -106,3 +106,35 @@ def test_analyze_potential_report_schema(s_tw12, rng):
 def test_amplitude_rejects_constant_direction(s_tw12):
     with pytest.raises(PreconditionError):
         cy.positivity_amplitude(s_tw12, np.zeros(s_tw12.chart.shape))
+
+
+def _diagonal_pencil(npts=64):
+    """base = diag(b) > 0 and delta = diag(d) per point, matrix axes first."""
+    rng = np.random.default_rng(5)
+    b = rng.uniform(0.5, 2.0, size=(4, npts))
+    d = rng.uniform(-1.0, 1.0, size=(4, npts))
+    eye = np.eye(4)[:, :, None]
+    return b, d, eye * b[None], eye * d[None]
+
+
+def test_pencil_amplitude_diagonal_closed_form():
+    b, d, base, delta = _diagonal_pencil()
+    neg = d < 0.0
+    expected = float((b[neg] / -d[neg]).min())
+    assert cy.pencil_amplitude(base, delta) == pytest.approx(expected, rel=1e-14)
+
+
+def test_pencil_amplitude_rejects_semidefinite_direction():
+    _, d, base, _ = _diagonal_pencil()
+    delta = np.eye(4)[:, :, None] * np.maximum(d, 0.0)[None]
+    with pytest.raises(AmplitudeError):
+        cy.pencil_amplitude(base, delta)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_pencil_amplitude_certificate_catches_wrong_scale(monkeypatch, factor):
+    _, _, base, delta = _diagonal_pencil()
+    exact = cy._pencil_critical_scale
+    monkeypatch.setattr(cy, "_pencil_critical_scale", lambda g, D: factor * exact(g, D))
+    with pytest.raises(ConsistencyError):
+        cy.pencil_amplitude(base, delta)
