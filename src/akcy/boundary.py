@@ -503,12 +503,12 @@ def frame_F(M, tau12):
 
 
 class _ScanGeometry:
-    """Covariant data of seed and bump at a batch of scan points."""
+    """Covariant data of seed and bump at a batch of scan points; lg, when
+    given, is the seed-rotated LocalGeometry at those points."""
 
-    def __init__(self, s, seed, bump, points):
+    def __init__(self, s, seed, bump, points, lg=None):
         self.points = points
-        lg = LocalGeometry(s, points)
-        self.lg = lg.rotate(seed.U)
+        self.lg = LocalGeometry(s, points).rotate(seed.U) if lg is None else lg
         gphi = seed.analytic_grad(points)
         hphi = seed.analytic_hess(points)
         self.pa_phi, _, self.pabar_phi = self.lg.covariant_of(gphi, hphi)
@@ -581,16 +581,41 @@ def _grid_support_points(s, bump):
     return np.concatenate(keep, axis=0)
 
 
+def _lattice_geometry(s):
+    """(LocalGeometry on the broadcast-reduced lattice, index map), cached.
+
+    The lattice holds one grid point per distinct value of the structure,
+    prod(s.bshape) points; the index map is a grid-shaped broadcast view of
+    each grid point's flat lattice index.  J_at depends on a point only
+    through the profile axes, so the lattice geometry gathered by the index
+    map is the geometry at every grid point.
+    """
+
+    def _build():
+        chart = s.chart
+        bshape = s.bshape
+        pts = np.zeros(bshape + (chart.dim,))
+        for d in range(chart.dim):
+            if bshape[d] > 1:
+                pts[..., d] = np.broadcast_to(chart.axis_coords(d), bshape)
+        lattice = np.arange(int(np.prod(bshape))).reshape(bshape)
+        geometry = LocalGeometry(s, pts.reshape(-1, chart.dim))
+        return geometry, np.broadcast_to(lattice, chart.shape)
+
+    return s.cache("lattice_geometry", _build)
+
+
 def _seed_grid_F(s, seed):
     """F(phi) at every grid point via the exact pointwise path (cached)."""
 
     def _build():
         chart = s.chart
         pts = chart.grid_points().reshape(-1, chart.dim)
+        lattice, idx = _lattice_geometry(s)
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], SCAN_CHUNK):
             block = pts[start : start + SCAN_CHUNK]
-            lg = LocalGeometry(s, block)
+            lg = lattice.take(idx.flat[start : start + SCAN_CHUNK])
             pa, _, pabar = lg.covariant_of(
                 seed.analytic_grad(block), seed.analytic_hess(block)
             )
@@ -727,10 +752,13 @@ def witness_density(s, seed, R, amplitude):
     bump = _seed_bump(s, seed, R)
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
+    lattice, idx = _lattice_geometry(s)
+    lattice = lattice.rotate(seed.U)
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], SCAN_CHUNK):
         block = pts[start : start + SCAN_CHUNK]
-        geo = _ScanGeometry(s, seed, bump, block)
+        lg = lattice.take(idx.flat[start : start + SCAN_CHUNK])
+        geo = _ScanGeometry(s, seed, bump, block, lg)
         out[start : start + SCAN_CHUNK] = geo.F(amplitude)
     f = out.reshape(chart.shape)
     return f / forms.integrate(s, f)

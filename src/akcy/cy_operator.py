@@ -253,17 +253,20 @@ def _pencil_critical_scale(g, delta):
 
     Whitens the pencil by the Cholesky factor of g; the critical scale per
     point is -1/lambda_min of the whitened delta when that eigenvalue is
-    negative.
+    negative.  g may be a broadcastable field (the metric); chunks run along
+    the leading grid axis, so g is never copied to the grid's size.
     """
     k = delta.shape[0]
-    gb = np.broadcast_to(g, (k, k) + delta.shape[2:])
-    gflat = gb.reshape(k, k, -1)
-    dflat = delta.reshape(k, k, -1)
-    npts = dflat.shape[-1]
+    g = np.broadcast_to(g, delta.shape)      # a view; copied one chunk at a time
+    grid = delta.shape[2:]
+    rows = max(1, PENCIL_CHUNK // math.prod(grid[1:]))
     best = np.inf
-    for start in range(0, npts, PENCIL_CHUNK):
-        G = np.ascontiguousarray(np.moveaxis(gflat[..., start : start + PENCIL_CHUNK], -1, 0))
-        D = np.ascontiguousarray(np.moveaxis(dflat[..., start : start + PENCIL_CHUNK], -1, 0))
+    for start in range(0, grid[0], rows):
+        chunk = (slice(None), slice(None), slice(start, start + rows))
+        G, D = (
+            np.ascontiguousarray(np.moveaxis(M[chunk], (0, 1), (-2, -1))).reshape(-1, k, k)
+            for M in (g, delta)
+        )
         L = np.linalg.cholesky(G)
         A = np.linalg.solve(L, D)
         K = np.linalg.solve(L, np.swapaxes(A, -1, -2))

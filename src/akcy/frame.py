@@ -458,6 +458,18 @@ class LocalGeometry:
         )
         return new
 
+    def take(self, idx):
+        """The geometry at points[idx] for a 1-D index array, gathered from
+        this one without evaluating the structure again."""
+        new = object.__new__(LocalGeometry)
+        for key, value in self.__dict__.items():
+            if key == "points":
+                value = value[idx]
+            elif isinstance(value, np.ndarray):
+                value = value[..., idx]
+            setattr(new, key, value)
+        return new
+
     def covariant_of(self, grad, hess):
         """Covariant phi_a, phi_abar, phi_ab of a potential from its analytic
         coordinate gradient (2n, m) and Hessian (2n, 2n, m)."""

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import cy_operator as cy
 from . import forms
-from .errors import PreconditionError, SolverFailure
+from .errors import ConsistencyError, PreconditionError, SolverFailure
 
 __all__ = [
     "LinearOperatorHandle",
@@ -229,7 +229,12 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
 
 def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     """Continuation along f_t = c_t((1-t) + t f), multiplicative c_t keeping
-    unit mass; Newton restarts from the previous solution."""
+    unit mass; Newton restarts from the previous solution.
+
+    A PreconditionError or ConsistencyError from a Newton step ends the path
+    with a failed report whose reason names the error, like a stalled
+    continuation.
+    """
     f = _check_target(s, f)
     phi = np.zeros(s.chart.shape)
     t = 0.0
@@ -246,6 +251,17 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
             t = t_next
             trace.append((t, rep.residual, rep.margin))
             last_report = rep
+        except (PreconditionError, ConsistencyError) as exc:
+            rep = SolveReport(
+                False,
+                0,
+                np.inf,
+                np.nan,
+                t_reached=t,
+                reason=f"{type(exc).__name__}: {exc}",
+                trace=trace,
+            )
+            return cy.Potential(s.chart, phi), rep
         except SolverFailure as exc:
             if exc.report is not None and exc.report.reason == "aliasing_floor":
                 rep = SolveReport(

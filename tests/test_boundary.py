@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from akcy import boundary as bd
+from akcy import forms
+from akcy import frame as fr
 from akcy.errors import ConfigurationError, NoSeedError, ResolutionError
-from conftest import make_twisted
+from akcy.potentials import default_candidates
+from conftest import make_standard, make_twisted
 
 
 def test_cutoff_plateau_and_tail():
@@ -153,3 +156,52 @@ def test_boundary_potential_sits_on_cone_boundary():
     assert report.amplitude_in_range
     assert report.min_eig_in_disk
     assert report.minF > 0.0
+
+
+def _flat_seed(s):
+    """A hand-built seed for the integrable flat structure, where
+    select_seed has nothing to find; U is a generic unitary."""
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    p0_idx = (3, 3, 3, 3)
+    return bd.SeedPotential(
+        potential=None,
+        epsilon1=0.0,
+        basepoint=p0_idx,
+        lam=np.array([0.9, 1.1]),
+        candidate=default_candidates(2)[4],
+        scale_c=0.05,
+        p0=s.chart.index_to_point(p0_idx),
+        U=U,
+        chart_scale=0.05,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, lattice_points",
+    [("sin_x1_cos_y2", 100), ("sin_x1", 10), ("standard", 1)],
+)
+def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
+    """_seed_grid_F and witness_density gather LocalGeometry from the
+    broadcast-reduced lattice; both match a LocalGeometry evaluated at every
+    grid point."""
+    if case == "standard":
+        s = make_standard([10] * 4)
+        seed = _flat_seed(s)
+    else:
+        s = make_twisted([10] * 4, profile=case)
+        seed = bd.select_seed(s)
+    lattice, _ = bd._lattice_geometry(s)
+    assert lattice.points.shape[0] == lattice_points
+
+    R, amplitude = 8.0, 0.6
+    pts = s.chart.grid_points().reshape(-1, 4)
+    lg = fr.LocalGeometry(s, pts)
+    pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
+    grid_F = bd.frame_F(lg.hermitian_of(pabar), 2.0 * lg.tau_of(pa)[0, 1])
+    geo = bd._ScanGeometry(s, seed, bd._seed_bump(s, seed, R), pts)
+    density = geo.F(amplitude).reshape(s.chart.shape)
+    density = density / forms.integrate(s, density)
+
+    assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
+    assert np.abs(bd.witness_density(s, seed, R, amplitude) - density).max() < 1e-10

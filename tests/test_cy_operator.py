@@ -138,3 +138,35 @@ def test_pencil_amplitude_certificate_catches_wrong_scale(monkeypatch, factor):
     monkeypatch.setattr(cy, "_pencil_critical_scale", lambda g, D: factor * exact(g, D))
     with pytest.raises(ConsistencyError):
         cy.pencil_amplitude(base, delta)
+
+
+def _pencil_scale_full_copy(g, delta, chunk):
+    """Reference pencil scale with the metric copied to the full grid and
+    flat chunks of `chunk` points."""
+    k = delta.shape[0]
+    gflat = np.broadcast_to(g, delta.shape).reshape(k, k, -1)
+    dflat = delta.reshape(k, k, -1)
+    best = np.inf
+    for start in range(0, dflat.shape[-1], chunk):
+        G = np.ascontiguousarray(np.moveaxis(gflat[..., start : start + chunk], -1, 0))
+        D = np.ascontiguousarray(np.moveaxis(dflat[..., start : start + chunk], -1, 0))
+        L = np.linalg.cholesky(G)
+        A = np.linalg.solve(L, D)
+        K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
+        lam = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
+        if np.any(lam < 0.0):
+            best = min(best, float((-1.0 / lam[lam < 0.0]).min()))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [cy.PENCIL_CHUNK, 1000])
+def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw12, rng, chunk):
+    """Chunking along the leading grid axis (one 12^3 slab per chunk when the
+    chunk is small) leaves every per-point reduction and the minimum as they
+    were with the metric copied to grid size."""
+    assert s_tw12.g.shape[2:] == (12, 1, 1, 12)
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
+    expected = _pencil_scale_full_copy(s_tw12.g, delta, chunk)
+    monkeypatch.setattr(cy, "PENCIL_CHUNK", chunk)
+    assert cy._pencil_critical_scale(s_tw12.g, delta) == expected
+    assert np.isfinite(expected)

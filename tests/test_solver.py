@@ -5,7 +5,7 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy import solver as sv
-from akcy.errors import PreconditionError, SolverFailure
+from akcy.errors import ConsistencyError, PreconditionError, SolverFailure
 
 from conftest import make_standard, make_twisted
 
@@ -158,3 +158,26 @@ def test_kernel_check_small_grid():
 def test_kernel_check_rejects_large_grids(s_tw12):
     with pytest.raises(PreconditionError):
         sv.kernel_check(s_tw12, np.zeros(s_tw12.chart.shape))
+
+
+@pytest.mark.parametrize("error", [PreconditionError, ConsistencyError])
+def test_continuity_reports_errors_raised_mid_path(monkeypatch, s_tw12, error):
+    """An error from the second Newton solve ends the path with a failed
+    report that keeps the first step's trace instead of escaping."""
+    newton = sv.newton_solve
+    calls = []
+
+    def failing_second_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error("injected on the second step")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", failing_second_step)
+    pot, rep = sv.continuity_solve(s_tw12, np.ones(s_tw12.chart.shape), steps=4)
+    assert len(calls) == 2
+    assert not rep.converged
+    assert rep.t_reached == 0.25
+    assert rep.reason == f"{error.__name__}: injected on the second step"
+    assert [row[0] for row in rep.trace] == [0.25]
+    assert np.abs(pot.values).max() < 1e-10

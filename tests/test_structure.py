@@ -139,3 +139,50 @@ def test_integrate_scalar_handles_broadcast_axes(s_std12):
     chart = s_std12.chart
     f = np.ones((1, 1, 1, 1))
     assert chart.integrate_scalar(f) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exp_kernel_squaring_branch_matches_pointwise_expm(n):
+    """eps * max|t| * ||S||_1 = 3 takes the kernel through q = 3 squarings;
+    the grid J and J_at still match per-point expm conjugation and stay
+    compatible."""
+    rng = np.random.default_rng(31 + n)
+    Q = rng.standard_normal((2 * n, 2 * n))
+    M = Q @ Q.T / (2 * n) + np.eye(2 * n)
+    S = np.linalg.solve(st.omega_matrix(n), M)
+    assert np.abs(np.linalg.eigvals(S)).min() > 1e-3
+    norm1 = np.abs(S).sum(axis=0).max()
+    eps = 3.0 / norm1
+    chart = st.build_grid(n, [8] * (2 * n))
+    s = st.twisted_structure(chart, st.StructureRecipe("twisted", S, eps, "sin_x1"))
+    J0 = st.standard_J(n)
+
+    def reference(x1):
+        c = eps * np.sin(2.0 * np.pi * x1)
+        return scipy.linalg.expm(c * S) @ J0 @ scipy.linalg.expm(-c * S)
+
+    pts = rng.uniform(0.0, 1.0, size=(40, 2 * n))
+    pts[0, 0] = 0.25                       # t = 1, so max|c| = eps
+    assert st._exp_squarings(eps * np.abs(np.sin(2.0 * np.pi * pts[:, 0])).max() * norm1) == 3
+    want = np.array([reference(p[0]) for p in pts])
+    assert np.abs(s.J_at(pts) - want).max() <= 1e-12 * np.abs(want).max()
+
+    grid = np.moveaxis(s.J, (0, 1), (-2, -1)).reshape(8, 2 * n, 2 * n)
+    want = np.array([reference(i / 8) for i in range(8)])
+    assert np.abs(grid - want).max() <= 1e-12 * np.abs(want).max()
+
+    rep = st.validate_structure(s)
+    assert rep.passed
+    assert rep.max_J_square_defect < 1e-12
+    assert rep.max_omega_invariance_defect < 1e-12
+
+
+def test_exp_squarings_is_the_fewest_that_reach_one_half():
+    for r in (0.0, 0.5, 0.51, 1.0, 1.01, 3.0, 1e3):
+        q = st._exp_squarings(r)
+        assert r / 2**q <= 0.5
+        assert q == 0 or r / 2 ** (q - 1) > 0.5
+    # the default generators need none up to |c| = 1/3 (the twist used
+    # throughout has eps 0.12, |t| <= 1.5)
+    for n in (2, 3):
+        assert st._exp_squarings(np.abs(st.default_generator(n)).sum(axis=0).max() / 3.0) == 0
