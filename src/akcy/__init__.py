@@ -14,7 +14,6 @@ from .errors import (  # noqa: F401
     NumericalError,
     PreconditionError,
     RecipeError,
-    ResolutionError,
     SeedSearchError,
     ShapeMismatchError,
     SolverFailure,

@@ -5,9 +5,11 @@ boundary of the taming cone while F(phi_R) stays positive.
 All bump derivatives are closed-form in chart coordinates and transported
 through the pointwise analytic geometry (`LocalGeometry`), never finite
 differenced: the inner bump feature scale 1/R^2 sits far below any feasible
-uniform grid.  Grid sampling of psi_R therefore only ever uses *values*
-(exact zeros outside the support); the strict 4-points-across resolution
-precondition applies to the derivative-sampling entry point alone.
+uniform grid.  psi_R and all its derivatives vanish identically off its
+support, so only the grid points near the polydisk ever need the bump: one
+grid pass (`_grid_near`) finds them, and it feeds both `boundary_potential`
+(psi_R values, scan set, min F) and `witness_density` (F(phi_R), which equals
+the seed's F everywhere else).
 
 Chart convention: the polydisk chart around the basepoint p0 is
 x(zeta) = p0 + rho * sum_a (zeta_a e_a + conj), with e_a the p0-frame rotated
@@ -28,7 +30,6 @@ from .errors import (
     ConfigurationError,
     NoSeedError,
     PreconditionError,
-    ResolutionError,
     SearchFailure,
     SeedSearchError,
 )
@@ -100,6 +101,34 @@ def _pair_radii(w):
     return np.hypot(w[:, 0::2], w[:, 1::2])
 
 
+def _cutoff_jet(w, a, k):
+    """r_a = |zeta_a| and eta(k r_a) with its r-derivatives k eta', k^2 eta''."""
+    r = np.hypot(w[:, 2 * a], w[:, 2 * a + 1])
+    return r, cutoff_eta(k * r), k * cutoff_eta_d1(k * r), k**2 * cutoff_eta_d2(k * r)
+
+
+def _prod_except(qs, skip):
+    """Product of the factors qs[b] with b not in skip (ones if none remain)."""
+    out = np.ones_like(qs[0])
+    for b, q in enumerate(qs):
+        if b not in skip:
+            out = out * q
+    return out
+
+
+def _add_radial_hessian(H, a, w, g1, curv, weight=1.0):
+    """H += weight * (g1 I + (curv/r_a^2) w_a w_a^T) on the block of pair a:
+    the chart Hessian of f(r_a), given g1 = f'/r and curv = f'' - f'/r."""
+    u = w[:, 2 * a]
+    v = w[:, 2 * a + 1]
+    frac = _safe_div(curv, u**2 + v**2)
+    H[2 * a, 2 * a] += weight * (g1 + frac * u * u)
+    H[2 * a + 1, 2 * a + 1] += weight * (g1 + frac * v * v)
+    off = weight * frac * u * v
+    H[2 * a, 2 * a + 1] += off
+    H[2 * a + 1, 2 * a] += off
+
+
 def _chart_matrix(frame, scale):
     """Real (2n, 2n) matrix of the polydisk chart w -> x: columns
     2*scale*Re(e_a) and -2*scale*Im(e_a) for the frame rows e_a."""
@@ -152,123 +181,59 @@ class BumpField:
         delta = np.mod(points - self.spec.center + 0.5, 1.0) - 0.5
         return delta @ self.Minv.T
 
-    # -- radial pieces ---------------------------------------------------------
-    def _phi_parts(self, w):
-        """Phi_R = sum_{i<2} (lam_i/2) r_i^2 eta(R^2 r_i): value, f'(r)/r, f''-f'/r per pair."""
-        spec = self.spec
-        kap = spec.R**2
-        vals, g1s, curvs = [], [], []
-        for i in range(min(2, self.half_dim)):
-            u = w[:, 2 * i]
-            v = w[:, 2 * i + 1]
-            r = np.hypot(u, v)
-            eta = cutoff_eta(kap * r)
-            d1 = kap * cutoff_eta_d1(kap * r)
-            d2 = kap**2 * cutoff_eta_d2(kap * r)
-            c = 0.5 * spec.lam[i]
-            f = c * r**2 * eta
-            g1 = c * (2.0 * eta + r * d1)            # f'(r)/r, finite at 0
-            fpp = c * (2.0 * eta + 4.0 * r * d1 + r**2 * d2)
-            vals.append(f)
-            g1s.append(g1)
-            curvs.append(fpp - g1)
-        return vals, g1s, curvs
-
-    def _eta_parts(self, w):
-        """Per-pair factor q_a = eta(R r_a): value, q'(r)/r, q''-q'/r."""
-        R = self.spec.R
-        qs, g1s, curvs = [], [], []
-        for a in range(self.half_dim):
-            u = w[:, 2 * a]
-            v = w[:, 2 * a + 1]
-            r = np.hypot(u, v)
-            q = cutoff_eta(R * r)
-            d1 = R * cutoff_eta_d1(R * r)
-            d2 = R**2 * cutoff_eta_d2(R * r)
-            g1 = _safe_div(d1, r)                    # zero wherever d1 = 0
-            qs.append(q)
-            g1s.append(g1)
-            curvs.append(d2 - g1)
-        return qs, g1s, curvs
-
-    def _leave_one_out(self, qs):
-        n = len(qs)
-        prods = []
-        for a in range(n):
-            p = None
-            for b in range(n):
-                if b == a:
-                    continue
-                p = qs[b] if p is None else p * qs[b]
-            prods.append(p if p is not None else np.ones_like(qs[a]))
-        return prods
-
     def chart_eval(self, w, order=2):
-        """(value, grad (2n,m), hess (2n,2n,m)) of psi_R in chart coordinates."""
+        """(value, grad (2n,m), hess (2n,2n,m)) of psi_R = Phi_R * prod_a q_a in
+        chart coordinates, with Phi_R = sum_{i<2} (lam_i/2) r_i^2 eta(R^2 r_i)
+        and q_a = eta(R r_a)."""
         w = np.asarray(w, dtype=float)
         m = w.shape[0]
-        dim = 2 * self.half_dim
-        vals, g1s, curvs = self._phi_parts(w)
-        qs, qg1s, qcurvs = self._eta_parts(w)
+        n = self.half_dim
+        R = self.spec.R
+        # Per radial factor: pair index, f'(r)/r (finite at 0) and f'' - f'/r.
+        vals, phi_parts = [], []
+        for i in range(min(2, n)):
+            r, e, d1, d2 = _cutoff_jet(w, i, R**2)
+            c = 0.5 * self.spec.lam[i]
+            g1 = c * (2.0 * e + r * d1)
+            fpp = c * (2.0 * e + 4.0 * r * d1 + r**2 * d2)
+            vals.append(c * r**2 * e)
+            phi_parts.append((i, g1, fpp - g1))
+        qs, q_parts = [], []
+        for a in range(n):
+            r, q, d1, d2 = _cutoff_jet(w, a, R)
+            g1 = _safe_div(d1, r)                    # zero wherever d1 = 0
+            qs.append(q)
+            q_parts.append((a, g1, d2 - g1))
 
         Phi = sum(vals)
-        eta = qs[0]
-        for q in qs[1:]:
-            eta = eta * q
-
-        gPhi = np.zeros((dim, m))
-        for i, g1 in enumerate(g1s):
-            gPhi[2 * i] = g1 * w[:, 2 * i]
-            gPhi[2 * i + 1] = g1 * w[:, 2 * i + 1]
-
-        loo = self._leave_one_out(qs)
-        gEta = np.zeros((dim, m))
-        for a in range(self.half_dim):
-            gEta[2 * a] = loo[a] * qg1s[a] * w[:, 2 * a]
-            gEta[2 * a + 1] = loo[a] * qg1s[a] * w[:, 2 * a + 1]
-
+        eta = _prod_except(qs, ())
         psi = Phi * eta
         if order == 0:
             return psi, None, None
+
+        loo = [_prod_except(qs, (a,)) for a in range(n)]
+        gPhi = np.zeros((2 * n, m))
+        for i, g1, _ in phi_parts:
+            gPhi[2 * i : 2 * i + 2] = g1 * w[:, 2 * i : 2 * i + 2].T
+        gEta = np.zeros((2 * n, m))
+        for a, g1, _ in q_parts:
+            gEta[2 * a : 2 * a + 2] = loo[a] * g1 * w[:, 2 * a : 2 * a + 2].T
         grad = gPhi * eta + Phi * gEta
         if order == 1:
             return psi, grad, None
 
-        r2 = [w[:, 2 * a] ** 2 + w[:, 2 * a + 1] ** 2 for a in range(self.half_dim)]
-
-        HPhi = np.zeros((dim, dim, m))
-        for i, (g1, curv) in enumerate(zip(g1s, curvs)):
-            uu = w[:, 2 * i]
-            vv = w[:, 2 * i + 1]
-            frac = _safe_div(curv, r2[i])
-            HPhi[2 * i, 2 * i] = g1 + frac * uu * uu
-            HPhi[2 * i + 1, 2 * i + 1] = g1 + frac * vv * vv
-            HPhi[2 * i, 2 * i + 1] = HPhi[2 * i + 1, 2 * i] = frac * uu * vv
-
-        HEta = np.zeros((dim, dim, m))
-        for a in range(self.half_dim):
-            uu = w[:, 2 * a]
-            vv = w[:, 2 * a + 1]
-            frac = _safe_div(qcurvs[a], r2[a])
-            HEta[2 * a, 2 * a] += loo[a] * (qg1s[a] + frac * uu * uu)
-            HEta[2 * a + 1, 2 * a + 1] += loo[a] * (qg1s[a] + frac * vv * vv)
-            block = loo[a] * frac * uu * vv
-            HEta[2 * a, 2 * a + 1] += block
-            HEta[2 * a + 1, 2 * a] += block
-            for b in range(a + 1, self.half_dim):
-                # product of the two leave-one radial gradients, remaining factors
-                rest = np.ones(m)
-                for cidx in range(self.half_dim):
-                    if cidx not in (a, b):
-                        rest = rest * qs[cidx]
-                ga = qg1s[a]
-                gb = qg1s[b]
-                for (pa, wa) in ((2 * a, uu), (2 * a + 1, vv)):
-                    for (pb, wb) in (
-                        (2 * b, w[:, 2 * b]),
-                        (2 * b + 1, w[:, 2 * b + 1]),
-                    ):
-                        val = rest * ga * gb * wa * wb
+        HPhi = np.zeros((2 * n, 2 * n, m))
+        for i, g1, curv in phi_parts:
+            _add_radial_hessian(HPhi, i, w, g1, curv)
+        HEta = np.zeros((2 * n, 2 * n, m))
+        for a, g1, curv in q_parts:
+            _add_radial_hessian(HEta, a, w, g1, curv, loo[a])
+            for b, gb, _ in q_parts[a + 1 :]:
+                # product of the two radial gradients, remaining factors
+                rest = _prod_except(qs, (a, b)) * g1 * gb
+                for pa in (2 * a, 2 * a + 1):
+                    for pb in (2 * b, 2 * b + 1):
+                        val = rest * w[:, pa] * w[:, pb]
                         HEta[pa, pb] += val
                         HEta[pb, pa] += val
 
@@ -296,35 +261,6 @@ class BumpField:
         r = _pair_radii(w)
         inner = np.any(r[:, :2] <= 1.0 / self.spec.R**2, axis=1)
         return inner & np.all(r <= 1.0 / self.spec.R, axis=1)
-
-    def required_resolution(self):
-        """Axis points needed for >= 4 grid cells across the inner 1/R^2 feature."""
-        return int(np.ceil(2.0 * self.spec.R**2 / self.spec.scale))
-
-    def values_on_grid(self, chart):
-        """psi_R sampled at grid points (values only; exact zeros off-support)."""
-        pts = chart.grid_points().reshape(-1, chart.dim)
-        out = np.zeros(pts.shape[0])
-        for start in range(0, pts.shape[0], GRID_CHUNK):
-            block = pts[start : start + GRID_CHUNK]
-            w = self.torus_to_chart(block)
-            mask = self.support_mask(w)
-            if np.any(mask):
-                psi, _, _ = self.chart_eval(w[mask], order=0)
-                out[start : start + GRID_CHUNK][mask] = psi
-        return out.reshape(chart.shape)
-
-    def sample_on_grid(self, chart):
-        """Grid sampling for finite-difference use: enforces the resolution
-        precondition (>= 4 points across the inner bump), then samples values."""
-        needed = self.required_resolution()
-        if min(chart.resolution) < needed:
-            raise ResolutionError(
-                f"grid resolution {min(chart.resolution)} cannot resolve the "
-                f"1/R^2 bump core for R={self.spec.R}; need >= {needed} points per axis",
-                required=needed,
-            )
-        return self.values_on_grid(chart)
 
 
 def bump_psi(spec: BumpSpec) -> BumpField:
@@ -568,17 +504,23 @@ def _scan_lattice(bump, R, rng):
     return np.concatenate(pts, axis=0)
 
 
-def _grid_support_points(s, bump):
-    """Torus grid points whose chart image lies in (a slight dilation of)
-    the bump support."""
+def _grid_near(s, bump):
+    """(flat indices, torus points, chart points) of the grid points whose
+    chart image lies in the dilated polydisk max_a |zeta_a| <= 1.5/R.
+
+    The one pass that maps grid points into the bump chart: psi_R and all its
+    derivatives vanish identically off the support, which this set contains.
+    """
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
-    keep = []
+    idx, w = [], []
     for start in range(0, pts.shape[0], GRID_CHUNK):
-        block = pts[start : start + GRID_CHUNK]
-        r = _pair_radii(bump.torus_to_chart(block)).max(axis=1)
-        keep.append(block[r <= 1.5 / bump.spec.R])
-    return np.concatenate(keep, axis=0)
+        w_block = bump.torus_to_chart(pts[start : start + GRID_CHUNK])
+        keep = np.flatnonzero(_pair_radii(w_block).max(axis=1) <= 1.5 / bump.spec.R)
+        idx.append(start + keep)
+        w.append(w_block[keep])
+    idx = np.concatenate(idx)
+    return idx, pts[idx], np.concatenate(w, axis=0)
 
 
 def _lattice_geometry(s):
@@ -675,8 +617,8 @@ def boundary_potential(s, seed, R, rng_seed=7):
     rng = np.random.default_rng(rng_seed)
     w_scan = _scan_lattice(bump, R, rng)
     scan_pts = bump.chart_to_torus(w_scan)
-    support_pts = _grid_support_points(s, bump)
-    all_pts = np.concatenate([scan_pts, support_pts], axis=0)
+    near_idx, near_pts, w_near = _grid_near(s, bump)
+    all_pts = np.concatenate([scan_pts, near_pts], axis=0)
 
     geo = _ScanGeometry(s, seed, bump, all_pts)
     base, delta = geo.h_pencil()
@@ -691,23 +633,15 @@ def boundary_potential(s, seed, R, rng_seed=7):
     rmax = _pair_radii(bump.torus_to_chart(all_pts[loc][None, :])).max()
     min_eig_in_disk = bool(rmax <= 1.0 / R + 1e-9)
 
-    phi_R_vals = seed.potential.values + a * bump.values_on_grid(s.chart)
-    phi_R = cy.project_zero_mean(s, phi_R_vals)
+    psi = np.zeros(s.chart.shape)
+    psi.flat[near_idx] = bump.chart_eval(w_near, order=0)[0]
+    phi_R = cy.project_zero_mean(s, seed.potential.values + a * psi)
 
-    F_scan = geo.F(a)
-    grid_F = _seed_grid_F(s, seed)
     # On grid points outside the support psi vanishes identically, so
     # F(phi_R) = F(phi) there; inside, the scan geometry covers them.
-    min_outside = np.inf
-    pts_flat = s.chart.grid_points().reshape(-1, s.chart.dim)
-    for start in range(0, pts_flat.shape[0], GRID_CHUNK):
-        block = pts_flat[start : start + GRID_CHUNK]
-        outside = ~bump.support_mask(bump.torus_to_chart(block))
-        if np.any(outside):
-            min_outside = min(
-                min_outside, float(grid_F[start : start + GRID_CHUNK][outside].min())
-            )
-    minF = float(min(F_scan.min(), min_outside))
+    outside = np.ones(psi.size, dtype=bool)
+    outside[near_idx[bump.support_mask(w_near)]] = False
+    minF = float(min(geo.F(a).min(), _seed_grid_F(s, seed)[outside].min()))
     near = np.max(np.abs(w_scan), axis=1) <= 1.2 / R**2
     tau12_near = geo.tau12(a)[: len(w_scan)][near]
     minF1 = float(np.min(np.abs(tau12_near) ** 2))
@@ -750,17 +684,13 @@ def witness_density(s, seed, R, amplitude):
     """Pointwise F(phi + a psi_R) at every grid point, normalized to unit
     mass; the positive target density realized by a boundary potential."""
     bump = _seed_bump(s, seed, R)
-    chart = s.chart
-    pts = chart.grid_points().reshape(-1, chart.dim)
+    near_idx, near_pts, _ = _grid_near(s, bump)
     lattice, idx = _lattice_geometry(s)
-    lattice = lattice.rotate(seed.U)
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], SCAN_CHUNK):
-        block = pts[start : start + SCAN_CHUNK]
-        lg = lattice.take(idx.flat[start : start + SCAN_CHUNK])
-        geo = _ScanGeometry(s, seed, bump, block, lg)
-        out[start : start + SCAN_CHUNK] = geo.F(amplitude)
-    f = out.reshape(chart.shape)
+    lg = lattice.rotate(seed.U).take(idx.flat[near_idx])
+    # Off the near set psi_R has zero value and derivatives: F is F(phi).
+    out = _seed_grid_F(s, seed).copy()
+    out[near_idx] = _ScanGeometry(s, seed, bump, near_pts, lg).F(amplitude)
+    f = out.reshape(s.chart.shape)
     return f / forms.integrate(s, f)
 
 

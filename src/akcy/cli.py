@@ -42,8 +42,7 @@ For `validate` the config may alternatively be a plain key=value text file
 carrying only the structure fields (kind, n, resolution, epsilon, generator,
 profile).
 
-Exit codes: 0 ok, 2 validation, 3 precondition, 4 resolution, 5 numerical
-failure.
+Exit codes: 0 ok, 2 validation, 3 precondition, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from .errors import (
     ConfigurationError,
     NumericalError,
     PreconditionError,
-    ResolutionError,
 )
 
 __all__ = ["main", "build_structure_from_config", "parse_config"]
@@ -74,7 +72,6 @@ __all__ = ["main", "build_structure_from_config", "parse_config"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
-EXIT_RESOLUTION = 4
 EXIT_NUMERICAL = 5
 
 _STRUCTURE_KEYS = {"kind", "n", "resolution", "epsilon", "generator", "profile"}
@@ -162,15 +159,20 @@ def build_structure_from_config(cfg, grid_override=None):
     return st.twisted_structure(chart, recipe)
 
 
+def _read_grid_field(path, s, what):
+    """A saved degree-0 field that must live on the grid of s."""
+    values, degree = serialize.read_field(path)
+    if degree != 0 or values.shape != s.chart.shape:
+        raise ConfigurationError(
+            f"{what} file has shape {values.shape}, grid is {s.chart.shape}"
+        )
+    return np.asarray(values, dtype=float)
+
+
 def _resolve_potential(spec_str, s, scale):
     """builtin:NAME, random:SEED, or file:PATH -> grid values."""
     if spec_str.startswith("file:"):
-        values, degree = serialize.read_field(spec_str[5:])
-        if degree != 0 or values.shape != s.chart.shape:
-            raise ConfigurationError(
-                f"potential file has shape {values.shape}, grid is {s.chart.shape}"
-            )
-        return np.asarray(values, dtype=float)
+        return _read_grid_field(spec_str[5:], s, "potential")
     if spec_str.startswith("random:"):
         rng = np.random.default_rng(int(spec_str[7:]))
         pot = potentials.random_potential(s.half_dim, rng)
@@ -272,12 +274,7 @@ def cmd_solve(cfg, out, args):
         f = bd.witness_density(s, seed, R0, breport.amplitude)
         serialize.write_report(out / "boundary_report.json", breport)
     elif target.startswith("file:"):
-        values, degree = serialize.read_field(target[5:])
-        if degree != 0 or values.shape != s.chart.shape:
-            raise ConfigurationError(
-                f"target file has shape {values.shape}, grid is {s.chart.shape}"
-            )
-        f = np.asarray(values, dtype=float)
+        f = _read_grid_field(target[5:], s, "target")
     else:
         raise ConfigurationError(
             f"unknown solve target {target!r}; use manufactured, "
@@ -331,8 +328,6 @@ _COMMANDS = {
 
 
 def _exit_code_for(exc):
-    if isinstance(exc, ResolutionError):
-        return EXIT_RESOLUTION
     if isinstance(exc, PreconditionError):
         return EXIT_PRECONDITION
     if isinstance(exc, NumericalError):

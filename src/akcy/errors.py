@@ -3,7 +3,6 @@
 Exit-code mapping used by the CLI:
   ConfigurationError / RecipeError / StructureError -> 2 (validation)
   PreconditionError (and subclasses)                -> 3 (precondition)
-  ResolutionError                                   -> 4 (resolution)
   NumericalError (and subclasses)                   -> 5 (numerical failure)
 """
 
@@ -54,14 +53,6 @@ class NoSeedError(PreconditionError):
 
 class SeedSearchError(AkcyError):
     """No candidate potential produced a usable tau component."""
-
-
-class ResolutionError(AkcyError):
-    """Grid too coarse to carry the requested construction."""
-
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
 
 
 class NumericalError(AkcyError):

@@ -74,9 +74,7 @@ class UnitaryFrame:
 
     def rotate(self, U):
         """Constant unitary change of frame e'_a = sum_b U[b,a] e_b."""
-        U = np.asarray(U, dtype=complex)
-        e = np.einsum("ba,bk...->ak...", U, self.e)
-        theta = np.einsum("ba,bk...->ak...", np.conj(U), self.theta)
+        e, theta = _rotate_frame(U, self.e, self.theta)
         return UnitaryFrame(self.chart, e, theta, self.max_neighbor_jump)
 
     def defects(self, g, J):
@@ -95,6 +93,14 @@ class UnitaryFrame:
             "J_alignment": float(d_align),
             "duality": float(max(d_dual, d_dual0)),
         }
+
+
+def _rotate_frame(U, e, theta, lead=""):
+    """(e', theta') under the constant unitary change e'_a = sum_b U[b,a] e_b;
+    lead names axes in front of the frame index (e.g. "d" for derivatives)."""
+    U = np.asarray(U, dtype=complex)
+    spec = f"ba,{lead}bk...->{lead}ak..."
+    return np.einsum(spec, U, e), np.einsum(spec, np.conj(U), theta)
 
 
 def _gram_schmidt(J, g, seeds):
@@ -195,9 +201,17 @@ def _gamma1(J, dJ, gamma):
     Returns Gamma1[d,k,l] = Gamma^k_{dl} - (J (nabla_d J))^k_l / 2.
     """
     glc = np.einsum("kdl...->dkl...", gamma)
-    nabJ = dJ + np.einsum("dkm...,ml...->dkl...", glc, J) - np.einsum("km...,dml...->dkl...", J, glc)
-    corr = 0.5 * np.einsum("km...,dml...->dkl...", J, nabJ)
-    return glc - corr, nabJ
+    corr = 0.5 * np.einsum("km...,dml...->dkl...", J, _covariant_J(J, dJ, glc))
+    return glc - corr
+
+
+def _covariant_J(J, dJ, conn):
+    """nabla_d J = partial_d J + [conn_d, J] for coefficients conn[d,k,l]."""
+    return (
+        dJ
+        + np.einsum("dkm...,ml...->dkl...", conn, J)
+        - np.einsum("km...,dml...->dkl...", J, conn)
+    )
 
 
 def _connection_matrix(theta, e, de, gamma1):
@@ -260,17 +274,13 @@ def connection_forms(s, f):
         g = s.g
         dg = np.stack([chart.diff(g, d) for d in range(chart.dim)])
         dJ = np.stack([chart.diff(s.J, d) for d in range(chart.dim)])
-        gamma1, nabJ = _gamma1(s.J, dJ, _levi_civita(g, dg))
+        gamma1 = _gamma1(s.J, dJ, _levi_civita(g, dg))
 
         de = np.stack([chart.diff(f.e, d) for d in range(chart.dim)])
         omega = _connection_matrix(f.theta, f.e, de, gamma1)
 
         # nabla^1 of J with the corrected connection (should vanish to O(h^2)).
-        nab1J = (
-            dJ
-            + np.einsum("dkm...,ml...->dkl...", gamma1, s.J)
-            - np.einsum("km...,dml...->dkl...", s.J, gamma1)
-        )
+        nab1J = _covariant_J(s.J, dJ, gamma1)
         nab1g = (
             dg
             - np.einsum("dki...,kj...->dij...", gamma1, g)
@@ -437,7 +447,7 @@ class LocalGeometry:
         self.de = np.stack(de)
         self.dtheta = np.stack(dtheta)
 
-        self.gamma1, _ = _gamma1(self.J, self.dJ, _levi_civita(self.g, self.dg))
+        self.gamma1 = _gamma1(self.J, self.dJ, _levi_civita(self.g, self.dg))
         self.conn_omega = _connection_matrix(self.theta, self.e, self.de, self.gamma1)
         self.T, self.N, self.mixed = _torsion_components(
             self.dtheta, self.conn_omega, self.theta, self.e
@@ -447,11 +457,8 @@ class LocalGeometry:
         """Apply a constant unitary frame rotation in place-free fashion."""
         new = object.__new__(LocalGeometry)
         new.__dict__.update(self.__dict__)
-        U = np.asarray(U, dtype=complex)
-        new.e = np.einsum("ba,bk...->ak...", U, self.e)
-        new.theta = np.einsum("ba,bk...->ak...", np.conj(U), self.theta)
-        new.de = np.einsum("ba,dbk...->dak...", U, self.de)
-        new.dtheta = np.einsum("ba,dbk...->dak...", np.conj(U), self.dtheta)
+        new.e, new.theta = _rotate_frame(U, self.e, self.theta)
+        new.de, new.dtheta = _rotate_frame(U, self.de, self.dtheta, lead="d")
         new.conn_omega = _connection_matrix(new.theta, new.e, new.de, new.gamma1)
         new.T, new.N, new.mixed = _torsion_components(
             new.dtheta, new.conn_omega, new.theta, new.e

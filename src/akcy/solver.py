@@ -9,7 +9,7 @@ FFT constant-coefficient preconditioner from the flat phi=0 operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -231,9 +231,10 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     """Continuation along f_t = c_t((1-t) + t f), multiplicative c_t keeping
     unit mass; Newton restarts from the previous solution.
 
-    A PreconditionError or ConsistencyError from a Newton step ends the path
-    with a failed report whose reason names the error, like a stalled
-    continuation.
+    A failed Newton step halves dt and retries; each accepted step doubles it
+    again, up to 1/steps.  A PreconditionError or ConsistencyError from a
+    Newton step ends the path with a failed report whose reason names the
+    error, like a stalled continuation.
     """
     f = _check_target(s, f)
     phi = np.zeros(s.chart.shape)
@@ -247,45 +248,27 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
         ft = blend / forms.integrate(s, blend)
         try:
             pot, rep = newton_solve(s, ft, phi_init=phi, tol=tol, max_iter=max_iter)
+        except (PreconditionError, ConsistencyError) as exc:
+            failed, reason = None, f"{type(exc).__name__}: {exc}"
+        except SolverFailure as exc:
+            failed = exc.report
+            if failed is not None and failed.reason == "aliasing_floor":
+                reason = "aliasing_floor"
+            else:
+                dt *= 0.5
+                if dt >= 1e-4:
+                    continue
+                reason = f"continuation stalled: {failed.reason if failed else ''}"
+        else:
             phi = pot.values
             t = t_next
             trace.append((t, rep.residual, rep.margin))
             last_report = rep
-        except (PreconditionError, ConsistencyError) as exc:
-            rep = SolveReport(
-                False,
-                0,
-                np.inf,
-                np.nan,
-                t_reached=t,
-                reason=f"{type(exc).__name__}: {exc}",
-                trace=trace,
-            )
-            return cy.Potential(s.chart, phi), rep
-        except SolverFailure as exc:
-            if exc.report is not None and exc.report.reason == "aliasing_floor":
-                rep = SolveReport(
-                    False,
-                    exc.report.iters,
-                    exc.report.residual,
-                    exc.report.margin,
-                    t_reached=t,
-                    reason="aliasing_floor",
-                    trace=trace,
-                )
-                return cy.Potential(s.chart, phi), rep
-            dt *= 0.5
-            if dt < 1e-4:
-                rep = SolveReport(
-                    False,
-                    exc.report.iters if exc.report else 0,
-                    exc.report.residual if exc.report else np.inf,
-                    exc.report.margin if exc.report else np.nan,
-                    t_reached=t,
-                    reason=f"continuation stalled: {exc.report.reason if exc.report else ''}",
-                    trace=trace,
-                )
-                return cy.Potential(s.chart, phi), rep
+            dt = min(2.0 * dt, 1.0 / steps)
+            continue
+        base = failed if failed is not None else SolveReport(False, 0, np.inf, np.nan)
+        rep = replace(base, converged=False, t_reached=t, reason=reason, trace=trace)
+        return cy.Potential(s.chart, phi), rep
     rep = SolveReport(
         True,
         last_report.iters if last_report else 0,

@@ -4,7 +4,7 @@ import pytest
 from akcy import boundary as bd
 from akcy import forms
 from akcy import frame as fr
-from akcy.errors import ConfigurationError, NoSeedError, ResolutionError
+from akcy.errors import ConfigurationError, NoSeedError
 from akcy.potentials import default_candidates
 from conftest import make_standard, make_twisted
 
@@ -64,9 +64,12 @@ def test_bump_center_hessian_is_half_lambda():
 
 def test_bump_vanishes_outside_polydisk():
     bump = _toy_bump(R=4.0)
-    # points with every |zeta| in (1/R, well inside the unit polydisk)
+    # points with some |zeta| in (1/R, well inside the unit polydisk), and one
+    # inside the 1/R polydisk but outside both 1/R^2 inner cores: witness
+    # density takes F(phi) unchanged wherever the bump support ends
     w = np.array(
-        [[0.5, 0.0, 0.5, 0.0], [0.3, 0.3, -0.4, 0.2], [0.26, 0.0, 0.0, 0.0]]
+        [[0.5, 0.0, 0.5, 0.0], [0.3, 0.3, -0.4, 0.2], [0.26, 0.0, 0.0, 0.0],
+         [0.1, 0.0, 0.1, 0.0]]
     )
     psi, grad, hess = bump.chart_eval(w, order=2)
     assert np.abs(psi).max() == 0.0
@@ -99,10 +102,21 @@ def test_bump_torus_chart_roundtrip():
     assert np.abs(back - w).max() < 1e-12
 
 
-def test_sample_on_grid_enforces_resolution(s_tw12):
-    bump = _toy_bump(R=4.0, scale=0.05)
-    with pytest.raises(ResolutionError):
-        bump.sample_on_grid(s_tw12.chart)
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_grid_near_matches_brute_force_mask(monkeypatch, s_tw12, chunk):
+    """The chunked near-set pass finds exactly the grid points whose chart
+    image lies in the 1.5/R polydisk, also when chunks split the grid."""
+    if chunk is not None:
+        monkeypatch.setattr(bd, "GRID_CHUNK", chunk)
+    bump = _toy_bump(R=4.0, scale=0.25)
+    pts = s_tw12.chart.grid_points().reshape(-1, 4)
+    w_all = bump.torus_to_chart(pts)
+    expected = np.flatnonzero(np.hypot(w_all[:, 0::2], w_all[:, 1::2]).max(axis=1) <= 1.5 / 4.0)
+    idx, near_pts, w_near = bd._grid_near(s_tw12, bump)
+    assert 10 < len(expected) < len(pts) // 10
+    np.testing.assert_array_equal(idx, expected)
+    np.testing.assert_array_equal(near_pts, pts[expected])
+    np.testing.assert_allclose(w_near, w_all[expected], rtol=0, atol=1e-15)
 
 
 def test_pseudo_holomorphic_coordinate_standard(s_std12):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from akcy import cli, serialize
+from akcy import cli, forms, serialize
 from akcy.errors import ConfigurationError
 
 
@@ -51,8 +51,8 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
 
 
 def test_bad_resolution_exit_code(tmp_path):
-    # a config-level grid mistake is a validation error (2); exit code 4 is
-    # reserved for runtime resolution shortfalls
+    # a config-level grid mistake, such as too few points per axis, is a
+    # validation error (2)
     bad = dict(BASE_STRUCTURE, resolution=[4, 4, 4, 4])
     cfg = write_cfg(tmp_path, {"structure": bad})
     code = cli.main(["validate", "--config", cfg, "--out", str(tmp_path)])
@@ -83,6 +83,23 @@ def test_analyze_writes_fields_and_report(tmp_path):
     assert deg == 0 and F.shape == (12, 12, 12, 12)
     assert (tmp_path / "F_field.csv").exists()
     assert (tmp_path / "phi_field.bin").exists()
+
+
+def test_boundary_writes_unit_mass_witness(tmp_path):
+    doc = {
+        "structure": BASE_STRUCTURE,
+        "boundary": {"R_list": [4, 8, 12], "dump_fields": True},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code = cli.main(["boundary", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "boundary_report.json").read_text())
+    assert report["minF"] > 0.0
+    f, deg = serialize.read_field(tmp_path / "witness_F.bin")
+    assert deg == 0 and f.shape == (12, 12, 12, 12)
+    assert f.min() > 0.0
+    s = cli.build_structure_from_config(json.loads(open(cfg).read()))
+    assert forms.integrate(s, f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_newton_roundtrip(tmp_path):

@@ -181,3 +181,23 @@ def test_continuity_reports_errors_raised_mid_path(monkeypatch, s_tw12, error):
     assert rep.reason == f"{error.__name__}: injected on the second step"
     assert [row[0] for row in rep.trace] == [0.25]
     assert np.abs(pot.values).max() < 1e-10
+
+
+def test_continuity_dt_grows_back_after_a_halving(monkeypatch, s_tw12):
+    """A max_iter failure at t = 0.4 halves dt once; the next accepted step
+    doubles it back to 1/steps instead of crawling at the halved step."""
+    newton = sv.newton_solve
+    calls = []
+
+    def failing_second_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:        # the step from t = 0.2 to t = 0.4
+            report = sv.SolveReport(False, 8, 1e-3, 0.5, reason="max_iter")
+            raise SolverFailure("injected max_iter", report=report)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "newton_solve", failing_second_step)
+    pot, rep = sv.continuity_solve(s_tw12, np.ones(s_tw12.chart.shape), steps=5)
+    assert rep.converged
+    assert [row[0] for row in rep.trace] == pytest.approx([0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
+    assert len(calls) == 7
