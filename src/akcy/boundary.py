@@ -26,7 +26,6 @@ import numpy as np
 from . import cy_operator as cy
 from . import forms
 from .errors import (
-    AmplitudeError,
     ConfigurationError,
     NoSeedError,
     PreconditionError,
@@ -352,13 +351,12 @@ def select_seed(s):
     best = None
     diagnostics = []
     for cand in default_candidates(n):
-        vals = cand.value(chart.grid_points())
-        try:
-            amp = cy.positivity_amplitude(s, vals)
-            c = 0.9 * amp
-        except AmplitudeError:
-            c = 1.0
-        tc = frame_tau_components(f, cy.tau(s, vals))      # components of tau(vals)
+        B = cy.deformation_form(s, cand.value(chart.grid_points()))
+        # Rank by the closed-form amplitude; only the winner is certified.
+        amp = cy._pencil_critical_scale(s.g, cy.h_matrix(s.J, B.comps))
+        bounded = np.isfinite(amp) and amp <= cy.AMPLITUDE_MAX
+        c = 0.9 * amp if bounded else 1.0
+        tc = frame_tau_components(f, forms.bidegree_project(s, forms.omega_form(s) + B, 2, 0))
         for a in range(n):
             for b in range(a + 1, n):
                 mag = 2.0 * np.abs(c) * np.abs(tc[a, b])   # |tau_ab(c*vals)|
@@ -386,7 +384,7 @@ def select_seed(s):
                 if best is None or score > best["eps1"]:
                     best = {
                         "cand": cand,
-                        "c": c,
+                        "bounded": bounded,
                         "pair": (a, b),
                         "p0_idx": tuple(int(i) for i in p0_idx),
                         "rho": rho,
@@ -398,9 +396,10 @@ def select_seed(s):
         )
 
     cand = best["cand"]
-    c = best["c"]
+    raw = cand.value(chart.grid_points())
+    c = 0.9 * cy.positivity_amplitude(s, raw) if best["bounded"] else 1.0
     p0 = chart.index_to_point(best["p0_idx"])
-    phi_vals = c * cand.value(chart.grid_points())
+    phi_vals = c * raw
     margin = cy.taming_margin(s, phi_vals)
     if margin <= cy.TAMING_THRESHOLD:
         raise SeedSearchError(f"seed scaling failed to keep taming margin > 0 ({margin})")

@@ -51,8 +51,7 @@ F_CONSISTENCY_RTOL = 1e-10
 # relative offset of the two sweeps that certify the closed-form amplitude.
 AMPLITUDE_MAX = 1e6
 AMPLITUDE_RTOL = 1e-9
-EIG_CHUNK = 1 << 19      # points per batched eigvalsh
-PENCIL_CHUNK = 1 << 18   # points per batched pencil reduction
+POINT_CHUNK = 1 << 18    # points per batched eigvalsh or pencil reduction
 
 
 @dataclass
@@ -72,21 +71,34 @@ def _values(phi):
     return np.asarray(phi, dtype=float)
 
 
+def _point_blocks(*fields):
+    """(flat index of the first point, contiguous (m, k, k) block per field)
+    along the leading grid axis of matrix fields (matrix axes first, grid
+    axes broadcast), about POINT_CHUNK points per block; a broadcast field
+    (the metric) is copied one block at a time, never to grid size."""
+    shape = np.broadcast_shapes(*(M.shape for M in fields))
+    k, grid = shape[0], shape[2:]
+    per_row = math.prod(grid[1:])
+    rows = max(1, POINT_CHUNK // per_row)
+    fields = [np.broadcast_to(M, shape) for M in fields]
+    for start in range(0, grid[0], rows):
+        chunk = (slice(None), slice(None), slice(start, start + rows))
+        yield start * per_row, [
+            np.ascontiguousarray(np.moveaxis(M[chunk], (0, 1), (-2, -1))).reshape(-1, k, k)
+            for M in fields
+        ]
+
+
 def min_eigenvalue_field(M):
     """(min eigenvalue over all points, flat argmin index) of a Hermitian
-    matrix field with matrix axes first; processes points in chunks."""
-    k = M.shape[0]
-    flat = M.reshape(k, k, -1)
-    npts = flat.shape[-1]
-    best = np.inf
-    best_idx = 0
-    for start in range(0, npts, EIG_CHUNK):
-        block = np.ascontiguousarray(np.moveaxis(flat[..., start : start + EIG_CHUNK], -1, 0))
+    matrix field with matrix axes first; processes points in blocks."""
+    best, best_idx = np.inf, 0
+    for first, (block,) in _point_blocks(M):
         ev = np.linalg.eigvalsh(block)[:, 0]
         i = int(np.argmin(ev))
         if ev[i] < best:
             best = float(ev[i])
-            best_idx = start + i
+            best_idx = first + i
     return best, best_idx
 
 
@@ -253,20 +265,10 @@ def _pencil_critical_scale(g, delta):
 
     Whitens the pencil by the Cholesky factor of g; the critical scale per
     point is -1/lambda_min of the whitened delta when that eigenvalue is
-    negative.  g may be a broadcastable field (the metric); chunks run along
-    the leading grid axis, so g is never copied to the grid's size.
+    negative.  g may be a broadcastable field (the metric); see _point_blocks.
     """
-    k = delta.shape[0]
-    g = np.broadcast_to(g, delta.shape)      # a view; copied one chunk at a time
-    grid = delta.shape[2:]
-    rows = max(1, PENCIL_CHUNK // math.prod(grid[1:]))
     best = np.inf
-    for start in range(0, grid[0], rows):
-        chunk = (slice(None), slice(None), slice(start, start + rows))
-        G, D = (
-            np.ascontiguousarray(np.moveaxis(M[chunk], (0, 1), (-2, -1))).reshape(-1, k, k)
-            for M in (g, delta)
-        )
+    for _, (G, D) in _point_blocks(g, delta):
         L = np.linalg.cholesky(G)
         A = np.linalg.solve(L, D)
         K = np.linalg.solve(L, np.swapaxes(A, -1, -2))

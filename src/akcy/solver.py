@@ -56,19 +56,13 @@ class SolveReport:
 
 
 class LinearOperatorHandle:
-    """Matrix-free application of L(phi) with cached omega(phi)^{n-1}."""
+    """Matrix-free application of L(phi) with cached omega(phi)^{n-1}; the
+    solvers, not the handle, check that phi is taming (L elliptic)."""
 
-    def __init__(self, s, phi, check_taming=True):
+    def __init__(self, s, phi):
         self.s = s
-        self.phi = cy._values(phi)
-        self.margin = cy.taming_margin(s, self.phi)
-        if check_taming and self.margin <= cy.TAMING_THRESHOLD:
-            raise PreconditionError(
-                f"linearization base is not taming (margin {self.margin:.3e}); "
-                "ellipticity lost"
-            )
         self.n = s.half_dim
-        self.wn1 = cy._wedge_power(cy.deformed_form(s, self.phi), self.n - 1)
+        self.wn1 = cy._wedge_power(cy.deformed_form(s, cy._values(phi)), self.n - 1)
 
     def apply(self, u):
         """L(phi)u as a grid scalar field."""
@@ -78,8 +72,20 @@ class LinearOperatorHandle:
         return self.n * forms.top_ratio(self.s, top)
 
 
-def make_handle(s, phi, check_taming=True):
-    return LinearOperatorHandle(s, phi, check_taming=check_taming)
+def make_handle(s, phi):
+    return LinearOperatorHandle(s, phi)
+
+
+def _taming_start(s, phi):
+    """Taming margin of a solver's starting point; raises unless L(phi) is
+    elliptic there."""
+    margin = cy.taming_margin(s, phi)
+    if margin <= cy.TAMING_THRESHOLD:
+        raise PreconditionError(
+            f"linearization base is not taming (margin {margin:.3e}); "
+            "ellipticity lost"
+        )
+    return margin
 
 
 def _fft_symbol(chart):
@@ -98,25 +104,20 @@ def _fft_symbol(chart):
 
 
 class _Preconditioner:
-    """FFT inverse of the signed flat symbol.
+    """FFT inverse of the flat symbol.
 
     Centered differences annihilate the constant and every checkerboard mode
     (all wavenumbers in {0, N/2}), so those modes form the (near-)kernel of
     L on any grid.  The preconditioner zeroes them and inverts the symbol on
-    the complement; project() restricts a field to that complement.
+    the complement; project() restricts a field to that complement.  On the
+    taming cone L has the positive sign of the flat symbol.
     """
 
-    def __init__(self, s, handle):
-        chart = s.chart
+    def __init__(self, chart):
         self.chart = chart
         sym = _fft_symbol(chart)
         self.kernel_mask = sym <= 1e-12 * sym.max()
-        # Determine the sign convention of L by probing a plane wave.
-        x1 = chart.grid_points()[..., 0]
-        u = np.sin(2.0 * np.pi * x1)
-        Lu = handle.apply(u)
-        sign = 1.0 if float(np.sum(Lu * u)) > 0 else -1.0
-        safe = np.where(self.kernel_mask, 1.0, sign * sym)
+        safe = np.where(self.kernel_mask, 1.0, sym)
         self.inv_sym = np.where(self.kernel_mask, 0.0, 1.0 / safe)
 
     def project(self, u):
@@ -174,8 +175,9 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     phi = cy.project_zero_mean(s, phi).values
 
     trace = []
+    margin = _taming_start(s, phi)
     handle = make_handle(s, phi)
-    precond = _Preconditioner(s, handle)
+    precond = _Preconditioner(chart)
     res_field = f - cy.F_total(s, phi)
     res = float(np.abs(res_field).max())
     # The line search measures progress on the component the operator can
@@ -185,7 +187,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     it = 0
     while res > tol:
         if res_proj <= 0.1 * tol:
-            report = SolveReport(False, it, res, handle.margin, reason="aliasing_floor",
+            report = SolveReport(False, it, res, margin, reason="aliasing_floor",
                                  trace=trace)
             raise SolverFailure(
                 f"target has flat-kernel content {res:.3e} above tol {tol:.1e}; "
@@ -193,7 +195,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
                 report=report,
             )
         if it >= max_iter:
-            report = SolveReport(False, it, res, handle.margin, reason="max_iter",
+            report = SolveReport(False, it, res, margin, reason="max_iter",
                                  trace=trace)
             raise SolverFailure("Newton did not converge within max_iter", report=report)
         delta, lin_res = _solve_linear(s, handle, res_field, precond)
@@ -201,14 +203,15 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
         accepted = False
         while alpha >= MIN_STEP:
             cand = phi + alpha * delta
-            margin = cy.taming_margin(s, cand)
-            if margin > cy.TAMING_THRESHOLD:
+            trial = cy.taming_margin(s, cand)
+            if trial > cy.TAMING_THRESHOLD:
                 new_res_field = f - cy.F_total(s, cand)
                 new_res = float(np.abs(new_res_field).max())
                 new_proj = float(np.abs(precond.project(new_res_field)).max())
                 if (new_proj < res_proj * (1.0 - 0.25 * alpha)
                         or new_res < tol or new_proj <= 0.1 * tol):
                     phi = cand
+                    margin = trial
                     res_field = new_res_field
                     res = new_res
                     res_proj = new_proj
@@ -217,14 +220,14 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             alpha *= 0.5
         it += 1
         if not accepted:
-            reason = "margin_collapse" if margin <= cy.TAMING_THRESHOLD else "stagnation"
-            report = SolveReport(False, it, res, margin, reason=reason, trace=trace)
+            reason = "margin_collapse" if trial <= cy.TAMING_THRESHOLD else "stagnation"
+            report = SolveReport(False, it, res, trial, reason=reason, trace=trace)
             raise SolverFailure(f"Newton step rejected ({reason})", report=report)
         handle = make_handle(s, phi)
-        trace.append((it, res, handle.margin, alpha))
+        trace.append((it, res, margin, alpha))
 
     pot = cy.project_zero_mean(s, phi)
-    return pot, SolveReport(True, it, res, handle.margin, trace=trace)
+    return pot, SolveReport(True, it, res, margin, trace=trace)
 
 
 def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
@@ -241,7 +244,6 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     t = 0.0
     dt = 1.0 / steps
     trace = []
-    last_report = None
     while t < 1.0 - 1e-12:
         t_next = min(1.0, t + dt)
         blend = (1.0 - t_next) + t_next * f
@@ -263,21 +265,12 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
             phi = pot.values
             t = t_next
             trace.append((t, rep.residual, rep.margin))
-            last_report = rep
             dt = min(2.0 * dt, 1.0 / steps)
             continue
         base = failed if failed is not None else SolveReport(False, 0, np.inf, np.nan)
         rep = replace(base, converged=False, t_reached=t, reason=reason, trace=trace)
         return cy.Potential(s.chart, phi), rep
-    rep = SolveReport(
-        True,
-        last_report.iters if last_report else 0,
-        last_report.residual if last_report else 0.0,
-        last_report.margin if last_report else cy.taming_margin(s, phi),
-        t_reached=1.0,
-        trace=trace,
-    )
-    return cy.Potential(s.chart, phi), rep
+    return cy.Potential(s.chart, phi), replace(rep, trace=trace)   # rep: the last step
 
 
 def kernel_check(s, phi, num_singular=4):
@@ -298,8 +291,9 @@ def kernel_check(s, phi, num_singular=4):
             f"kernel_check builds a dense {npts}x{npts} matrix; use a grid "
             "with at most 8192 points"
         )
+    margin = _taming_start(s, phi)
     handle = make_handle(s, phi)
-    precond = _Preconditioner(s, handle)
+    precond = _Preconditioner(chart)
     const_defect = float(np.abs(handle.apply(np.ones(chart.shape))).max())
     A = np.empty((npts, npts))
     e = np.zeros(npts)
@@ -323,5 +317,5 @@ def kernel_check(s, phi, num_singular=4):
         "smallest_singular_values": [float(v) for v in sv[-num_singular:]],
         "kernel_dim": kdim,
         "subspace_smallest": float(svp[-(kdim + 1)]),
-        "margin": handle.margin,
+        "margin": margin,
     }

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from akcy import boundary as bd
+from akcy import cy_operator as cy
 from akcy import forms
 from akcy import frame as fr
 from akcy.errors import ConfigurationError, NoSeedError
@@ -149,6 +150,25 @@ def test_nijenhuis_pairing_nonzero_on_twisted(s_tw12):
 def test_select_seed_rejects_integrable(s_std12):
     with pytest.raises(NoSeedError):
         bd.select_seed(s_std12)
+
+
+def test_select_seed_certifies_only_the_winner(monkeypatch, s_tw12):
+    """Candidates are ranked by the closed-form amplitude; the one certified
+    amplitude sweep is the winner's, and it sets the seed's scale."""
+    certify = cy.pencil_amplitude
+    calls = []
+
+    def counting(base, delta):
+        calls.append(1)
+        return certify(base, delta)
+
+    monkeypatch.setattr(cy, "pencil_amplitude", counting)
+    seed = bd.select_seed(s_tw12)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    raw = seed.candidate.value(s_tw12.chart.grid_points())
+    assert seed.scale_c == 0.9 * cy.positivity_amplitude(s_tw12, raw)
+    assert np.array_equal(seed.potential.values, seed.scale_c * raw)
 
 
 def test_epsilon0_floor_formula():

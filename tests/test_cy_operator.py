@@ -159,7 +159,7 @@ def _pencil_scale_full_copy(g, delta, chunk):
     return best
 
 
-@pytest.mark.parametrize("chunk", [cy.PENCIL_CHUNK, 1000])
+@pytest.mark.parametrize("chunk", [cy.POINT_CHUNK, 1000])
 def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw12, rng, chunk):
     """Chunking along the leading grid axis (one 12^3 slab per chunk when the
     chunk is small) leaves every per-point reduction and the minimum as they
@@ -167,6 +167,18 @@ def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw
     assert s_tw12.g.shape[2:] == (12, 1, 1, 12)
     delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
     expected = _pencil_scale_full_copy(s_tw12.g, delta, chunk)
-    monkeypatch.setattr(cy, "PENCIL_CHUNK", chunk)
+    monkeypatch.setattr(cy, "POINT_CHUNK", chunk)
     assert cy._pencil_critical_scale(s_tw12.g, delta) == expected
     assert np.isfinite(expected)
+
+
+@pytest.mark.parametrize("chunk", [1000, 7])
+def test_min_eigenvalue_blocks_leave_min_and_argmin_unchanged(monkeypatch, s_tw12, rng, chunk):
+    """Small point blocks give the minimum and flat argmin of one unblocked
+    eigvalsh, on a grid field, a non-contiguous slice of it and a point list."""
+    h = cy.h_form(s_tw12, sample_potential(s_tw12, rng, amp=1.0))
+    scan = h.reshape(4, 4, -1)[:, :, ::3]
+    monkeypatch.setattr(cy, "POINT_CHUNK", chunk)
+    for M in (h, h[:, :, :, ::2], scan):
+        ev = np.linalg.eigvalsh(np.moveaxis(M.reshape(4, 4, -1), -1, 0))[:, 0]
+        assert cy.min_eigenvalue_field(M) == (ev.min(), int(np.argmin(ev)))

@@ -10,10 +10,6 @@ from akcy.errors import ConsistencyError, PreconditionError, SolverFailure
 from conftest import make_standard, make_twisted
 
 
-def manufactured_target(s, phi):
-    return sv.make_handle(s, 0.0, check_taming=False), cy.F_total(s, phi)
-
-
 def test_L_annihilates_constants(s_tw12):
     handle = sv.make_handle(s_tw12, 0.0)
     out = handle.apply(np.ones(s_tw12.chart.shape))
@@ -69,11 +65,56 @@ def test_target_positivity_is_enforced(s_tw12):
         sv.newton_solve(s_tw12, f)
 
 
-def test_handle_rejects_non_taming_base(s_tw12, rng):
-    phi = potentials.random_potential(2, rng).sample(s_tw12.chart)
-    a = cy.positivity_amplitude(s_tw12, phi)
-    with pytest.raises(PreconditionError):
-        sv.make_handle(s_tw12, 1.5 * a * phi)
+def _beyond_amplitude(s, rng):
+    """A potential at 1.5 times its taming amplitude: h(phi) is indefinite."""
+    phi = potentials.random_potential(2, rng).sample(s.chart)
+    return 1.5 * cy.positivity_amplitude(s, phi) * phi
+
+
+def test_newton_rejects_non_taming_start(s_tw12, rng):
+    with pytest.raises(PreconditionError, match="linearization base is not taming"):
+        sv.newton_solve(s_tw12, np.ones(s_tw12.chart.shape),
+                        phi_init=_beyond_amplitude(s_tw12, rng))
+
+
+def test_kernel_check_rejects_non_taming_base(rng):
+    s = make_twisted([8] * 4, epsilon=0.1)
+    with pytest.raises(PreconditionError, match="linearization base is not taming"):
+        sv.kernel_check(s, _beyond_amplitude(s, rng))
+
+
+def test_report_margins_are_the_iterates_taming_margins(monkeypatch, s_tw12):
+    """The margin of each trace row and of the report is the taming margin
+    of the accepted iterate, carried over from its line-search trial."""
+    X = s_tw12.chart.grid_points()
+    phi_star = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
+    f = cy.F_total(s_tw12, cy.project_zero_mean(s_tw12, phi_star).values)
+    bases = []
+
+    def recording_handle(s, phi):
+        bases.append(np.array(phi))
+        return sv.LinearOperatorHandle(s, phi)
+
+    monkeypatch.setattr(sv, "make_handle", recording_handle)
+    _, rep = sv.newton_solve(s_tw12, f, tol=1e-10)
+    iterates = bases[1:]        # bases: the start, then one per accepted step
+    assert rep.iters == len(rep.trace) == len(iterates) >= 2
+    for row, phi in zip(rep.trace, iterates):
+        assert row[2] == cy.taming_margin(s_tw12, phi)
+    assert rep.margin == cy.taming_margin(s_tw12, iterates[-1])
+
+
+@pytest.mark.parametrize("epsilon", [0.12, 0.3])
+def test_plane_wave_rayleigh_quotient_positive_inside_cone(rng, epsilon):
+    """The preconditioner inverts the flat symbol with a positive sign; L(phi)
+    keeps that sign on a plane wave for bases up to the cone boundary."""
+    s = make_twisted([12] * 4, epsilon=epsilon)
+    u = np.sin(2 * np.pi * s.chart.grid_points()[..., 0])
+    for frac in (0.5, 0.9, 0.999):
+        phi = potentials.random_potential(2, rng).sample(s.chart)
+        phi = frac * cy.positivity_amplitude(s, phi) * phi
+        Lu = sv.make_handle(s, phi).apply(u)
+        assert float(np.sum(Lu * u)) / float(np.sum(u * u)) > 0.0
 
 
 def test_newton_trivial_target(s_tw12):
