@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forms
-from .errors import AmplitudeError, ConsistencyError, PreconditionError
+from .errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
 from .frame import build_frame
 
 __all__ = [
@@ -51,7 +51,14 @@ F_CONSISTENCY_RTOL = 1e-10
 # relative offset of the two sweeps that certify the closed-form amplitude.
 AMPLITUDE_MAX = 1e6
 AMPLITUDE_RTOL = 1e-9
-POINT_CHUNK = 1 << 18    # points per batched eigvalsh or pencil reduction
+POINT_CHUNK = 1 << 18    # points per block of a taming sweep
+PROBE = 64               # lowest-bound points per block evaluated first
+# Allowance, relative to the largest absolute row sum, by which a Gershgorin
+# bound is lowered so that it also bounds the rounded kernel value: LAPACK's
+# Cholesky, solves and symmetric eigensolver on k <= 6 are backward stable
+# with errors of a small multiple of k*eps*||A|| (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 10; Golub & Van Loan, ch. 8).
+GERSHGORIN_ROUNDING = 4096 * np.finfo(float).eps
 
 
 @dataclass
@@ -72,34 +79,91 @@ def _values(phi):
 
 
 def _point_blocks(*fields):
-    """(flat index of the first point, contiguous (m, k, k) block per field)
-    along the leading grid axis of matrix fields (matrix axes first, grid
-    axes broadcast), about POINT_CHUNK points per block; a broadcast field
-    (the metric) is copied one block at a time, never to grid size."""
+    """(flat index of the first point, grid shape of the block, one view per
+    field) along the leading grid axis of matrix fields (matrix axes first,
+    grid axes broadcast), about POINT_CHUNK points per block.  A view keeps
+    its field's size-1 axes, so a broadcast field (the metric) is never
+    copied to grid size."""
     shape = np.broadcast_shapes(*(M.shape for M in fields))
-    k, grid = shape[0], shape[2:]
+    grid = shape[2:]
     per_row = math.prod(grid[1:])
     rows = max(1, POINT_CHUNK // per_row)
-    fields = [np.broadcast_to(M, shape) for M in fields]
     for start in range(0, grid[0], rows):
         chunk = (slice(None), slice(None), slice(start, start + rows))
-        yield start * per_row, [
-            np.ascontiguousarray(np.moveaxis(M[chunk], (0, 1), (-2, -1))).reshape(-1, k, k)
-            for M in fields
-        ]
+        views = [M[chunk] if M.shape[2] > 1 else M for M in fields]
+        yield start * per_row, (min(rows, grid[0] - start),) + grid[1:], views
+
+
+def _take(M, idx, grid):
+    """Contiguous (p, k, k) matrices of the view M at the points idx (an
+    unravelled index into grid)."""
+    M = np.broadcast_to(M, M.shape[:2] + grid)
+    return np.ascontiguousarray(np.moveaxis(M[(slice(None), slice(None)) + idx], -1, 0))
+
+
+def _gershgorin(M):
+    """(Gershgorin lower bound of the smallest eigenvalue, largest absolute
+    row sum) of a symmetric matrix field, elementwise over its points; one
+    row at a time, so the temporaries stay a fraction of the field."""
+    low = norm = None
+    for i in range(M.shape[0]):
+        row = np.abs(M[i])
+        radius = row[:i].sum(axis=0) + row[i + 1:].sum(axis=0)
+        low_i, norm_i = M[i, i] - radius, row[i] + radius
+        low = low_i if low is None else np.minimum(low, low_i)
+        norm = norm_i if norm is None else np.maximum(norm, norm_i)
+    if not np.isfinite(norm).all():
+        raise NumericalError("matrix field has a non-finite entry")
+    return low, norm
+
+
+def _pruned_min(fields, bound, kernel):
+    """(min over points of kernel, first flat argmin) over _point_blocks.
+
+    bound(*views) is a per-point lower bound of the computed kernel value.
+    The kernel first runs on the PROBE points of lowest bound in each block;
+    it then runs only on points whose bound is not above the least value
+    found so far, since no other point can hold or tie the minimum.  The
+    kernel acts matrix by matrix, so min and argmin equal those of a sweep
+    over every point.
+    """
+    blocks = [
+        (first, grid, views, np.broadcast_to(bound(*views), grid).ravel())
+        for first, grid, views in _point_blocks(*fields)
+    ]
+    limit = np.inf
+    for _, grid, views, lb in blocks:
+        probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
+        idx = np.unravel_index(probe, grid)
+        limit = min(limit, float(kernel(*(_take(V, idx, grid) for V in views)).min()))
+    best, best_idx = np.inf, 0
+    for first, grid, views, lb in blocks:
+        keep = np.flatnonzero(lb <= min(limit, best))
+        if keep.size == 0:
+            continue
+        idx = np.unravel_index(keep, grid)
+        val = kernel(*(_take(V, idx, grid) for V in views))
+        i = int(np.argmin(val))
+        if val[i] < best:
+            best = float(val[i])
+            best_idx = first + int(keep[i])
+    return best, best_idx
+
+
+def _eigen_bound(M):
+    low, norm = _gershgorin(M)
+    return low - GERSHGORIN_ROUNDING * norm
+
+
+def _min_eigenvalue(M):
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 def min_eigenvalue_field(M):
     """(min eigenvalue over all points, flat argmin index) of a Hermitian
-    matrix field with matrix axes first; processes points in blocks."""
-    best, best_idx = np.inf, 0
-    for first, (block,) in _point_blocks(M):
-        ev = np.linalg.eigvalsh(block)[:, 0]
-        i = int(np.argmin(ev))
-        if ev[i] < best:
-            best = float(ev[i])
-            best_idx = first + i
-    return best, best_idx
+    matrix field with matrix axes first; processes points in blocks and runs
+    eigvalsh only where the Gershgorin bound admits the minimum."""
+    return _pruned_min((M,), _eigen_bound, _min_eigenvalue)
 
 
 def deformation_form(s, phi):
@@ -160,7 +224,12 @@ def h_form(s, phi):
     Positive definiteness of h(phi) at every point is equivalent to
     omega(phi) taming J.
     """
-    return h_matrix(s.J, deformed_form(s, phi).comps)
+    return _h_of(s, deformation_form(s, phi))
+
+
+def _h_of(s, B):
+    """h(phi) from B = d(J dphi), built from omega + B (not as g + h_matrix(B))."""
+    return h_matrix(s.J, (forms.omega_form(s) + B).comps)
 
 
 def taming_margin(s, phi):
@@ -243,7 +312,11 @@ def F_total(s, phi, return_components=False):
     Both paths start from one evaluation of d(J dphi); omega(phi) is dropped
     before the F_j are built.
     """
-    B = deformation_form(s, phi)
+    return _F_total(s, deformation_form(s, phi), return_components)
+
+
+def _F_total(s, B, return_components):
+    """F_total from B = d(J dphi)."""
     direct = forms.top_ratio(s, _wedge_power(forms.omega_form(s) + B, s.half_dim))
     comps = _F_components(s, B.comps)
     del B
@@ -260,23 +333,42 @@ def F_total(s, phi, return_components=False):
     return direct
 
 
+def _whitened_bound(G, D):
+    """Lower bound of lambda_min(L^-1 D L^-T), G = L L^T: the Rayleigh
+    quotient x'Dx / x'Gx is at least min(lb(D), 0) / lb(G) when lb(G) > 0."""
+    low_g, norm_g = _gershgorin(G)
+    low_d, norm_d = _gershgorin(D)
+    den = low_g - GERSHGORIN_ROUNDING * norm_g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lb = (np.minimum(low_d, 0.0) - GERSHGORIN_ROUNDING * norm_d) / den
+    return np.where(den > 0.0, lb, -np.inf)
+
+
+def _whitened_min_eigenvalue(G, D):
+    L = np.linalg.cholesky(G)
+    A = np.linalg.solve(L, D)
+    K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
+    return np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
+
+
 def _pencil_critical_scale(g, delta):
     """min over points of sup{s : g + s*delta positive definite}, inf if none.
 
     Whitens the pencil by the Cholesky factor of g; the critical scale per
     point is -1/lambda_min of the whitened delta when that eigenvalue is
-    negative.  g may be a broadcastable field (the metric); see _point_blocks.
+    negative, so the grid minimum comes from the least lambda_min (division
+    rounds monotonically).  g may be a broadcastable field (the metric); see
+    _point_blocks.
     """
-    best = np.inf
-    for _, (G, D) in _point_blocks(g, delta):
-        L = np.linalg.cholesky(G)
-        A = np.linalg.solve(L, D)
-        K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
-        lam = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
-        neg = lam < 0.0
-        if np.any(neg):
-            best = min(best, float((-1.0 / lam[neg]).min()))
-    return best
+    lam, _ = _pruned_min((g, delta), _whitened_bound, _whitened_min_eigenvalue)
+    return -1.0 / lam if lam < 0.0 else np.inf
+
+
+def _pencil_at(base, delta, t):
+    """base + t*delta with one grid-size temporary (addition commutes exactly)."""
+    out = t * delta
+    out += base
+    return out
 
 
 def pencil_amplitude(base, delta):
@@ -292,8 +384,8 @@ def pencil_amplitude(base, delta):
         raise AmplitudeError(
             f"no taming sign change up to {AMPLITUDE_MAX:.1e}; amplitude unbounded"
         )
-    below, _ = min_eigenvalue_field(base + a * (1.0 - AMPLITUDE_RTOL) * delta)
-    above, _ = min_eigenvalue_field(base + a * (1.0 + AMPLITUDE_RTOL) * delta)
+    below, _ = min_eigenvalue_field(_pencil_at(base, delta, a * (1.0 - AMPLITUDE_RTOL)))
+    above, _ = min_eigenvalue_field(_pencil_at(base, delta, a * (1.0 + AMPLITUDE_RTOL)))
     if not (below > 0.0 and above <= 0.0):
         raise ConsistencyError(
             f"pencil critical scale {a!r} is not a taming sign change: margin "
@@ -307,10 +399,13 @@ def positivity_amplitude(s, phi):
 
     h(s*phi) = g + s*Delta is affine in s per point; see pencil_amplitude.
     """
-    vals = _values(phi)
-    if float(np.ptp(vals)) == 0.0:
-        raise PreconditionError("positivity amplitude requires a non-constant potential")
+    _require_nonconstant(phi)
     return pencil_amplitude(s.g, h_matrix(s.J, deformation_form(s, phi).comps))
+
+
+def _require_nonconstant(phi):
+    if float(np.ptp(_values(phi))) == 0.0:
+        raise PreconditionError("positivity amplitude requires a non-constant potential")
 
 
 def project_zero_mean(s, phi):
@@ -324,19 +419,25 @@ def project_zero_mean(s, phi):
 def analyze_potential(s, phi, compute_amplitude=True):
     """Full diagnostic sweep of a potential: F bounds, margin, amplitude.
 
-    The report carries the F field itself as ``report.F``.
+    The report carries the F field itself as ``report.F``.  One d(J dphi)
+    feeds F, the margin and the amplitude direction; it is released before
+    the amplitude sweeps.
     """
-    direct, comps = F_total(s, phi, return_components=True)
+    B = deformation_form(s, phi)
+    direct, comps = _F_total(s, B, return_components=True)
     components = [
         {"j": j, "min": float(c.min()), "max": float(c.max())}
         for j, c in enumerate(comps)
     ]
     del comps
-    margin = taming_margin(s, phi)
+    margin, _ = min_eigenvalue_field(_h_of(s, B))
     amplitude = None
     if compute_amplitude:
         try:
-            amplitude = positivity_amplitude(s, phi)
+            _require_nonconstant(phi)
+            delta = h_matrix(s.J, B.comps)
+            del B
+            amplitude = pencil_amplitude(s.g, delta)
         except (AmplitudeError, PreconditionError):
             amplitude = None
     return PotentialReport(

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
-from akcy.errors import AmplitudeError, ConsistencyError, PreconditionError
+from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
 
 
 def sample_potential(s, rng, amp=0.01):
@@ -180,5 +182,144 @@ def test_min_eigenvalue_blocks_leave_min_and_argmin_unchanged(monkeypatch, s_tw1
     scan = h.reshape(4, 4, -1)[:, :, ::3]
     monkeypatch.setattr(cy, "POINT_CHUNK", chunk)
     for M in (h, h[:, :, :, ::2], scan):
-        ev = np.linalg.eigvalsh(np.moveaxis(M.reshape(4, 4, -1), -1, 0))[:, 0]
-        assert cy.min_eigenvalue_field(M) == (ev.min(), int(np.argmin(ev)))
+        assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+
+
+def _min_eigenvalue_reference(M):
+    """(min, first flat argmin) of one eigvalsh over every point."""
+    k = M.shape[0]
+    ev = np.linalg.eigvalsh(np.moveaxis(M.reshape(k, k, -1), -1, 0))[:, 0]
+    return float(ev.min()), int(np.argmin(ev))
+
+
+def _symmetric_field(rng, k, grid, diag=3.0):
+    """Random symmetric matrices with matrix axes first on a grid."""
+    A = rng.standard_normal((k, k) + grid)
+    return 0.5 * (A + np.swapaxes(A, 0, 1)) + diag * np.eye(k).reshape((k, k) + (1,) * len(grid))
+
+
+def _count_kernel_points(monkeypatch, name):
+    """Wrap a per-matrix kernel of cy_operator; returns the running count."""
+    seen = [0]
+    kernel = getattr(cy, name)
+
+    def counted(*blocks):
+        seen[0] += blocks[0].shape[0]
+        return kernel(*blocks)
+
+    monkeypatch.setattr(cy, name, counted)
+    return seen
+
+
+def test_min_eigenvalue_of_constant_field_ties_at_index_zero(monkeypatch):
+    """Every point ties, so every point stays a candidate and the first wins."""
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    M = np.broadcast_to(_symmetric_field(np.random.default_rng(1), 4, (1, 1)), (4, 4, 3, 100))
+    M = np.ascontiguousarray(M)
+    assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+    assert cy.min_eigenvalue_field(M)[1] == 0
+
+
+def test_min_eigenvalue_equal_minima_in_two_blocks_first_wins(monkeypatch):
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    M = _symmetric_field(np.random.default_rng(2), 4, (5, 100))
+    low = np.diag([-5.0, 2.0, 3.0, 4.0])
+    M[:, :, 1, 30] = low
+    M[:, :, 4, 70] = low
+    value, idx = cy.min_eigenvalue_field(M)
+    assert (value, idx) == _min_eigenvalue_reference(M)
+    assert idx == 1 * 100 + 30
+
+
+def test_min_eigenvalue_dense_off_diagonals_prune_nothing(monkeypatch):
+    """(1 - c) I + c ones has lambda_min = 1 - c >= 0.7 but Gershgorin bound
+    1 - 3c <= 0.4, below every point's value, so every point reaches eigvalsh."""
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    c = np.random.default_rng(3).uniform(0.2, 0.3, size=(3, 100))
+    M = (1.0 - c) * np.eye(4)[:, :, None, None] + c * np.ones((4, 4, 1, 1))
+    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+    assert seen[0] >= M[0, 0].size
+
+
+def test_min_eigenvalue_six_by_six_field(monkeypatch):
+    monkeypatch.setattr(cy, "POINT_CHUNK", 200)
+    M = _symmetric_field(np.random.default_rng(4), 6, (4, 6, 50), diag=6.0)
+    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+    assert seen[0] < M[0, 0].size
+
+
+def test_pencil_scale_non_broadcast_base(monkeypatch):
+    """A per-point base, as on the boundary scan set."""
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    base = _symmetric_field(rng, 4, (3, 200), diag=4.0)
+    delta = _symmetric_field(rng, 4, (3, 200), diag=0.0)
+    expected = _pencil_scale_full_copy(base, delta, 7)
+    assert cy._pencil_critical_scale(base, delta) == expected
+    assert np.isfinite(expected)
+
+
+def test_pencil_scale_metric_with_nonpositive_gershgorin_bound(monkeypatch):
+    """(1 - c) I + c ones is positive definite for c < 1 but its Gershgorin
+    bound 1 - 3c is <= 0 for c >= 1/3; those points are never pruned."""
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    rng = np.random.default_rng(6)
+    c = np.where(rng.uniform(size=(3, 100)) < 0.3, 0.5, 0.05)
+    g = (1.0 - c) * np.eye(4)[:, :, None, None] + c * np.ones((4, 4, 1, 1))
+    delta = _symmetric_field(rng, 4, (3, 100), diag=0.0)
+    expected = _pencil_scale_full_copy(g, delta, 7)
+    assert cy._pencil_critical_scale(g, delta) == expected
+    assert np.isfinite(expected)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_nonfinite_entry_at_one_point_raises(monkeypatch, value, entry):
+    """eigvalsh returns NaN (or finite values) for such a matrix instead of
+    raising, so the sweeps check the entries themselves."""
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    rng = np.random.default_rng(7)
+    M = _symmetric_field(rng, 4, (3, 100), diag=8.0)
+    M[entry + (2, 99)] = value
+    with pytest.raises(NumericalError):
+        cy.min_eigenvalue_field(M)
+    with pytest.raises(NumericalError):
+        cy._pencil_critical_scale(np.eye(4)[:, :, None, None], M)
+    with pytest.raises(NumericalError):
+        cy._pencil_critical_scale(M, _symmetric_field(rng, 4, (3, 100)))
+
+
+def test_pencil_scale_metric_failing_cholesky_at_one_point_raises(monkeypatch):
+    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    rng = np.random.default_rng(8)
+    g = np.broadcast_to(np.eye(4)[:, :, None, None], (4, 4, 3, 100)).copy()
+    g[:, :, 2, 99] = np.diag([1.0, 1.0, -1e-3, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        cy._pencil_critical_scale(g, _symmetric_field(rng, 4, (3, 100), diag=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([4, 6]),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 150),
+    pool=st.integers(1, 20),
+    chunk=st.integers(1, 400),
+)
+def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
+    """Fields drawn from a small pool of matrices (so minima tie across
+    points and blocks) give the brute-force min, argmin and pencil scale."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(pool, size=(rows, cols))
+    M = _symmetric_field(rng, k, (pool,), diag=rng.uniform(0.0, 4.0))[:, :, pick]
+    base = _symmetric_field(rng, k, (pool,), diag=k + 1.0)[:, :, pick]
+    old = cy.POINT_CHUNK
+    cy.POINT_CHUNK = chunk
+    try:
+        assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+        assert cy._pencil_critical_scale(base, M) == _pencil_scale_full_copy(base, M, chunk)
+    finally:
+        cy.POINT_CHUNK = old
