@@ -306,7 +306,9 @@ def cmd_solve(cfg, out, args):
         )
     else:
         serialize.write_trace_csv(
-            out / "solve_trace.csv", ["iter", "residual", "margin", "step"], report.trace
+            out / "solve_trace.csv",
+            ["iter", "residual", "margin", "step", "lin_res"],
+            report.trace,
         )
     if pot is not None:
         serialize.write_field(out / "phi_solution.bin", pot.values)

@@ -116,7 +116,7 @@ def test_solve_newton_roundtrip(tmp_path):
     assert rep["residual"] < 1e-9
     phi, _ = serialize.read_field(tmp_path / "phi_solution.bin")
     trace = (tmp_path / "solve_trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,residual,margin,step"
+    assert trace[0] == "iter,residual,margin,step,lin_res"
     assert len(trace) >= 2
     assert np.abs(phi).max() > 0
 

@@ -5,6 +5,7 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy import solver as sv
+from akcy import structure as st
 from akcy.errors import ConsistencyError, PreconditionError, SolverFailure
 
 from conftest import make_standard, make_twisted
@@ -181,6 +182,91 @@ def test_aliasing_floor_reported(s_tw12):
     pot, rep = sv.continuity_solve(s_tw12, f, steps=2, tol=1e-8)
     assert rep.reason == "aliasing_floor"
     assert not rep.converged
+
+
+def _complex_fft_reference(chart):
+    """Flat symbol and flat-kernel mask on the full complex FFT lattice: the
+    kernel is every wavenumber in {0, N/2} on every axis."""
+    sym = np.zeros(chart.shape)
+    mask = np.ones(chart.shape, dtype=bool)
+    for d, (N, h) in enumerate(zip(chart.shape, chart.spacing)):
+        k = np.fft.fftfreq(N) * N
+        shape = [1] * len(chart.shape)
+        shape[d] = N
+        sym = sym + ((np.sin(2 * np.pi * k / N) / h) ** 2).reshape(shape)
+        mask = mask & np.isin(np.abs(k), [0, N / 2]).reshape(shape)
+    return sym, mask
+
+
+def _parity_class_means(u):
+    """Mean of u over each parity class (index parities on the even axes)."""
+    even = [d for d, N in enumerate(u.shape) if N % 2 == 0]
+    means = []
+    for parities in np.ndindex(*[2] * len(even)):
+        idx = [slice(None)] * u.ndim
+        for d, p in zip(even, parities):
+            idx[d] = slice(p, None, 2)
+        means.append(u[tuple(idx)].mean())
+    return np.array(means)
+
+
+@pytest.mark.parametrize("resolution, kernel_dim", [
+    ([8] * 4, 16),
+    ([9] * 4, 1),
+    ([8, 9, 10, 11], 4),
+])
+def test_projection_and_preconditioner_match_complex_fft(resolution, kernel_dim):
+    """The parity-class projection and the real-FFT preconditioner agree with
+    the masked complex-FFT reference; odd axes contribute only the constant
+    to the flat kernel."""
+    chart = st.build_grid(2, resolution)
+    P = sv._Preconditioner(chart)
+    sym, mask = _complex_fft_reference(chart)
+    assert P.kernel_dim == int(mask.sum()) == kernel_dim
+
+    u = np.random.default_rng(5).standard_normal(chart.shape)
+    uhat = np.fft.fftn(u)
+    uhat[mask] = 0.0
+    assert np.abs(P.project(u) - np.fft.ifftn(uhat).real).max() < 1e-13
+
+    inv_sym = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, sym))
+    ref = np.fft.ifftn(np.fft.fftn(u) * inv_sym).real
+    out = P(u)
+    assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
+    means = _parity_class_means(out)
+    assert means.shape == (kernel_dim,)
+    assert np.abs(means).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_tw12):
+    """A GMRES iteration transforms only in the preconditioner: one rfftn
+    and one irfftn per application, and no complex FFT anywhere in the
+    solve.  Each trace row carries the step's linear residual."""
+    counts = {"rfftn": 0, "irfftn": 0, "precond": 0, "complex": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted("complex", getattr(np.fft, name)))
+    monkeypatch.setattr(sv._Preconditioner, "__call__",
+                        counted("precond", sv._Preconditioner.__call__))
+
+    X = s_tw12.chart.grid_points()
+    phi_star = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
+    f = cy.F_total(s_tw12, cy.project_zero_mean(s_tw12, phi_star).values)
+    _, rep = sv.newton_solve(s_tw12, f, tol=1e-10)
+    assert rep.converged and rep.iters >= 2
+    assert counts["precond"] > 0
+    assert counts["rfftn"] == counts["irfftn"] == counts["precond"]
+    assert counts["complex"] == 0
+    for it, res, margin, step, lin_res in rep.trace:
+        assert 0.0 <= lin_res < 1e-6
 
 
 def test_kernel_check_small_grid():
