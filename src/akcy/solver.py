@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import cy_operator as cy
 from . import forms
@@ -148,8 +147,23 @@ class _Preconditioner:
         return np.fft.irfftn(rhat, s=self.shape, axes=self.axes)
 
 
+def gmres(A, b, **kwargs):
+    """scipy's GMRES, imported on first use.
+
+    Importing scipy.sparse.linalg takes about 0.3 s and 30 MB, more than half
+    of `import akcy`; commands that never solve a linear system (analyze,
+    boundary) should not pay it.  newton_solve imports it before it
+    allocates any field, so that its memory does not land above them.
+    """
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(A, b, **kwargs)
+
+
 def _solve_linear(s, handle, rhs, precond):
     """GMRES for L(phi) delta = rhs on the complement of the flat kernel."""
+    from scipy.sparse.linalg import LinearOperator
+
     chart = s.chart
     npts = int(np.prod(chart.shape))
     rhs = precond.project(rhs).ravel()
@@ -187,6 +201,8 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     Each trace row is (iteration, residual, taming margin, step length,
     sup-norm linear residual of the GMRES solve that gave the step).
     """
+    import scipy.sparse.linalg  # noqa: F401  (see gmres)
+
     chart = s.chart
     f = _check_target(s, f)
     phi = (
