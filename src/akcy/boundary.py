@@ -547,7 +547,8 @@ def _lattice_geometry(s):
 
 
 def _seed_grid_F(s, seed):
-    """F(phi) at every grid point via the exact pointwise path (cached)."""
+    """F(phi) at every grid point via the exact pointwise path, cached with
+    its seed (an id() key could hit for a new seed at a freed one's address)."""
 
     def _build():
         chart = s.chart
@@ -565,7 +566,10 @@ def _seed_grid_F(s, seed):
             out[start : start + SCAN_CHUNK] = frame_F(M, tau12)
         return out
 
-    return s.cache(("seed_grid_F", id(seed)), _build)
+    entry = s.cache("seed_grid_F", lambda: [None, None])
+    if entry[0] is not seed:
+        entry[:] = seed, _build()
+    return entry[1]
 
 
 @dataclass

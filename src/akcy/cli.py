@@ -137,10 +137,17 @@ def parse_config(path):
 def build_structure_from_config(cfg, grid_override=None):
     sec = cfg["structure"]
     kind = sec.get("kind", "standard")
-    n = int(sec.get("n", 2))
+    n = sec.get("n", 2)
     resolution = grid_override or sec.get("resolution")
-    if resolution is None:
-        raise ConfigurationError('"structure.resolution" is required')
+    epsilon = sec.get("epsilon", 0.0)
+    for key, value, ok, expected in [
+        ("n", n, isinstance(n, int), "an integer"),
+        ("resolution", resolution, isinstance(resolution, list)
+         and all(isinstance(N, int) for N in resolution), "a list of integers"),
+        ("epsilon", epsilon, isinstance(epsilon, (int, float)), "a number"),
+    ]:
+        if not ok:
+            raise ConfigurationError(f'"structure.{key}" must be {expected}, got {value!r}')
     chart = st.build_grid(n, resolution)
     if kind == "standard":
         return st.standard_structure(chart)
@@ -153,7 +160,7 @@ def build_structure_from_config(cfg, grid_override=None):
     recipe = st.StructureRecipe(
         kind=kind,
         generator=gen,
-        amplitude=float(sec.get("epsilon", 0.0)),
+        amplitude=float(epsilon),
         profile=sec.get("profile", "sin_x1"),
     )
     return st.twisted_structure(chart, recipe)

@@ -138,22 +138,15 @@ def _gram_schmidt(J, g, seeds):
     return e, theta
 
 
-def build_frame(s, seeds=None):
+def build_frame(s):
     """Per-point Gram-Schmidt frame seeded from fixed coordinate vectors.
 
-    Default seeds are d/dx_1, d/dx_2, ... (axes 0, 2, 4, ...); degeneracy is
+    The seeds are d/dx_1, d/dx_2, ... (axes 0, 2, 4, ...); degeneracy is
     detected and reported, never silently repaired.  A neighbor-jump scan
     guards against branch flips of the frame between adjacent points.
     """
-    n = s.half_dim
-    if seeds is None:
-        seeds = [2 * a for a in range(n)]
-        use_cache = True
-    else:
-        use_cache = False
-
     def _build():
-        e, theta = _gram_schmidt(s.J, s.g, seeds)
+        e, theta = _gram_schmidt(s.J, s.g, [2 * a for a in range(s.half_dim)])
         jump = 0.0
         for d in range(s.chart.dim):
             axis = e.ndim - s.chart.dim + d
@@ -172,9 +165,7 @@ def build_frame(s, seeds=None):
             raise FrameError(f"frame invariants violated: {defs}")
         return f
 
-    if use_cache:
-        return s.cache("frame", _build)
-    return _build()
+    return s.cache("frame", _build)
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +260,37 @@ class TorsionField:
 
 def connection_forms(s, f):
     """Grid-path second canonical connection for a built frame."""
-    def _build():
-        chart = s.chart
-        g = s.g
-        dg = np.stack([chart.diff(g, d) for d in range(chart.dim)])
-        dJ = np.stack([chart.diff(s.J, d) for d in range(chart.dim)])
-        gamma1 = _gamma1(s.J, dJ, _levi_civita(g, dg))
+    chart = s.chart
+    g = s.g
+    dg = np.stack([chart.diff(g, d) for d in range(chart.dim)])
+    dJ = np.stack([chart.diff(s.J, d) for d in range(chart.dim)])
+    gamma1 = _gamma1(s.J, dJ, _levi_civita(g, dg))
 
-        de = np.stack([chart.diff(f.e, d) for d in range(chart.dim)])
-        omega = _connection_matrix(f.theta, f.e, de, gamma1)
+    de = np.stack([chart.diff(f.e, d) for d in range(chart.dim)])
+    omega = _connection_matrix(f.theta, f.e, de, gamma1)
 
-        # nabla^1 of J with the corrected connection (should vanish to O(h^2)).
-        nab1J = _covariant_J(s.J, dJ, gamma1)
-        nab1g = (
-            dg
-            - np.einsum("dki...,kj...->dij...", gamma1, g)
-            - np.einsum("dkj...,ik...->dij...", gamma1, g)
-        )
-        return ConnectionField(
-            chart,
-            omega,
-            gamma1,
-            nabla_g_defect=float(np.abs(nab1g).max()),
-            nabla_J_defect=float(np.abs(nab1J).max()),
-        )
-
-    return s.cache(("connection", id(f)), _build)
+    # nabla^1 of J with the corrected connection (should vanish to O(h^2)).
+    nab1J = _covariant_J(s.J, dJ, gamma1)
+    nab1g = (
+        dg
+        - np.einsum("dki...,kj...->dij...", gamma1, g)
+        - np.einsum("dkj...,ik...->dij...", gamma1, g)
+    )
+    return ConnectionField(
+        chart,
+        omega,
+        gamma1,
+        nabla_g_defect=float(np.abs(nab1g).max()),
+        nabla_J_defect=float(np.abs(nab1J).max()),
+    )
 
 
 def torsion(s, f, c):
     """Torsion of the second canonical connection, split into (2,0) and (0,2)."""
-    def _build():
-        chart = s.chart
-        dtheta = np.stack([chart.diff(f.theta, d) for d in range(chart.dim)])
-        T, N, mixed = _torsion_components(dtheta, c.omega, f.theta, f.e)
-        return TorsionField(chart, T, N, mixed)
-
-    return s.cache(("torsion", id(f), id(c)), _build)
+    chart = s.chart
+    dtheta = np.stack([chart.diff(f.theta, d) for d in range(chart.dim)])
+    T, N, mixed = _torsion_components(dtheta, c.omega, f.theta, f.e)
+    return TorsionField(chart, T, N, mixed)
 
 
 def nijenhuis_coordinate(s):

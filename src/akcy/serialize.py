@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -59,33 +61,41 @@ def write_field(path, values, degree=0):
 
 
 def read_field(path):
-    """Read a field written by write_field; returns (values, degree)."""
+    """Read a field written by write_field; returns (values, degree).
+
+    A file cut short, or carrying bytes past the payload its header
+    declares, is rejected."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != _MAGIC:
             raise ConfigurationError(f"{path} is not a field file (bad magic)")
+        if size < 28:
+            raise ConfigurationError(f"{path} is truncated inside its header")
         version, ndim, degree, ncomp, tag = struct.unpack("<5I", fh.read(20))
         if version != _VERSION:
             raise ConfigurationError(f"unsupported field file version {version}")
         if tag not in _DTYPE_TAGS:
             raise ConfigurationError(f"unknown dtype tag {tag}")
+        offset = 28 + 4 * ndim
+        if size < offset:
+            raise ConfigurationError(f"{path} is truncated inside its header")
         dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
         shape = dims if degree == 0 else (ncomp,) + dims
-        count = int(np.prod(shape))
+        count = math.prod(shape)
+        if size - offset != count * _DTYPE_TAGS[tag].itemsize:
+            raise ConfigurationError(f"{path} is truncated or has bytes past its payload")
         data = np.fromfile(fh, dtype=_DTYPE_TAGS[tag], count=count)
-    if data.size != count:
-        raise ConfigurationError(f"{path} is truncated")
     return data.reshape(shape), int(degree)
 
 
-def field_to_csv(path, values, degree=0, max_points=CSV_MAX_POINTS):
+def field_to_csv(path, values, degree=0):
     """Dump a small grid field as CSV rows (grid index..., component, value)."""
     arr = np.asarray(values)
     grid_shape = arr.shape if degree == 0 else arr.shape[1:]
     npts = int(np.prod(grid_shape))
-    if npts > max_points:
+    if npts > CSV_MAX_POINTS:
         raise ConfigurationError(
-            f"grid has {npts} points; CSV export capped at {max_points}"
+            f"grid has {npts} points; CSV export capped at {CSV_MAX_POINTS}"
         )
     ndim = len(grid_shape)
     with open(path, "w", newline="") as fh:

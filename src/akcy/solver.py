@@ -146,6 +146,14 @@ class _Preconditioner:
         rhat *= self.inv_sym
         return np.fft.irfftn(rhat, s=self.shape, axes=self.axes)
 
+    def kernel_modes(self):
+        """The flat kernel's basis, shape (kernel_dim, *shape): the indicator
+        field of each parity class."""
+        onehot = np.eye(self.kernel_dim).reshape(
+            [-1] + [m for c in self.split[1::2] for m in (1, c)])
+        modes = np.broadcast_to(onehot, [self.kernel_dim] + self.split)
+        return modes.reshape((-1,) + self.shape)
+
 
 def gmres(A, b, **kwargs):
     """scipy's GMRES, imported on first use.
@@ -160,26 +168,26 @@ def gmres(A, b, **kwargs):
     return scipy_gmres(A, b, **kwargs)
 
 
+def _projected_apply(handle, precond, u):
+    """P L(phi) P u, flattened, with P the flat-kernel projection: the
+    operator GMRES inverts and kernel_check audits."""
+    u = precond.project(u)
+    return precond.project(handle.apply(u)).ravel()
+
+
 def _solve_linear(s, handle, rhs, precond):
     """GMRES for L(phi) delta = rhs on the complement of the flat kernel."""
     from scipy.sparse.linalg import LinearOperator
 
-    chart = s.chart
-    npts = int(np.prod(chart.shape))
+    npts = int(np.prod(s.chart.shape))
     rhs = precond.project(rhs).ravel()
-
-    def matvec(u):
-        u = precond.project(u)
-        return precond.project(handle.apply(u)).ravel()
-
-    A = LinearOperator((npts, npts), matvec=matvec)
+    A = LinearOperator((npts, npts), matvec=lambda u: _projected_apply(handle, precond, u))
     M = LinearOperator((npts, npts), matvec=lambda r: precond(r).ravel())
     x, info = gmres(A, rhs, rtol=LIN_TOL, atol=0.0, maxiter=LIN_MAXITER, M=M)
     if info != 0:
         raise SolverFailure(f"linear solve stagnated (GMRES info={info})")
     x = precond.project(x)
-    lin_res = float(np.abs(matvec(x.ravel()).reshape(chart.shape)
-                           - rhs.reshape(chart.shape)).max())
+    lin_res = float(np.abs(_projected_apply(handle, precond, x.ravel()) - rhs).max())
     return x, lin_res
 
 
@@ -311,17 +319,14 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     return cy.Potential(s.chart, phi), replace(rep, trace=trace)   # rep: the last step
 
 
-def kernel_check(s, phi, num_singular=4):
-    """Dense near-kernel audit of L(phi) on a small grid.
+def kernel_check(s, phi):
+    """Dense audit of the operator GMRES inverts, P L(phi) P, on a small grid.
 
-    Centered differences are exactly blind to the constant and to every
-    checkerboard mode (all wavenumbers in {0, N/2}), so the discrete kernel
-    of L has dimension 2^(number of even axes) regardless of phi (2^{2n} on
-    an even grid, 1 on an odd one); on the complement the operator is
-    invertible with a spectral-gap-sized smallest singular value.
-    Returns L(phi)1 sup-norm, the smallest singular values of the raw
-    operator, the kernel dimension, and the smallest singular value on the
-    working (flat-kernel-free) subspace.
+    Centered differences are exactly blind to the flat kernel (the constant
+    and every checkerboard mode), whatever phi; on its complement L should
+    be invertible with a spectral-gap-sized smallest singular value.
+    Returns the sup over the kernel modes k of |L(phi)k|, the kernel
+    dimension, that smallest singular value, and the taming margin of phi.
     """
     chart = s.chart
     npts = int(np.prod(chart.shape))
@@ -333,28 +338,15 @@ def kernel_check(s, phi, num_singular=4):
     margin = _taming_start(s, phi)
     handle = make_handle(s, phi)
     precond = _Preconditioner(chart)
-    const_defect = float(np.abs(handle.apply(np.ones(chart.shape))).max())
+    kernel_defect = float(max(np.abs(handle.apply(k)).max() for k in precond.kernel_modes()))
     A = np.empty((npts, npts))
-    e = np.zeros(npts)
     for j in range(npts):
-        e[j] = 1.0
-        A[:, j] = handle.apply(e.reshape(chart.shape)).ravel()
-        e[j] = 0.0
-    sv = np.linalg.svd(A, compute_uv=False)
+        A[:, j] = _projected_apply(handle, precond, np.eye(1, npts, j))
     kdim = precond.kernel_dim
-    # Project rows and columns onto the working subspace; the projected
-    # operator carries kdim artificial zeros, so its subspace spectrum starts
-    # at index -(kdim+1).
-    B = np.empty_like(A)
-    for j in range(npts):
-        B[:, j] = precond.project(A[:, j]).ravel()
-    for i in range(npts):
-        B[i, :] = precond.project(B[i, :]).ravel()
-    svp = np.linalg.svd(B, compute_uv=False)
+    sv = np.linalg.svd(A, compute_uv=False)   # ends with kdim zeros from P
     return {
-        "const_defect": const_defect,
-        "smallest_singular_values": [float(v) for v in sv[-num_singular:]],
+        "kernel_defect": kernel_defect,
         "kernel_dim": kdim,
-        "subspace_smallest": float(svp[-(kdim + 1)]),
+        "subspace_smallest": float(sv[-(kdim + 1)]),
         "margin": margin,
     }

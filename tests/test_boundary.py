@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,18 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
 
     assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
     assert np.abs(bd.witness_density(s, seed, R, amplitude) - density).max() < 1e-10
+
+
+def test_seed_grid_F_follows_each_new_seed():
+    """Seeds built and dropped one after another, so that a new seed can
+    reuse a freed one's id, each get the grid F of their own scale."""
+    s = make_twisted([10] * 4)
+    pts = s.chart.grid_points().reshape(-1, 4)
+    lg = fr.LocalGeometry(s, pts)
+    base = _flat_seed(s)
+    for scale in np.linspace(0.01, 0.1, 20):
+        seed = dataclasses.replace(base, scale_c=scale)
+        pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
+        grid_F = bd.frame_F(lg.hermitian_of(pabar), 2.0 * lg.tau_of(pa)[0, 1])
+        assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
+        del seed

@@ -59,6 +59,19 @@ def test_bad_resolution_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("resolution", 16),
+    ("resolution", [12, 12, "12", 12]),
+    ("n", "2"),
+    ("epsilon", "0.12"),
+])
+def test_mistyped_structure_value_exit_code(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, {"structure": dict(BASE_STRUCTURE, **{key: value})})
+    code = cli.main(["validate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert f'"structure.{key}" must be' in capsys.readouterr().err
+
+
 def test_grid_override(tmp_path):
     cfg = write_cfg(tmp_path, {"structure": BASE_STRUCTURE})
     code = cli.main(
@@ -83,6 +96,19 @@ def test_analyze_writes_fields_and_report(tmp_path):
     assert deg == 0 and F.shape == (12, 12, 12, 12)
     assert (tmp_path / "F_field.csv").exists()
     assert (tmp_path / "phi_field.bin").exists()
+
+
+def test_analyze_rejects_a_cut_potential_file(tmp_path, capsys):
+    """A file: potential cut inside its header is a validation error (2),
+    reported on one line, not a traceback."""
+    path = tmp_path / "phi.bin"
+    serialize.write_field(path, np.zeros((12, 12, 12, 12)))
+    path.write_bytes(path.read_bytes()[:20])
+    doc = {"structure": BASE_STRUCTURE, "analyze": {"potential": f"file:{path}"}}
+    code = cli.main(["analyze", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "truncated inside its header" in capsys.readouterr().err
 
 
 def test_boundary_writes_unit_mass_witness(tmp_path):

@@ -38,7 +38,7 @@ def test_frame_rotation_preserves_defects(s_tw12, rng):
 def test_degenerate_seeds_raise():
     s = make_twisted([12] * 4)
     with pytest.raises(FrameError):
-        fr.build_frame(s, seeds=[0, 0])
+        fr._gram_schmidt(s.J, s.g, [0, 0])
 
 
 def test_connection_annihilates_g_and_J():

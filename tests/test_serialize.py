@@ -41,9 +41,12 @@ def test_read_rejects_truncated_file(tmp_path):
     p = tmp_path / "f.bin"
     sz.write_field(p, np.ones((8, 8)))
     data = p.read_bytes()
-    p.write_bytes(data[: len(data) - 16])
-    with pytest.raises(ConfigurationError):
-        sz.read_field(p)
+    # cut inside the payload, inside the dims, inside the fixed header;
+    # then bytes past the declared payload
+    for bad in (data[: len(data) - 16], data[:30], data[:12], data + b"\x00" * 8):
+        p.write_bytes(bad)
+        with pytest.raises(ConfigurationError):
+            sz.read_field(p)
 
 
 def test_csv_export_and_cap(tmp_path):
@@ -57,7 +60,7 @@ def test_csv_export_and_cap(tmp_path):
     assert float(rows[1][-1]) == 0.0
     assert float(rows[-1][-1]) == 11.0
     with pytest.raises(ConfigurationError):
-        sz.field_to_csv(tmp_path / "big.csv", np.zeros((300, 300)), max_points=1000)
+        sz.field_to_csv(tmp_path / "big.csv", np.zeros((300, 300)))
 
 
 def test_write_report_handles_numpy_scalars(tmp_path):

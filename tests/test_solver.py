@@ -210,11 +210,14 @@ def _parity_class_means(u):
     return np.array(means)
 
 
-@pytest.mark.parametrize("resolution, kernel_dim", [
+GRIDS_AND_KERNEL_DIMS = [
     ([8] * 4, 16),
     ([9] * 4, 1),
     ([8, 9, 10, 11], 4),
-])
+]
+
+
+@pytest.mark.parametrize("resolution, kernel_dim", GRIDS_AND_KERNEL_DIMS)
 def test_projection_and_preconditioner_match_complex_fft(resolution, kernel_dim):
     """The parity-class projection and the real-FFT preconditioner agree with
     the masked complex-FFT reference; odd axes contribute only the constant
@@ -236,6 +239,25 @@ def test_projection_and_preconditioner_match_complex_fft(resolution, kernel_dim)
     means = _parity_class_means(out)
     assert means.shape == (kernel_dim,)
     assert np.abs(means).max() < 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("resolution, kernel_dim", GRIDS_AND_KERNEL_DIMS)
+def test_flat_kernel_modes_are_exact_zeros_of_P_and_L(resolution, kernel_dim):
+    """Each parity-class indicator is projected to exactly 0, and L(phi)
+    maps it to exactly 0 at a taming phi != 0."""
+    s = make_twisted(resolution)
+    P = sv._Preconditioner(s.chart)
+    modes = P.kernel_modes()
+    assert modes.shape == (kernel_dim,) + s.chart.shape
+    assert np.array_equal(modes.sum(axis=0), np.ones(s.chart.shape))
+    assert np.linalg.matrix_rank(modes.reshape(kernel_dim, -1)) == kernel_dim
+    cand = [c for c in potentials.default_candidates(2) if c.name == "prod_x2_y1"][0]
+    phi = cand.sample(s.chart)
+    phi = 0.3 * cy.positivity_amplitude(s, phi) * phi
+    handle = sv.make_handle(s, phi)
+    for k in modes:
+        assert np.all(P.project(k) == 0.0)
+        assert np.all(handle.apply(k) == 0.0)
 
 
 def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_tw12):
@@ -272,10 +294,9 @@ def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_t
 def test_kernel_check_small_grid():
     s = make_twisted([8] * 4, epsilon=0.1)
     out = sv.kernel_check(s, np.zeros(s.chart.shape))
-    assert out["const_defect"] < 1e-12
+    # L annihilates the constant and every checkerboard mode
+    assert out["kernel_defect"] < 1e-12
     assert out["kernel_dim"] == 2**4
-    # every raw singular value in the kernel block is numerically zero
-    assert out["smallest_singular_values"][-1] < 1e-10
     # spectral gap on the working subspace: about the smallest nonzero
     # value of the flat symbol, (sin(2 pi / N) * N)^2 at N = 8
     gap = (np.sin(2 * np.pi / 8) * 8) ** 2
