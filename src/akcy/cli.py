@@ -2,8 +2,9 @@
 
 Every command reads a single JSON config, writes a machine-readable report
 plus plot-ready CSV data into the output directory, and prints a short
-human-readable summary.  Unknown config keys are rejected so that a typo in
-a tolerance name cannot silently change a run.
+human-readable summary.  Unknown config keys and mistyped values are
+rejected, naming the key, before any work starts, so that a typo in a
+tolerance cannot silently change a run.
 
 Config schema (all sections optional except "structure"):
 
@@ -49,6 +50,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -74,11 +77,52 @@ EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 5
 
-_STRUCTURE_KEYS = {"kind", "n", "resolution", "epsilon", "generator", "profile"}
-_ANALYZE_KEYS = {"potential", "scale", "amplitude", "dump_fields"}
-_BOUNDARY_KEYS = {"R_list", "dump_fields"}
-_SOLVE_KEYS = {"target", "potential", "scale", "method", "steps", "tol", "max_iter"}
-_TOP_KEYS = {"structure", "analyze", "boundary", "solve"}
+def _is_int(v, low=None):
+    return isinstance(v, int) and not isinstance(v, bool) and (low is None or v >= low)
+
+
+def _is_number(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_list(v, item):
+    return isinstance(v, list) and all(item(x) for x in v)
+
+
+def _is_potential_spec(v):
+    return isinstance(v, str) and re.fullmatch(r"builtin:.+|random:\d+|file:.+", v) is not None
+
+
+_NUMBER = (_is_number, "a number")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_POTENTIAL = (_is_potential_spec, "builtin:NAME, random:SEED (SEED >= 0) or file:PATH")
+_COUNT = (lambda v: _is_int(v, 1), "a positive integer")
+# Each section's keys, each with a check of its value and what the check expects.
+_SCHEMA = {
+    "structure": {
+        "kind": _TEXT,
+        "n": (_is_int, "an integer"),
+        "resolution": (lambda v: _is_list(v, _is_int), "a list of integers"),
+        "epsilon": _NUMBER,
+        "generator": (lambda v: _is_list(v, lambda row: _is_list(row, _is_number)),
+                      "a list of rows of numbers"),
+        "profile": _TEXT,
+    },
+    "analyze": {"potential": _POTENTIAL, "scale": _NUMBER, "amplitude": _FLAG,
+                "dump_fields": _FLAG},
+    "boundary": {"R_list": (lambda v: _is_list(v, _is_number), "a list of numbers"),
+                 "dump_fields": _FLAG},
+    "solve": {
+        "target": _TEXT,
+        "potential": _POTENTIAL,
+        "scale": _NUMBER,
+        "method": (lambda v: v in ("continuity", "newton"), '"continuity" or "newton"'),
+        "steps": _COUNT,
+        "tol": (lambda v: _is_number(v) and v > 0, "a positive number"),
+        "max_iter": _COUNT,
+    },
+}
 
 
 def _check_keys(section, allowed, where):
@@ -88,6 +132,17 @@ def _check_keys(section, allowed, where):
             f"unknown config key(s) in {where}: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
+
+
+def _check_section(name, section):
+    """Reject a section's unknown keys and mistyped values, naming the key."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f'"{name}" must be a JSON object, got {section!r}')
+    _check_keys(section, set(_SCHEMA[name]), f'"{name}"')
+    for key, value in section.items():
+        ok, expected = _SCHEMA[name][key]
+        if not ok(value):
+            raise ConfigurationError(f'"{name}.{key}" must be {expected}, got {value!r}')
 
 
 def _parse_keyvalue(text):
@@ -121,33 +176,23 @@ def parse_config(path):
         doc = _parse_keyvalue(text)
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "top level")
+    _check_keys(doc, set(_SCHEMA), "top level")
     if "structure" not in doc:
         raise ConfigurationError('config must contain a "structure" section')
-    _check_keys(doc["structure"], _STRUCTURE_KEYS, '"structure"')
-    if "analyze" in doc:
-        _check_keys(doc["analyze"], _ANALYZE_KEYS, '"analyze"')
-    if "boundary" in doc:
-        _check_keys(doc["boundary"], _BOUNDARY_KEYS, '"boundary"')
-    if "solve" in doc:
-        _check_keys(doc["solve"], _SOLVE_KEYS, '"solve"')
+    for name, section in doc.items():
+        _check_section(name, section)
     return doc
 
 
 def build_structure_from_config(cfg, grid_override=None):
     sec = cfg["structure"]
+    _check_section("structure", sec)
     kind = sec.get("kind", "standard")
     n = sec.get("n", 2)
     resolution = grid_override or sec.get("resolution")
     epsilon = sec.get("epsilon", 0.0)
-    for key, value, ok, expected in [
-        ("n", n, isinstance(n, int), "an integer"),
-        ("resolution", resolution, isinstance(resolution, list)
-         and all(isinstance(N, int) for N in resolution), "a list of integers"),
-        ("epsilon", epsilon, isinstance(epsilon, (int, float)), "a number"),
-    ]:
-        if not ok:
-            raise ConfigurationError(f'"structure.{key}" must be {expected}, got {value!r}')
+    if resolution is None:
+        raise ConfigurationError('"structure.resolution" must be a list of integers, got None')
     chart = st.build_grid(n, resolution)
     if kind == "standard":
         return st.standard_structure(chart)
@@ -184,16 +229,12 @@ def _resolve_potential(spec_str, s, scale):
         rng = np.random.default_rng(int(spec_str[7:]))
         pot = potentials.random_potential(s.half_dim, rng)
         return scale * pot.sample(s.chart)
-    if spec_str.startswith("builtin:"):
-        name = spec_str[8:]
-        for cand in potentials.default_candidates(s.half_dim):
-            if cand.name == name:
-                return scale * cand.sample(s.chart)
-        known = [c.name for c in potentials.default_candidates(s.half_dim)]
-        raise ConfigurationError(f"unknown builtin potential {name!r}; known: {known}")
-    raise ConfigurationError(
-        f"potential spec {spec_str!r} must start with builtin:, random:, or file:"
-    )
+    name = spec_str[8:]   # builtin:NAME, the one spec left by the config check
+    for cand in potentials.default_candidates(s.half_dim):
+        if cand.name == name:
+            return scale * cand.sample(s.chart)
+    known = [c.name for c in potentials.default_candidates(s.half_dim)]
+    raise ConfigurationError(f"unknown builtin potential {name!r}; known: {known}")
 
 
 def cmd_validate(cfg, out, args):
@@ -214,11 +255,11 @@ def cmd_analyze(cfg, out, args):
     sec = cfg.get("analyze", {})
     s = build_structure_from_config(cfg, args.grid_override)
     phi = _resolve_potential(
-        sec.get("potential", "builtin:prod_x2_y1"), s, float(sec.get("scale", 0.01))
+        sec.get("potential", "builtin:prod_x2_y1"), s, sec.get("scale", 0.01)
     )
     phi = cy.project_zero_mean(s, phi).values
     report = cy.analyze_potential(
-        s, phi, compute_amplitude=bool(sec.get("amplitude", True))
+        s, phi, compute_amplitude=sec.get("amplitude", True)
     )
     serialize.write_report(out / "potential_report.json", report)
     F = report.F
@@ -270,7 +311,7 @@ def cmd_solve(cfg, out, args):
     target = sec.get("target", "manufactured")
     if target == "manufactured":
         phi_star = _resolve_potential(
-            sec.get("potential", "builtin:prod_x2_y1"), s, float(sec.get("scale", 0.01))
+            sec.get("potential", "builtin:prod_x2_y1"), s, sec.get("scale", 0.01)
         )
         phi_star = cy.project_zero_mean(s, phi_star).values
         f = cy.F_total(s, phi_star)
@@ -289,8 +330,8 @@ def cmd_solve(cfg, out, args):
         )
 
     method = sec.get("method", "continuity")
-    tol = float(sec.get("tol", 1e-8))
-    max_iter = int(sec.get("max_iter", 12))
+    tol = sec.get("tol", 1e-8)
+    max_iter = sec.get("max_iter", 12)
     if method == "newton":
         try:
             pot, report = sv.newton_solve(s, f, tol=tol, max_iter=max_iter)
@@ -299,12 +340,10 @@ def cmd_solve(cfg, out, args):
             if report is None:
                 raise
             pot = None
-    elif method == "continuity":
-        pot, report = sv.continuity_solve(
-            s, f, steps=int(sec.get("steps", 10)), tol=tol, max_iter=max_iter
-        )
     else:
-        raise ConfigurationError(f"unknown solve method {method!r}")
+        pot, report = sv.continuity_solve(
+            s, f, steps=sec.get("steps", 10), tol=tol, max_iter=max_iter
+        )
 
     serialize.write_report(out / "solve_report.json", report)
     if method == "continuity":

@@ -7,9 +7,12 @@ one evaluation of d(J dphi) (direct top wedge power versus the component sum
 over F_j) and any disagreement raises, since that identity is the sharpest
 trap for sign or normalization errors.
 
-Memory notes: all bidegree algebra runs on increasing-pair component storage
-(never the full 2n x 2n matrix field), and tau wedge tau-bar is evaluated via
-the real identity (Bm^Bm + JBm^JBm)/4, so fine 4D grids stay within budget.
+Memory notes: all bidegree algebra and h run on increasing-pair component
+storage through forms.contract_pairs (never the full 2n x 2n matrix field of
+the form); its coefficients live on J's broadcast lattice and are built one
+at a time, so the only grid-size temporary is one product per term.  tau
+wedge tau-bar is evaluated via the real identity (Bm^Bm + JBm^JBm)/4, so fine
+4D grids stay within budget.
 """
 
 from __future__ import annotations
@@ -202,20 +205,11 @@ def h_matrix(J, comps):
     trailing axes broadcast.  For B = omega and J = s.J this returns g exactly.
     """
     dim = J.shape[0]
-    pos = forms.index_positions(dim, 2)
-    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    h = np.zeros((dim, dim) + shape)
-    for i in range(dim):
-        for l in range(dim):
-            acc = h[i, l]
-            for j in range(dim):
-                Bij = forms._signed_entry(comps, pos, i, j)
-                if Bij is not None:
-                    acc += 0.5 * (Bij * J[j, l])
-                Bjl = forms._signed_entry(comps, pos, j, l)
-                if Bjl is not None:
-                    acc -= 0.5 * (J[j, i] * Bjl)
-    return h
+    h = forms.contract_pairs(J, comps, dim * dim, (   # h_il = (BJ)_il/2 + (BJ)_li/2
+        t for i in range(dim) for l in range(dim)
+        for t in forms.bj_terms(J, i, l, 0.5, 0.5, i * dim + l)
+    ))
+    return h.reshape((dim, dim) + h.shape[1:])
 
 
 def h_form(s, phi):

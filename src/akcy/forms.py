@@ -224,48 +224,54 @@ def form_from_matrix(chart, B):
     return FormField(chart, 2, comps)
 
 
-def j_conjugate_comps(J, comps, dim):
-    """Components of b(J., J.) for a 2-form given by increasing-pair comps.
+@lru_cache(maxsize=None)
+def signed_pairs(dim):
+    """{(i, j): (pair, sign)} for i != j, so that B_ij = sign * comps[pair]."""
+    pairs = list(enumerate(multi_indices(dim, 2)))
+    return {**{(i, j): (p, 1) for p, (i, j) in pairs}, **{(j, i): (p, -1) for p, (i, j) in pairs}}
 
-    Works directly on component storage so the full 2n x 2n matrix field is
-    never materialized (matters on fine 4D grids).
-    """
-    pairs = multi_indices(dim, 2)
+
+def contract_pairs(J, comps, nout, terms):
+    """out[o] += c * comps[p] over the (o, p, c) terms, in their order; each c
+    lives on J's lattice and is skipped when zero on all of it, so only the
+    products with comps are grid-size and no 2n x 2n matrix field is built."""
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
-    for m, (i, l) in enumerate(pairs):
-        for nn, (j, k) in enumerate(pairs):
-            coeff = J[j, i] * J[k, l] - J[k, i] * J[j, l]
-            if np.max(np.abs(coeff)) == 0.0:
-                continue
-            out[m] += coeff * comps[nn]
+    out = np.zeros((nout,) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+    for o, p, c in terms:
+        if np.any(c):
+            out[o] += c * comps[p]
     return out
 
 
-def _signed_entry(comps, pos, i, j):
-    """B_ij from increasing-pair storage (None when i == j)."""
-    if i == j:
-        return None
-    if i < j:
-        return comps[pos[(i, j)]]
-    return -comps[pos[(j, i)]]
+def bj_terms(J, a, b, wa, wb, o):
+    """Terms of out[o] = wa*(BJ)_ab + wb*(BJ)_ba, the two products per j in
+    that order; the signs of pair storage and the exact weights fold into c."""
+    table = signed_pairs(J.shape[0])
+    for j in range(J.shape[0]):
+        if j != a:
+            p, sign = table[a, j]
+            yield o, p, (sign * wa) * J[j, b]
+        if j != b:
+            p, sign = table[b, j]
+            yield o, p, (sign * wb) * J[j, a]
+
+
+def j_conjugate_comps(J, comps, dim):
+    """Components of b(J., J.) for a 2-form given by increasing-pair comps."""
+    pairs = multi_indices(dim, 2)
+    return contract_pairs(J, comps, len(pairs), (
+        (m, nn, J[j, i] * J[k, l] - J[k, i] * J[j, l])
+        for m, (i, l) in enumerate(pairs) for nn, (j, k) in enumerate(pairs)
+    ))
 
 
 def j_anticommutator_comps(J, comps, dim):
-    """Components of the antisymmetric matrix J^T B + B J from pair storage."""
+    """Components of the antisymmetric matrix J^T B + B J from pair storage,
+    (J^T B + B J)_il = -(BJ)_li + (BJ)_il."""
     pairs = multi_indices(dim, 2)
-    pos = index_positions(dim, 2)
-    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
-    for m, (i, l) in enumerate(pairs):
-        for j in range(dim):
-            Bjl = _signed_entry(comps, pos, j, l)
-            if Bjl is not None:
-                out[m] += J[j, i] * Bjl
-            Bij = _signed_entry(comps, pos, i, j)
-            if Bij is not None:
-                out[m] += Bij * J[j, l]
-    return out
+    return contract_pairs(J, comps, len(pairs), (
+        t for m, (i, l) in enumerate(pairs) for t in bj_terms(J, l, i, -1, 1, m)
+    ))
 
 
 def bidegree_parts(J, comps, dim):

@@ -64,12 +64,28 @@ def test_bad_resolution_exit_code(tmp_path):
     ("resolution", [12, 12, "12", 12]),
     ("n", "2"),
     ("epsilon", "0.12"),
+    ("generator", "abc"),
+    ("analyze.potential", "random:xyz"),
+    ("analyze.scale", "big"),
+    ("analyze.scale", [1, 2]),
+    ("solve.tol", "x"),
+    ("solve.steps", "many"),
+    ("solve.steps", 0),
+    ("solve.steps", -1),
+    ("solve.max_iter", 2.5),
 ])
 def test_mistyped_structure_value_exit_code(tmp_path, capsys, key, value):
-    cfg = write_cfg(tmp_path, {"structure": dict(BASE_STRUCTURE, **{key: value})})
-    code = cli.main(["validate", "--config", cfg, "--out", str(tmp_path)])
+    """A mistyped value exits 2 naming its key; a bare key is a structure key
+    and a dotted one names its section, run by the command that reads it."""
+    section, _, name = key.rpartition(".")
+    section = section or "structure"
+    doc = {"structure": BASE_STRUCTURE}
+    doc[section] = dict(doc.get(section, {}), **{name: value})
+    cfg = write_cfg(tmp_path, doc)
+    command = {"structure": "validate"}.get(section, section)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
-    assert f'"structure.{key}" must be' in capsys.readouterr().err
+    assert f'"{section}.{name}" must be' in capsys.readouterr().err
 
 
 def test_grid_override(tmp_path):

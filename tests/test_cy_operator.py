@@ -27,7 +27,7 @@ def test_margin_of_zero_standard_is_one(s_std12):
 def test_h_of_zero_equals_metric(s_tw12):
     h = cy.h_form(s_tw12, np.zeros(s_tw12.chart.shape))
     g = np.broadcast_to(s_tw12.g, h.shape)
-    assert np.abs(h - g).max() < 1e-14
+    assert np.array_equal(h, g)
 
 
 def test_deformed_form_is_closed(s_tw12, rng):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_hyp
 
+from akcy import cy_operator as cy
 from akcy import forms
+from akcy import structure
 from akcy.errors import DegreeError
+from akcy.frame import LocalGeometry
 
 from conftest import make_twisted
 
@@ -135,3 +139,147 @@ def test_apply_J_squares_to_minus_one(s_tw12, rng):
 def test_omega_is_closed(s_tw12):
     w = forms.omega_form(s_tw12)
     assert forms.exterior_derivative(w).max_abs() < 1e-14
+
+
+# --- The pair-storage J action: one contraction against the loops it replaced.
+# These three loops are the former implementations, kept verbatim as the
+# reference; the contraction adds the same products in the same order, so
+# its outputs must match them bit for bit.
+
+def _reference_signed_entry(comps, pos, i, j):
+    if i == j:
+        return None
+    if i < j:
+        return comps[pos[(i, j)]]
+    return -comps[pos[(j, i)]]
+
+
+def reference_j_conjugate(J, comps, dim):
+    pairs = forms.multi_indices(dim, 2)
+    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
+    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+    for m, (i, l) in enumerate(pairs):
+        for nn, (j, k) in enumerate(pairs):
+            coeff = J[j, i] * J[k, l] - J[k, i] * J[j, l]
+            if np.max(np.abs(coeff)) == 0.0:
+                continue
+            out[m] += coeff * comps[nn]
+    return out
+
+
+def reference_j_anticommutator(J, comps, dim):
+    pairs = forms.multi_indices(dim, 2)
+    pos = forms.index_positions(dim, 2)
+    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
+    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+    for m, (i, l) in enumerate(pairs):
+        for j in range(dim):
+            Bjl = _reference_signed_entry(comps, pos, j, l)
+            if Bjl is not None:
+                out[m] += J[j, i] * Bjl
+            Bij = _reference_signed_entry(comps, pos, i, j)
+            if Bij is not None:
+                out[m] += Bij * J[j, l]
+    return out
+
+
+def reference_h_matrix(J, comps):
+    dim = J.shape[0]
+    pos = forms.index_positions(dim, 2)
+    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
+    h = np.zeros((dim, dim) + shape)
+    for i in range(dim):
+        for l in range(dim):
+            acc = h[i, l]
+            for j in range(dim):
+                Bij = _reference_signed_entry(comps, pos, i, j)
+                if Bij is not None:
+                    acc += 0.5 * (Bij * J[j, l])
+                Bjl = _reference_signed_entry(comps, pos, j, l)
+                if Bjl is not None:
+                    acc -= 0.5 * (J[j, i] * Bjl)
+    return h
+
+
+def _assert_same(new, ref):
+    assert new.dtype == ref.dtype
+    assert new.shape == ref.shape
+    assert np.array_equal(new, ref)
+    assert new.tobytes() == ref.tobytes()   # signed zeros included
+
+
+@pytest.mark.parametrize("case", ["twisted", "standard", "local", "n3"])
+def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
+    """Byte-identity on a broadcast J, the sparse standard J (where zero
+    coefficients are skipped), a per-point LocalGeometry J and an n = 3 J."""
+    rng = np.random.default_rng(11)
+    if case == "twisted":
+        J, grid = s_tw12.J, s_tw12.chart.shape
+    elif case == "standard":
+        J, grid = s_std12.J, s_std12.chart.shape
+    elif case == "local":
+        J = LocalGeometry(s_tw12, rng.uniform(size=(500, 4))).J
+        grid = J.shape[2:]
+    else:
+        J = make_twisted([8] * 6, profile="sin_x1").J
+        grid = (8, 8, 1, 3, 1, 1)
+    dim = J.shape[0]
+    npairs = len(forms.multi_indices(dim, 2))
+    real = rng.standard_normal((npairs,) + grid)
+    cplx = real + 1j * rng.standard_normal((npairs,) + grid)
+    for comps in (real, cplx):
+        _assert_same(forms.j_conjugate_comps(J, comps, dim),
+                     reference_j_conjugate(J, comps, dim))
+        _assert_same(forms.j_anticommutator_comps(J, comps, dim),
+                     reference_j_anticommutator(J, comps, dim))
+    # h_matrix is a real symmetric form; the reference accumulates in floats.
+    _assert_same(cy.h_matrix(J, real), reference_h_matrix(J, real))
+
+
+def test_signed_pairs_reads_antisymmetric_storage(s_std12, rng):
+    a = random_form(s_std12.chart, 2, rng)
+    B = forms.form_to_matrix(a)
+    for (i, j), (p, sign) in forms.signed_pairs(4).items():
+        assert np.array_equal(B[i, j], sign * a.comps[p])
+    assert len(forms.signed_pairs(4)) == 4 * 3
+
+
+@st_hyp.composite
+def symplectic_structures(draw):
+    """A twisted structure whose generator S = Omega^-1 M has a random
+    symmetric M, at n = 2 or 3, with random 2-form components on J's lattice."""
+    n = draw(st_hyp.sampled_from([2, 3]))
+    dim = 2 * n
+    entries = draw(st_hyp.lists(st_hyp.floats(-1.0, 1.0), min_size=dim * dim,
+                                max_size=dim * dim))
+    M = np.array(entries).reshape(dim, dim)
+    S = np.linalg.solve(structure.omega_matrix(n), M + M.T)
+    recipe = structure.StructureRecipe(
+        kind="twisted", generator=S, amplitude=draw(st_hyp.floats(0.0, 0.4)),
+        profile=draw(st_hyp.sampled_from(["sin_x1", "sin_x1_cos_y2"])),
+    )
+    s = structure.twisted_structure(structure.build_grid(n, [8] * dim), recipe)
+    seed = draw(st_hyp.integers(0, 2**32 - 1))
+    npairs = len(forms.multi_indices(dim, 2))
+    comps = np.random.default_rng(seed).standard_normal((npairs,) + s.J.shape[2:])
+    return s, comps
+
+
+@settings(max_examples=25, deadline=None)
+@given(symplectic_structures())
+def test_j_action_identities_on_random_structures(case):
+    s, comps = case
+    J, dim = s.J, s.chart.dim
+    # Rounding bound: each map sums at most len(comps) products of two J
+    # entries with a component, and the tests apply at most two maps.
+    growth = float(np.abs(J).max()) ** 2 * len(comps)
+    tol = 64 * np.finfo(float).eps * growth ** 2 * float(np.abs(comps).max())
+    twice = forms.j_conjugate_comps(J, forms.j_conjugate_comps(J, comps, dim), dim)
+    assert np.abs(twice - comps).max() <= tol
+    P11, _, _ = forms.bidegree_parts(J, comps, dim)
+    assert np.abs(forms.j_conjugate_comps(J, P11, dim) - P11).max() <= tol
+    assert np.abs(forms.j_anticommutator_comps(J, P11, dim)).max() <= tol
+    B = forms.form_to_matrix(forms.FormField(s.chart, 2, comps))
+    BJ = np.einsum("ij...,jk...->ik...", B, J)
+    expected = 0.5 * (BJ - np.einsum("ji...,jk...->ik...", J, B))
+    assert np.abs(cy.h_matrix(J, comps) - expected).max() <= tol
