@@ -25,9 +25,9 @@ print(f"target density range: [{f.min():.6f}, {f.max():.6f}]")
 pot, rep = akcy.newton_solve(s, f, tol=1e-10)
 print(f"converged={rep.converged} in {rep.iters} iterations, "
       f"residual {rep.residual:.2e}")
-print("iter  residual      margin      step   lin_res")
-for it, res, margin, step, lin_res in rep.trace:
-    print(f"{it:4d}  {res:.3e}  {margin:.6f}  {step:.3f}  {lin_res:.3e}")
+print("iter  residual      margin      step   lin_res    eta")
+for it, res, margin, step, lin_res, eta in rep.trace:
+    print(f"{it:4d}  {res:.3e}  {margin:.6f}  {step:.3f}  {lin_res:.3e}  {eta:.1e}")
 
 err = np.abs(pot.values - phi_star).max()
 print("recovery error |phi - phi*|_inf:", err)

@@ -353,7 +353,7 @@ def cmd_solve(cfg, out, args):
     else:
         serialize.write_trace_csv(
             out / "solve_trace.csv",
-            ["iter", "residual", "margin", "step", "lin_res"],
+            ["iter", "residual", "margin", "step", "lin_res", "eta"],
             report.trace,
         )
     if pot is not None:

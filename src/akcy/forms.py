@@ -153,8 +153,7 @@ def d_scalar(chart, f):
     f = np.asarray(f)
     if f.ndim < chart.dim:
         f = f.reshape((1,) * (chart.dim - f.ndim) + f.shape)
-    comps = np.stack([chart.diff(f, d) for d in range(chart.dim)])
-    return FormField(chart, 1, comps)
+    return FormField(chart, 1, chart.gradient(f))
 
 
 def exterior_derivative(a):
@@ -167,13 +166,17 @@ def exterior_derivative(a):
     out_pos = index_positions(chart.dim, k + 1)
     shape = a.comps.shape[1:]
     comps = np.zeros((len(out_idx),) + shape, dtype=a.comps.dtype)
+    diff = np.empty_like(comps[0])
     for i, I in enumerate(a.indices):
         for d in range(chart.dim):
             if d in I:
                 continue
             J = tuple(sorted(I + (d,)))
-            sign = (-1) ** J.index(d)
-            comps[out_pos[J]] += sign * chart.diff(a.comps[i], d)
+            chart.diff(a.comps[i], d, out=diff)
+            if J.index(d) % 2:
+                comps[out_pos[J]] -= diff
+            else:
+                comps[out_pos[J]] += diff
     return FormField(chart, k + 1, comps)
 
 

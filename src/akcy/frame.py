@@ -262,11 +262,11 @@ def connection_forms(s, f):
     """Grid-path second canonical connection for a built frame."""
     chart = s.chart
     g = s.g
-    dg = np.stack([chart.diff(g, d) for d in range(chart.dim)])
-    dJ = np.stack([chart.diff(s.J, d) for d in range(chart.dim)])
+    dg = chart.gradient(g)
+    dJ = chart.gradient(s.J)
     gamma1 = _gamma1(s.J, dJ, _levi_civita(g, dg))
 
-    de = np.stack([chart.diff(f.e, d) for d in range(chart.dim)])
+    de = chart.gradient(f.e)
     omega = _connection_matrix(f.theta, f.e, de, gamma1)
 
     # nabla^1 of J with the corrected connection (should vanish to O(h^2)).
@@ -288,7 +288,7 @@ def connection_forms(s, f):
 def torsion(s, f, c):
     """Torsion of the second canonical connection, split into (2,0) and (0,2)."""
     chart = s.chart
-    dtheta = np.stack([chart.diff(f.theta, d) for d in range(chart.dim)])
+    dtheta = chart.gradient(f.theta)
     T, N, mixed = _torsion_components(dtheta, c.omega, f.theta, f.e)
     return TorsionField(chart, T, N, mixed)
 
@@ -302,7 +302,7 @@ def nijenhuis_coordinate(s):
     def _build():
         chart = s.chart
         J = s.J
-        dJ = np.stack([chart.diff(J, d) for d in range(chart.dim)])   # dJ[d,k,l]
+        dJ = chart.gradient(J)   # dJ[d,k,l]
         # N(di,dj)^k = J^m_i dJ[m,k,j] - J^m_j dJ[m,k,i] - J^k_m dJ[i,m,j] + J^k_m dJ[j,m,i]
         t1 = np.einsum("mi...,mkj...->kij...", J, dJ)
         t2 = np.einsum("km...,imj...->kij...", J, dJ)
@@ -334,9 +334,9 @@ def covariant_hessian(s, f, c, phi):
     """Covariant derivatives phi_a, phi_ab, phi_abar of a grid potential."""
     chart = s.chart
     phi = np.asarray(phi, dtype=float)
-    dphi = np.stack([chart.diff(phi, d) for d in range(chart.dim)])
+    dphi = chart.gradient(phi)
     phi_a = np.einsum("ak...,k...->a...", f.e, dphi)
-    dpa = np.stack([chart.diff(phi_a, d) for d in range(chart.dim)])
+    dpa = chart.gradient(phi_a)
     return CovariantHessian(chart, phi_a, *_second_covariant(phi_a, dpa, c.omega, f.e))
 
 

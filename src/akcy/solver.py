@@ -5,7 +5,8 @@ derivative of the discrete F (both are built from the same discrete wedge and
 d), so Newton converges quadratically without any consistency gap.  Linear
 systems are solved matrix-free by GMRES on the complement of the flat kernel
 with a real-FFT constant-coefficient preconditioner from the flat phi=0
-operator.
+operator, each only as accurately as its Newton step needs (inexact Newton
+with Eisenstat-Walker forcing terms).
 """
 
 from __future__ import annotations
@@ -27,11 +28,24 @@ __all__ = [
     "kernel_check",
 ]
 
-# GMRES relative tolerance and iteration cap of each Newton step, and the
+# The tightest GMRES relative tolerance a Newton step asks for; the cap on
+# GMRES iterations (L-applies) per linear solve and its restart length; the
 # smallest damping factor the line search tries before rejecting the step.
 LIN_TOL = 1e-10
 LIN_MAXITER = 400
+LIN_RESTART = 20
 MIN_STEP = 1e-4
+
+# Eisenstat-Walker forcing terms (choice 2; SIAM J. Sci. Comput. 17, 1996):
+# eta_k = EW_GAMMA (r_k / r_{k-1})^2, safeguarded by EW_GAMMA eta_{k-1}^2 when
+# that exceeds EW_SAFEGUARD, floored at max(LIN_TOL, EW_FLOOR tol / r_k) and
+# capped at ETA_MAX, which is also eta_0 (the safeguard can act only once
+# ETA_MAX exceeds 1/3).  r is a sup-norm while GMRES tests a 2-norm, hence a
+# floor constant well under Kelley's 0.5.
+ETA_MAX = 1e-2
+EW_GAMMA = 0.9
+EW_SAFEGUARD = 0.1
+EW_FLOOR = 0.01
 
 
 @dataclass
@@ -175,15 +189,24 @@ def _projected_apply(handle, precond, u):
     return precond.project(handle.apply(u)).ravel()
 
 
-def _solve_linear(s, handle, rhs, precond):
-    """GMRES for L(phi) delta = rhs on the complement of the flat kernel."""
+def _solve_linear(s, handle, rhs, precond, rtol):
+    """GMRES for L(phi) delta = rhs on the complement of the flat kernel, to
+    ||P L P delta - P rhs||_2 <= rtol ||P rhs||_2.
+
+    scipy counts maxiter in restart cycles; at most LIN_MAXITER Krylov
+    iterations run, plus one residual L-apply per cycle.
+    """
     from scipy.sparse.linalg import LinearOperator
 
     npts = int(np.prod(s.chart.shape))
     rhs = precond.project(rhs).ravel()
-    A = LinearOperator((npts, npts), matvec=lambda u: _projected_apply(handle, precond, u))
-    M = LinearOperator((npts, npts), matvec=lambda r: precond(r).ravel())
-    x, info = gmres(A, rhs, rtol=LIN_TOL, atol=0.0, maxiter=LIN_MAXITER, M=M)
+    # An explicit dtype keeps LinearOperator from probing each matvec once.
+    A = LinearOperator((npts, npts), matvec=lambda u: _projected_apply(handle, precond, u),
+                       dtype=float)
+    M = LinearOperator((npts, npts), matvec=lambda r: precond(r).ravel(), dtype=float)
+    restart = min(LIN_RESTART, LIN_MAXITER)
+    x, info = gmres(A, rhs, rtol=rtol, atol=0.0, restart=restart,
+                    maxiter=LIN_MAXITER // restart, M=M)
     if info != 0:
         raise SolverFailure(f"linear solve stagnated (GMRES info={info})")
     x = precond.project(x)
@@ -206,8 +229,16 @@ def _check_target(s, f):
 def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     """Damped Newton for F(phi) = f inside the taming cone.
 
+    Each step solves its linear system only to the relative tolerance eta
+    of the Eisenstat-Walker rule (see ETA_MAX), computed from the reachable
+    residual res_proj: that is the residual of the equation Newton can
+    solve, the one GMRES sees as its right-hand side and the line search
+    measures progress on.  The full residual would read aliasing-floor
+    content as stagnation.
+
     Each trace row is (iteration, residual, taming margin, step length,
-    sup-norm linear residual of the GMRES solve that gave the step).
+    sup-norm linear residual of the GMRES solve that gave the step, and the
+    forcing term eta that solve was given).
     """
     import scipy.sparse.linalg  # noqa: F401  (see gmres)
 
@@ -231,6 +262,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     # aliasing floor no iterate can reduce.
     res_proj = float(np.abs(precond.project(res_field)).max())
     it = 0
+    eta = ETA_MAX
     while res > tol:
         if res_proj <= 0.1 * tol:
             report = SolveReport(False, it, res, margin, reason="aliasing_floor",
@@ -244,7 +276,13 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             report = SolveReport(False, it, res, margin, reason="max_iter",
                                  trace=trace)
             raise SolverFailure("Newton did not converge within max_iter", report=report)
-        delta, lin_res = _solve_linear(s, handle, res_field, precond)
+        if it > 0:
+            ew = EW_GAMMA * (res_proj / prev_proj) ** 2
+            if EW_GAMMA * eta**2 > EW_SAFEGUARD:
+                ew = max(ew, EW_GAMMA * eta**2)
+            eta = min(ETA_MAX, max(ew, LIN_TOL, EW_FLOOR * tol / res_proj))
+        prev_proj = res_proj
+        delta, lin_res = _solve_linear(s, handle, res_field, precond, eta)
         alpha = 1.0
         accepted = False
         while alpha >= MIN_STEP:
@@ -270,7 +308,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             report = SolveReport(False, it, res, trial, reason=reason, trace=trace)
             raise SolverFailure(f"Newton step rejected ({reason})", report=report)
         handle = make_handle(s, phi)
-        trace.append((it, res, margin, alpha, lin_res))
+        trace.append((it, res, margin, alpha, lin_res, eta))
 
     pot = cy.project_zero_mean(s, phi)
     return pot, SolveReport(True, it, res, margin, trace=trace)

@@ -95,18 +95,37 @@ class GridChart:
     def index_to_point(self, idx):
         return np.asarray(idx, dtype=float) * np.asarray(self.spacing)
 
-    def diff(self, f, d):
+    def diff(self, f, d, out=None):
         """Centered second-order periodic difference along grid axis d.
 
         Grid axes are the trailing ``2n`` axes of ``f``; leading axes are
         component/batch axes.  Size-1 (broadcast) axes differentiate to zero,
-        which is exact for fields constant along that axis.
+        which is exact for fields constant along that axis.  The result is
+        written into ``out`` (shape ``f.shape``) when given: the interior by
+        one slice subtraction, the two wrap faces separately, with no
+        shifted copy of ``f``.
         """
         f = np.asarray(f)
         axis = f.ndim - self.dim + d
+        if out is None:
+            out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
         if f.shape[axis] == 1:
-            return np.zeros_like(f)
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * self.spacing[d])
+            out[...] = 0
+            return out
+        fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+        np.subtract(fa[2:], fa[:-2], out=oa[1:-1])
+        np.subtract(fa[1], fa[-1], out=oa[0])
+        np.subtract(fa[0], fa[-2], out=oa[-1])
+        out /= 2.0 * self.spacing[d]
+        return out
+
+    def gradient(self, f):
+        """All 2n centered differences of f, stacked: shape (2n, *f.shape)."""
+        f = np.asarray(f)
+        out = np.empty((self.dim,) + f.shape, dtype=np.result_type(f, 1.0))
+        for d in range(self.dim):
+            self.diff(f, d, out=out[d])
+        return out
 
     def integrate_scalar(self, f):
         """Periodic quadrature of a grid scalar over the unit box (exact for constants)."""

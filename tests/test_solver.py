@@ -287,8 +287,76 @@ def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_t
     assert counts["precond"] > 0
     assert counts["rfftn"] == counts["irfftn"] == counts["precond"]
     assert counts["complex"] == 0
-    for it, res, margin, step, lin_res in rep.trace:
-        assert 0.0 <= lin_res < 1e-6
+    # GMRES guarantees ||lin||_2 <= eta ||P r||_2 <= eta sqrt(npts) |r|_inf
+    # for the residual r the step started from; only the last step must be
+    # accurate to the Newton tolerance.
+    npts = f.size
+    r_prev = float(np.abs(f - cy.F_total(s_tw12, np.zeros(s_tw12.chart.shape))).max())
+    for it, res, margin, step, lin_res, eta in rep.trace:
+        assert 0.0 <= lin_res <= eta * np.sqrt(npts) * r_prev
+        r_prev = res
+    assert rep.trace[-1][4] < 1e-6
+
+
+def _count_applies(monkeypatch):
+    calls = []
+    apply = sv.LinearOperatorHandle.apply
+
+    def counted(self, u):
+        calls.append(1)
+        return apply(self, u)
+
+    monkeypatch.setattr(sv.LinearOperatorHandle, "apply", counted)
+    return calls
+
+
+def test_forcing_terms_halve_applies_at_equal_newton_steps(monkeypatch, s_tw16):
+    """Criterion 11's solve with Eisenstat-Walker forcing takes as many Newton
+    steps as with every linear solve at LIN_TOL (ETA_MAX = LIN_TOL), in at
+    most half the L-applies, and lands on the same solution."""
+    pot = potentials.default_candidates(2)[9]  # prod_x2_y1
+    f = cy.F_total(s_tw16, cy.project_zero_mean(s_tw16, 0.01 * pot.sample(s_tw16.chart)).values)
+    calls = _count_applies(monkeypatch)
+    pot, rep = sv.newton_solve(s_tw16, f, tol=1e-9)
+    forcing_applies = len(calls)
+    assert rep.trace[0][5] == sv.ETA_MAX
+    monkeypatch.setattr(sv, "ETA_MAX", sv.LIN_TOL)
+    calls.clear()
+    pot_exact, rep_exact = sv.newton_solve(s_tw16, f, tol=1e-9)
+    assert all(row[5] == sv.LIN_TOL for row in rep_exact.trace)
+    assert rep.converged and rep_exact.converged
+    assert rep.iters == rep_exact.iters
+    assert 2 * forcing_applies <= len(calls)
+    assert np.abs(pot.values - pot_exact.values).max() < 1e-8
+
+
+@pytest.mark.parametrize("rtol", [1e-2, 1e-6])
+def test_solve_linear_meets_its_relative_tolerance(s_tw12, rtol):
+    """The step satisfies ||P L P x - P rhs||_2 <= rtol ||P rhs||_2, the
+    2-norm test the forcing terms rely on."""
+    X = s_tw12.chart.grid_points()
+    phi = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
+    rhs = 1.0 - cy.F_total(s_tw12, phi)
+    handle = sv.make_handle(s_tw12, phi)
+    P = sv._Preconditioner(s_tw12.chart)
+    x, lin_res = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    resid = sv._projected_apply(handle, P, x) - P.project(rhs).ravel()
+    assert np.linalg.norm(resid) <= rtol * np.linalg.norm(P.project(rhs))
+    assert lin_res == float(np.abs(resid).max())
+
+
+def test_gmres_cap_counts_iterations(monkeypatch, s_tw12):
+    """LIN_MAXITER caps the Krylov iterations of one linear solve, not restart
+    cycles: an unreachable rtol raises SolverFailure within the cap plus one
+    residual apply."""
+    monkeypatch.setattr(sv, "LIN_MAXITER", 7)
+    calls = _count_applies(monkeypatch)
+    X = s_tw12.chart.grid_points()
+    rhs = np.sin(2 * np.pi * X[..., 0]) * np.cos(2 * np.pi * X[..., 3])
+    handle = sv.make_handle(s_tw12, 0.0)
+    with pytest.raises(SolverFailure, match="linear solve stagnated"):
+        sv._solve_linear(s_tw12, handle, rhs, sv._Preconditioner(s_tw12.chart), 1e-300)
+    assert sv.LIN_MAXITER <= len(calls) <= sv.LIN_MAXITER + 1
 
 
 def test_kernel_check_small_grid():
