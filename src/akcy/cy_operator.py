@@ -12,7 +12,8 @@ storage through forms.contract_pairs (never the full 2n x 2n matrix field of
 the form); its coefficients live on J's broadcast lattice and are built one
 at a time, so the only grid-size temporary is one product per term.  tau
 wedge tau-bar is evaluated via the real identity (Bm^Bm + JBm^JBm)/4, so fine
-4D grids stay within budget.
+4D grids stay within budget.  d(J dphi) is filled in slabs of grid axis 0
+(_deformation_slab), so its gradient and J-gradient are only slab-size.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ F_CONSISTENCY_RTOL = 1e-10
 AMPLITUDE_MAX = 1e6
 AMPLITUDE_RTOL = 1e-9
 POINT_CHUNK = 1 << 18    # points per block of a taming sweep
+SLAB_POINTS = 1 << 16    # points per slab of d(J d.) along grid axis 0
 PROBE = 64               # lowest-bound points per block evaluated first
 # Allowance, relative to the largest absolute row sum, by which a Gershgorin
 # bound is lowered so that it also bounds the rounded kernel value: LAPACK's
@@ -170,10 +172,75 @@ def min_eigenvalue_field(M):
 
 
 def deformation_form(s, phi):
-    """d(J d phi) as a real 2-form."""
-    dphi = forms.d_scalar(s.chart, _values(phi))
-    Jdphi = forms.apply_J_oneform(s, dphi)
-    return forms.exterior_derivative(Jdphi)
+    """d(J d phi) as a real 2-form, filled slab by slab (_deformation_slab)."""
+    u = _values(phi)
+    u = u.reshape((1,) * (s.chart.dim - u.ndim) + u.shape)
+    grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
+    npairs = len(forms.multi_indices(s.chart.dim, 2))
+    comps = np.zeros((npairs,) + grid, dtype=np.result_type(s.J, u, 1.0))
+    for a, b in _row_slabs(grid):
+        _deformation_slab(s, u, a, b, comps[:, a:b])
+    return forms.FormField(s.chart, 2, comps)
+
+
+def _row_slabs(grid):
+    """Row ranges [a, b) of grid axis 0 holding about SLAB_POINTS points each."""
+    rows = max(1, SLAB_POINTS // math.prod(grid[1:]))
+    return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+
+
+def _wrapped_rows(f, axis, lo, hi):
+    """Rows [lo, hi) of f along axis, wrapped periodically; a size-1
+    (broadcast) axis is returned whole."""
+    if f.shape[axis] == 1:
+        return f
+    return np.take(f, np.arange(lo, hi), axis=axis, mode="wrap")
+
+
+def _diff_rows(chart, f, out):
+    """Centred differences along grid axis 0 (leading) of f's interior rows,
+    into out, by Chart.diff's operations; zero if f has one (broadcast) row."""
+    if f.shape[0] == 1:
+        out[...] = 0
+    else:
+        np.subtract(f[2:], f[:-2], out=out)
+        out /= 2.0 * chart.spacing[0]
+    return out
+
+
+def _deformation_slab(s, u, a, b, out):
+    """d(J du) on rows [a, b) of grid axis 0, added into out (zeros, pair
+    axis first, rows [a, b) of the broadcast grid of u and J).
+
+    It reads u's rows [a-2, b+2), wrapped: the gradient is taken on rows
+    [a-1, b+1), J acts on those rows of its lattice, and d on [a, b).  The
+    axis-0 differences are interior slice differences, the others
+    Chart.diff, and the terms are added in exterior_derivative's order, so
+    every value is bitwise that of d_scalar -> apply_J_oneform ->
+    exterior_derivative on the whole grid.
+    """
+    chart = s.chart
+    ue = _wrapped_rows(u, 0, a - 2, b + 2)
+    mid = ue[1:-1] if ue.shape[0] > 1 else ue
+    g = np.empty((chart.dim,) + mid.shape, dtype=np.result_type(u, 1.0))
+    _diff_rows(chart, ue, g[0])
+    for d in range(1, chart.dim):
+        chart.diff(mid, d, out=g[d])
+    del ue, mid
+    Jg = forms.j_oneform_comps(_wrapped_rows(s.J, 2, a - 1, b + 1), g)
+    del g
+    Jg_mid = Jg[:, 1:-1] if Jg.shape[1] > 1 else Jg
+    diff = np.empty(out.shape[1:], dtype=out.dtype)
+    for i, d, o, minus in forms.d_terms(chart.dim, 1):
+        if d == 0:
+            _diff_rows(chart, Jg[i], diff)
+        else:
+            chart.diff(Jg_mid[i], d, out=diff)
+        if minus:
+            out[o] -= diff
+        else:
+            out[o] += diff
+    return out
 
 
 def deformed_form(s, phi):

@@ -162,22 +162,31 @@ def exterior_derivative(a):
     k = a.degree
     if k >= chart.dim:
         raise DegreeError(f"cannot take d of a top-degree ({k}) form")
-    out_idx = multi_indices(chart.dim, k + 1)
-    out_pos = index_positions(chart.dim, k + 1)
     shape = a.comps.shape[1:]
-    comps = np.zeros((len(out_idx),) + shape, dtype=a.comps.dtype)
+    comps = np.zeros((len(multi_indices(chart.dim, k + 1)),) + shape, dtype=a.comps.dtype)
     diff = np.empty_like(comps[0])
-    for i, I in enumerate(a.indices):
-        for d in range(chart.dim):
-            if d in I:
-                continue
-            J = tuple(sorted(I + (d,)))
-            chart.diff(a.comps[i], d, out=diff)
-            if J.index(d) % 2:
-                comps[out_pos[J]] -= diff
-            else:
-                comps[out_pos[J]] += diff
+    for i, d, o, minus in d_terms(chart.dim, k):
+        chart.diff(a.comps[i], d, out=diff)
+        if minus:
+            comps[o] -= diff
+        else:
+            comps[o] += diff
     return FormField(chart, k + 1, comps)
+
+
+@lru_cache(maxsize=None)
+def d_terms(dim, k):
+    """Terms (i, d, o, minus) of the discrete d of a k-form, in the order
+    exterior_derivative adds them: component o of the (k+1)-form gains the
+    axis-d difference of component i, subtracted when minus."""
+    out_pos = index_positions(dim, k + 1)
+    terms = []
+    for i, I in enumerate(multi_indices(dim, k)):
+        for d in range(dim):
+            if d not in I:
+                J = tuple(sorted(I + (d,)))
+                terms.append((i, d, out_pos[J], J.index(d) % 2 == 1))
+    return tuple(terms)
 
 
 def apply_J_oneform(s, a):
@@ -186,8 +195,13 @@ def apply_J_oneform(s, a):
         raise DegreeError("apply_J_oneform needs a 1-form")
     if a.chart != s.chart:
         raise ShapeMismatchError("form and structure charts differ")
-    comps = np.einsum("ki...,k...->i...", s.J, a.comps)
-    return FormField(s.chart, 1, comps)
+    return FormField(s.chart, 1, j_oneform_comps(s.J, a.comps))
+
+
+def j_oneform_comps(J, comps):
+    """Components of (J a)(X) = a(JX) for a 1-form's components; J has its
+    matrix axes first, and the trailing axes broadcast."""
+    return np.einsum("ki...,k...->i...", J, comps)
 
 
 def wedge(a, b):

@@ -11,6 +11,7 @@ with Eisenstat-Walker forcing terms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +30,8 @@ __all__ = [
 ]
 
 # The tightest GMRES relative tolerance a Newton step asks for; the cap on
-# GMRES iterations (L-applies) per linear solve and its restart length; the
-# smallest damping factor the line search tries before rejecting the step.
+# Krylov iterations per linear solve and its restart length; the smallest
+# damping factor the line search tries before rejecting the step.
 LIN_TOL = 1e-10
 LIN_MAXITER = 400
 LIN_RESTART = 20
@@ -79,11 +80,20 @@ class LinearOperatorHandle:
         self.wn1 = cy._wedge_power(cy.deformed_form(s, cy._values(phi)), self.n - 1)
 
     def apply(self, u):
-        """L(phi)u as a grid scalar field."""
-        u = np.asarray(u, dtype=float).reshape(self.s.chart.shape)
-        dJdu = cy.deformation_form(self.s, u)
-        top = forms.wedge(self.wn1, dJdu)
-        return self.n * forms.top_ratio(self.s, top)
+        """L(phi)u as a grid scalar field, slab by slab along grid axis 0: no
+        grid-size du, J du or d(J du) is built."""
+        s = self.s
+        shape = s.chart.shape
+        u = np.asarray(u, dtype=float).reshape(shape)
+        w = self.wn1.comps
+        npairs = len(forms.multi_indices(s.chart.dim, 2))
+        out = np.empty(shape)
+        for a, b in cy._row_slabs(shape):
+            B = np.zeros((npairs, b - a) + shape[1:])
+            dJdu = forms.FormField(s.chart, 2, cy._deformation_slab(s, u, a, b, B))
+            wn1 = forms.FormField(s.chart, self.wn1.degree, w[:, a:b] if w.shape[1] > 1 else w)
+            out[a:b] = self.n * forms.top_ratio(s, forms.wedge(wn1, dJdu))
+        return out
 
 
 def make_handle(s, phi):
@@ -169,17 +179,104 @@ class _Preconditioner:
         return modes.reshape((-1,) + self.shape)
 
 
-def gmres(A, b, **kwargs):
-    """scipy's GMRES, imported on first use.
+def _givens(f, g):
+    """LAPACK's dlartg (3.10 and later) in its unscaled range, which holds
+    the Hessenberg entries of a preconditioned system: (c, s, r) with
+    c f + s g = r and -s f + c g = 0."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    d = math.sqrt(f * f + g * g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
 
-    Importing scipy.sparse.linalg takes about 0.3 s and 30 MB, more than half
-    of `import akcy`; commands that never solve a linear system (analyze,
-    boundary) should not pay it.  newton_solve imports it before it
-    allocates any field, so that its memory does not land above them.
+
+def gmres(A, b, M, rtol, restart, maxiter):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986)
+    for A x = b from x = 0, left-preconditioned by M, to the true residual
+    test ||b - A x||_2 <= rtol ||b||_2; A and M map flat vectors to flat
+    vectors.
+
+    scipy 1.17's algorithm (modified Gram-Schmidt Arnoldi, Givens
+    rotations, the inner test on the preconditioned residual estimate and
+    its tolerance update between restart cycles), so the iterates match
+    scipy.sparse.linalg.gmres to rounding; M b is computed once and starts
+    the first cycle.  maxiter caps the Krylov iterations; each cycle adds
+    one A-apply for its true residual.  Returns (x, r, info): r = b - A x
+    from the last test, info 0 if it passed, else the iterations run.
     """
-    from scipy.sparse.linalg import gmres as scipy_gmres
-
-    return scipy_gmres(A, b, **kwargs)
+    n = b.size
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * bnrm2
+    x = np.zeros(n)
+    if bnrm2 <= atol:
+        return x, b.copy(), 0
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    z = M(b)
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(z) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    iters = 0
+    while True:
+        v[0] = z
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1)
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = M(A(v[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):   # modified Gram-Schmidt
+                tmp = np.dot(v[k], w)
+                h[col, k] = tmp
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:   # exact solution in the Krylov space
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = _givens(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0.0
+            tmp = -s * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = abs(tmp)
+            iters += 1
+            if presid <= ptol or breakdown or iters >= maxiter:
+                break
+        if h[col, col] == 0.0:
+            S[col] = 0.0
+        y = S[: col + 1].copy()   # back substitution in the triangular h
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0.0:
+            y[0] /= h[0, 0]
+        x += y @ v[: col + 1]
+        r = b - A(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown or iters >= maxiter:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+        z = M(r)
+    return x, r, 0 if rnorm <= atol else iters
 
 
 def _projected_apply(handle, precond, u):
@@ -193,25 +290,18 @@ def _solve_linear(s, handle, rhs, precond, rtol):
     """GMRES for L(phi) delta = rhs on the complement of the flat kernel, to
     ||P L P delta - P rhs||_2 <= rtol ||P rhs||_2.
 
-    scipy counts maxiter in restart cycles; at most LIN_MAXITER Krylov
-    iterations run, plus one residual L-apply per cycle.
+    At most LIN_MAXITER Krylov iterations run, plus one L-apply per restart
+    cycle for its true residual; the last one gives the sup-norm lin_res.
+    The returned delta is GMRES's iterate: P L P does not see its
+    flat-kernel part, which is rounding.
     """
-    from scipy.sparse.linalg import LinearOperator
-
-    npts = int(np.prod(s.chart.shape))
     rhs = precond.project(rhs).ravel()
-    # An explicit dtype keeps LinearOperator from probing each matvec once.
-    A = LinearOperator((npts, npts), matvec=lambda u: _projected_apply(handle, precond, u),
-                       dtype=float)
-    M = LinearOperator((npts, npts), matvec=lambda r: precond(r).ravel(), dtype=float)
-    restart = min(LIN_RESTART, LIN_MAXITER)
-    x, info = gmres(A, rhs, rtol=rtol, atol=0.0, restart=restart,
-                    maxiter=LIN_MAXITER // restart, M=M)
+    x, r, info = gmres(lambda u: _projected_apply(handle, precond, u), rhs,
+                       lambda r: precond(r).ravel(), rtol,
+                       min(LIN_RESTART, LIN_MAXITER), LIN_MAXITER)
     if info != 0:
         raise SolverFailure(f"linear solve stagnated (GMRES info={info})")
-    x = precond.project(x)
-    lin_res = float(np.abs(_projected_apply(handle, precond, x.ravel()) - rhs).max())
-    return x, lin_res
+    return x.reshape(s.chart.shape), float(np.abs(r).max())
 
 
 def _check_target(s, f):
@@ -240,8 +330,6 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     sup-norm linear residual of the GMRES solve that gave the step, and the
     forcing term eta that solve was given).
     """
-    import scipy.sparse.linalg  # noqa: F401  (see gmres)
-
     chart = s.chart
     f = _check_target(s, f)
     phi = (

@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+from akcy import cy_operator as cy
+from akcy import forms
 from akcy import structure as st
 
 
@@ -38,3 +42,37 @@ def s_tw16():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@functools.lru_cache(maxsize=None)
+def slab_structure(name):
+    """Grids for the slab checks: even, odd, one with J constant along axis
+    0, the standard structure, and n = 3."""
+    return {
+        "tw12": lambda: make_twisted([12] * 4),
+        "tw9": lambda: make_twisted([9] * 4),
+        "tw10_sin_x2": lambda: make_twisted([10] * 4, profile="sin_x2"),
+        "std10": lambda: make_standard([10] * 4),
+        "tw8_n3": lambda: make_twisted([8] * 6, profile="sin_x1"),
+    }[name]()
+
+
+def set_slab_rows(monkeypatch, shape, rows):
+    """Slabs of `rows` rows of grid axis 0 (None: the default budget)."""
+    if rows is not None:
+        monkeypatch.setattr(cy, "SLAB_POINTS", rows * int(np.prod(shape[1:])))
+
+
+def unblocked_deformation_form(s, phi):
+    """d(J dphi) on the whole grid: the reference of the slab kernel."""
+    return forms.exterior_derivative(forms.apply_J_oneform(s, forms.d_scalar(s.chart, phi)))
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+SLAB_GRIDS = ["tw12", "tw9", "tw10_sin_x2", "std10", "tw8_n3"]
+# One row per slab, a row count dividing no grid here, one slab for the axis.
+SLAB_ROWS = [None, 1, 5, 10**6]

@@ -8,6 +8,9 @@ from akcy import forms
 from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
 
+from conftest import (SLAB_GRIDS, SLAB_ROWS, assert_same_bytes, set_slab_rows, slab_structure,
+                      unblocked_deformation_form)
+
 
 def sample_potential(s, rng, amp=0.01):
     pot = potentials.random_potential(s.half_dim, rng)
@@ -28,6 +31,22 @@ def test_h_of_zero_equals_metric(s_tw12):
     h = cy.h_form(s_tw12, np.zeros(s_tw12.chart.shape))
     g = np.broadcast_to(s_tw12.g, h.shape)
     assert np.array_equal(h, g)
+
+
+@pytest.mark.parametrize("rows", SLAB_ROWS)
+@pytest.mark.parametrize("grid", SLAB_GRIDS)
+def test_deformation_form_slabs_are_bitwise_the_unblocked_composition(monkeypatch, grid, rows):
+    """d(J dphi) slab by slab equals d_scalar -> apply_J_oneform ->
+    exterior_derivative on the whole grid byte for byte, also for inputs
+    with size-1 axes (0.0, a field constant along some axes)."""
+    s = slab_structure(grid)
+    shape = s.chart.shape
+    set_slab_rows(monkeypatch, shape, rows)
+    phi = 0.01 * np.random.default_rng(7).standard_normal(shape)
+    for u in (phi, 0.0, phi[(slice(None), slice(0, 1)) * (len(shape) // 2)],
+              phi[:1]):
+        assert_same_bytes(cy.deformation_form(s, u).comps,
+                          unblocked_deformation_form(s, u).comps)
 
 
 def test_deformed_form_is_closed(s_tw12, rng):

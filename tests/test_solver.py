@@ -8,7 +8,8 @@ from akcy import solver as sv
 from akcy import structure as st
 from akcy.errors import ConsistencyError, PreconditionError, SolverFailure
 
-from conftest import make_standard, make_twisted
+from conftest import (SLAB_GRIDS, SLAB_ROWS, assert_same_bytes, make_standard, make_twisted,
+                      set_slab_rows, slab_structure, unblocked_deformation_form)
 
 
 def test_L_annihilates_constants(s_tw12):
@@ -347,7 +348,7 @@ def test_solve_linear_meets_its_relative_tolerance(s_tw12, rtol):
 
 def test_gmres_cap_counts_iterations(monkeypatch, s_tw12):
     """LIN_MAXITER caps the Krylov iterations of one linear solve, not restart
-    cycles: an unreachable rtol raises SolverFailure within the cap plus one
+    cycles: an unreachable rtol raises SolverFailure after the cap plus one
     residual apply."""
     monkeypatch.setattr(sv, "LIN_MAXITER", 7)
     calls = _count_applies(monkeypatch)
@@ -356,7 +357,67 @@ def test_gmres_cap_counts_iterations(monkeypatch, s_tw12):
     handle = sv.make_handle(s_tw12, 0.0)
     with pytest.raises(SolverFailure, match="linear solve stagnated"):
         sv._solve_linear(s_tw12, handle, rhs, sv._Preconditioner(s_tw12.chart), 1e-300)
-    assert sv.LIN_MAXITER <= len(calls) <= sv.LIN_MAXITER + 1
+    assert len(calls) == sv.LIN_MAXITER + 1
+
+
+@pytest.mark.parametrize("rtol, restart", [(1e-2, 20), (1e-8, 20), (1e-8, 5)])
+def test_gmres_matches_scipy(monkeypatch, s_tw12, rtol, restart):
+    """akcy's GMRES takes scipy's iterates on the projected 12^4 system, in
+    as many A-applies (restart 5 exercises the tolerance update between
+    cycles)."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    monkeypatch.setattr(sv, "LIN_RESTART", restart)
+    X = s_tw12.chart.grid_points()
+    phi = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
+    rhs = 1.0 - cy.F_total(s_tw12, phi)
+    handle = sv.make_handle(s_tw12, phi)
+    P = sv._Preconditioner(s_tw12.chart)
+    calls = _count_applies(monkeypatch)
+    x, _ = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    ours = len(calls)
+    calls.clear()
+    npts = rhs.size
+    A = LinearOperator((npts, npts), matvec=lambda u: sv._projected_apply(handle, P, u),
+                       dtype=float)
+    M = LinearOperator((npts, npts), matvec=lambda r: P(r).ravel(), dtype=float)
+    ref, info = gmres(A, P.project(rhs).ravel(), rtol=rtol, atol=0.0, restart=restart,
+                      maxiter=sv.LIN_MAXITER // restart, M=M)
+    assert info == 0
+    assert np.linalg.norm(x.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert ours == len(calls)
+
+
+def test_gmres_rhs_in_the_flat_kernel_returns_zeros_without_apply(monkeypatch, s_tw12):
+    """A right-hand side that projects to 0 is solved by 0, with no L-apply."""
+    P = sv._Preconditioner(s_tw12.chart)
+    # Integer coefficients, so that the class means are exact.
+    coef = np.random.default_rng(3).integers(-4, 5, P.kernel_dim).astype(float)
+    rhs = np.tensordot(coef, P.kernel_modes(), axes=1)
+    assert np.all(P.project(rhs) == 0.0)
+    calls = _count_applies(monkeypatch)
+    x, lin_res = sv._solve_linear(s_tw12, sv.make_handle(s_tw12, 0.0), rhs, P, 1e-8)
+    assert np.all(x == 0.0) and x.shape == s_tw12.chart.shape
+    assert lin_res == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", SLAB_ROWS)
+@pytest.mark.parametrize("grid", SLAB_GRIDS)
+def test_L_apply_slabs_are_bitwise_the_unblocked_composition(monkeypatch, grid, rows):
+    """L(phi)u slab by slab equals n omega(phi)^{n-1} ^ d(J du) / omega^n
+    from the unblocked d(J d.), wedge and top_ratio byte for byte, also for
+    the flat base make_handle(s, 0.0)."""
+    s = slab_structure(grid)
+    shape = s.chart.shape
+    set_slab_rows(monkeypatch, shape, rows)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(shape)
+    n = s.half_dim
+    for phi in (0.01 * rng.standard_normal(shape), 0.0):
+        w = forms.omega_form(s) + unblocked_deformation_form(s, phi)
+        top = forms.wedge(cy._wedge_power(w, n - 1), unblocked_deformation_form(s, u))
+        assert_same_bytes(sv.make_handle(s, phi).apply(u), n * forms.top_ratio(s, top))
 
 
 def test_kernel_check_small_grid():
