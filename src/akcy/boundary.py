@@ -55,12 +55,11 @@ __all__ = [
     "select_seed",
     "boundary_potential",
     "search_R",
-    "frame_F",
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
 # Points per LocalGeometry batch, and per batch of plain grid-point sweeps.
-SCAN_CHUNK = 50_000
+SCAN_CHUNK = 8_192
 GRID_CHUNK = 1 << 20
 
 
@@ -407,7 +406,7 @@ def select_seed(s):
     # H(phi)(p0) in the frame basis, via the exact pointwise path.
     lg = LocalGeometry(s, p0[None, :])
     _, _, pabar = lg.covariant_of(c * cand.grad(p0[None, :]), c * cand.hess(p0[None, :]))
-    M0 = np.eye(n) - 2.0 * pabar[..., 0]
+    M0 = lg.hermitian_of(pabar)[..., 0]
     lamvals, U = np.linalg.eigh(0.5 * (M0 + M0.conj().T))
     if lamvals.min() <= 0:
         raise SeedSearchError(f"H(phi)(p0) not positive definite: eigenvalues {lamvals}")
@@ -429,43 +428,36 @@ def select_seed(s):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise F along the frame path (exact identity for n = 2).
-
-def frame_F(M, tau12):
-    """F = det(M) + |tau_12|^2 for n = 2 (pointwise frame identity)."""
-    det = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real
-    return det + np.abs(tau12) ** 2
-
+# Pointwise geometry of the seed and the bump at scan points.
 
 class _ScanGeometry:
-    """Covariant data of seed and bump at a batch of scan points; lg, when
-    given, is the seed-rotated LocalGeometry at those points."""
+    """Covariant data of seed and bump at a batch of scan points, and their
+    d(J d.) in pair components, Bphi and Bpsi; lg, when given, is the
+    seed-rotated LocalGeometry at those points."""
 
     def __init__(self, s, seed, bump, points, lg=None):
         self.points = points
         self.lg = LocalGeometry(s, points).rotate(seed.U) if lg is None else lg
         gphi = seed.analytic_grad(points)
         hphi = seed.analytic_hess(points)
-        self.pa_phi, _, self.pabar_phi = self.lg.covariant_of(gphi, hphi)
+        self.pa_phi, _, pabar_phi = self.lg.covariant_of(gphi, hphi)
         _, gpsi, hpsi = bump.torus_eval(points, order=2)
-        self.pa_psi, _, self.pabar_psi = self.lg.covariant_of(gpsi, hpsi)
+        self.pa_psi, _, pabar_psi = self.lg.covariant_of(gpsi, hpsi)
+        self.Bphi = self.lg.deformation_form(self.pa_phi, pabar_phi)
+        self.Bpsi = self.lg.deformation_form(self.pa_psi, pabar_psi)
 
     def tau12(self, amp):
         c = self.lg.tau_of(self.pa_phi + amp * self.pa_psi)
         return 2.0 * c[0, 1]
 
-    def hermitian(self, amp):
-        return self.lg.hermitian_of(self.pabar_phi + amp * self.pabar_psi)
-
     def F(self, amp):
-        return frame_F(self.hermitian(amp), self.tau12(amp))
+        """F(phi + amp psi) at the scan points, by the grid's top power."""
+        return cy._F_of(self.lg.s, self.Bphi + amp * self.Bpsi)
 
     def h_pencil(self):
         """(base, delta): coordinate h(phi + s psi) = base + s * delta."""
-        Bphi = self.lg.deformation_form(self.pa_phi, self.pabar_phi)
-        Bpsi = self.lg.deformation_form(self.pa_psi, self.pabar_psi)
-        base = self.lg.g + cy.h_matrix(self.lg.J, Bphi)
-        delta = cy.h_matrix(self.lg.J, Bpsi)
+        base = self.lg.g + cy.h_matrix(self.lg.J, self.Bphi)
+        delta = cy.h_matrix(self.lg.J, self.Bpsi)
         return base, delta
 
 
@@ -547,8 +539,9 @@ def _lattice_geometry(s):
 
 
 def _seed_grid_F(s, seed):
-    """F(phi) at every grid point via the exact pointwise path, cached with
-    its seed (an id() key could hit for a new seed at a freed one's address)."""
+    """F(phi) at every grid point, the top power of omega + d(J dphi) with
+    d(J dphi) from the exact pointwise path, cached with its seed (an id()
+    key could hit for a new seed at a freed one's address)."""
 
     def _build():
         chart = s.chart
@@ -561,9 +554,7 @@ def _seed_grid_F(s, seed):
             pa, _, pabar = lg.covariant_of(
                 seed.analytic_grad(block), seed.analytic_hess(block)
             )
-            M = lg.hermitian_of(pabar)
-            tau12 = 2.0 * lg.tau_of(pa)[0, 1]
-            out[start : start + SCAN_CHUNK] = frame_F(M, tau12)
+            out[start : start + SCAN_CHUNK] = cy._F_of(s, lg.deformation_form(pa, pabar))
         return out
 
     entry = s.cache("seed_grid_F", lambda: [None, None])

@@ -376,9 +376,20 @@ def F_total(s, phi, return_components=False):
     return _F_total(s, deformation_form(s, phi), return_components)
 
 
+def _F_of(s, B):
+    """F = (omega + B)^n / omega^n pointwise, from the pair components of B
+    (pair axis first).  The point axes may be the grid, J's broadcast
+    lattice or a batch of any shape of at most the grid's rank: they are
+    padded with trailing size-1 axes (a batch of m points runs along grid
+    axis 0), and F keeps B's point shape."""
+    points = B.shape[1:]
+    B = forms.FormField(s.chart, 2, B.reshape(B.shape + (1,) * (s.chart.dim - len(points))))
+    return forms.top_ratio(s, _wedge_power(forms.omega_form(s) + B, s.half_dim)).reshape(points)
+
+
 def _F_total(s, B, return_components):
     """F_total from B = d(J dphi)."""
-    direct = forms.top_ratio(s, _wedge_power(forms.omega_form(s) + B, s.half_dim))
+    direct = _F_of(s, B.comps)
     comps = _F_components(s, B.comps)
     del B
     total = sum(comps[1:], comps[0])

@@ -21,7 +21,6 @@ from .errors import DegreeError, ShapeMismatchError, ConfigurationError
 
 __all__ = [
     "FormField",
-    "ComplexFormField",
     "exterior_derivative",
     "d_scalar",
     "apply_J_oneform",
@@ -118,34 +117,6 @@ class FormField:
 
     def max_abs(self):
         return float(np.abs(self.comps).max())
-
-
-class ComplexFormField(FormField):
-    """Complex 2-form of pure bidegree (p,q), stored in coordinate components.
-
-    Coefficients are kept in the real coordinate basis (a complex antisymmetric
-    matrix per point); frame components are extracted on demand by the frame
-    module.  The bidegree tag records which projector produced the field.
-    """
-
-    def __init__(self, chart, degree, comps, bidegree):
-        super().__init__(chart, degree, np.asarray(comps, dtype=complex))
-        self.bidegree = bidegree
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        bid = self.bidegree if getattr(other, "bidegree", None) == self.bidegree else None
-        return ComplexFormField(self.chart, self.degree, self.comps + other.comps, bid)
-
-    def __mul__(self, c):
-        return ComplexFormField(self.chart, self.degree, self.comps * c, self.bidegree)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        p, q = self.bidegree if self.bidegree else (None, None)
-        bid = (q, p) if self.bidegree else None
-        return ComplexFormField(self.chart, self.degree, np.conj(self.comps), bid)
 
 
 def d_scalar(chart, f):
@@ -307,7 +278,8 @@ def bidegree_parts(J, comps, dim):
 
 
 def bidegree_project(s, b, p, q):
-    """Projection of a 2-form onto bidegree (p,q) for the structure's J.
+    """Projection of a 2-form onto bidegree (p,q) for the structure's J, as
+    a 2-form with complex coordinate components.
 
     P_{1,1} b (X,Y) = (b(X,Y) + b(JX,JY))/2; the (2,0)/(0,2) split of the
     remainder uses tau(X,Y) = (beta(X,Y) - i*beta(JX,Y))/2, the -i eigenspace
@@ -319,12 +291,12 @@ def bidegree_project(s, b, p, q):
         raise DegreeError("bidegree projection defined for 2-forms")
     P11, Bm, mixed = bidegree_parts(s.J, b.comps, s.chart.dim)
     if (p, q) == (1, 1):
-        return ComplexFormField(s.chart, 2, P11, (1, 1))
-    if (p, q) == (2, 0):
+        T = P11
+    elif (p, q) == (2, 0):
         T = 0.5 * (Bm - 1j * mixed)
     else:
         T = 0.5 * (Bm + 1j * mixed)
-    return ComplexFormField(s.chart, 2, T, (p, q))
+    return FormField(s.chart, 2, np.asarray(T, dtype=complex))
 
 
 def omega_form(s):

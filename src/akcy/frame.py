@@ -452,13 +452,15 @@ class LocalGeometry:
 
     def take(self, idx):
         """The geometry at points[idx] for a 1-D index array, gathered from
-        this one without evaluating the structure again."""
+        this one without evaluating the structure again.  np.take keeps the
+        point axis last in memory too (value[..., idx] would put it first,
+        which slows every later einsum over the points two- to threefold)."""
         new = object.__new__(LocalGeometry)
         for key, value in self.__dict__.items():
             if key == "points":
                 value = value[idx]
             elif isinstance(value, np.ndarray):
-                value = value[..., idx]
+                value = np.take(value, idx, axis=-1)
             setattr(new, key, value)
         return new
 

@@ -38,14 +38,14 @@ LIN_RESTART = 20
 MIN_STEP = 1e-4
 
 # Eisenstat-Walker forcing terms (choice 2; SIAM J. Sci. Comput. 17, 1996):
-# eta_k = EW_GAMMA (r_k / r_{k-1})^2, safeguarded by EW_GAMMA eta_{k-1}^2 when
-# that exceeds EW_SAFEGUARD, floored at max(LIN_TOL, EW_FLOOR tol / r_k) and
-# capped at ETA_MAX, which is also eta_0 (the safeguard can act only once
-# ETA_MAX exceeds 1/3).  r is a sup-norm while GMRES tests a 2-norm, hence a
-# floor constant well under Kelley's 0.5.
+# eta_k = EW_GAMMA (r_k / r_{k-1})^2, floored at max(LIN_TOL, EW_FLOOR tol /
+# r_k) and capped at ETA_MAX, which is also eta_0.  Their safeguard
+# eta_k >= EW_GAMMA eta_{k-1}^2, applied when that exceeds 0.1, never acts
+# under this cap (EW_GAMMA ETA_MAX^2 = 9e-5), so it is left out.  r is a
+# sup-norm while GMRES tests a 2-norm, hence a floor constant well under
+# Kelley's 0.5.
 ETA_MAX = 1e-2
 EW_GAMMA = 0.9
-EW_SAFEGUARD = 0.1
 EW_FLOOR = 0.01
 
 
@@ -366,8 +366,6 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             raise SolverFailure("Newton did not converge within max_iter", report=report)
         if it > 0:
             ew = EW_GAMMA * (res_proj / prev_proj) ** 2
-            if EW_GAMMA * eta**2 > EW_SAFEGUARD:
-                ew = max(ew, EW_GAMMA * eta**2)
             eta = min(ETA_MAX, max(ew, LIN_TOL, EW_FLOOR * tol / res_proj))
         prev_proj = res_proj
         delta, lin_res = _solve_linear(s, handle, res_field, precond, eta)

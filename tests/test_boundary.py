@@ -234,7 +234,7 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
     pts = s.chart.grid_points().reshape(-1, 4)
     lg = fr.LocalGeometry(s, pts)
     pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
-    grid_F = bd.frame_F(lg.hermitian_of(pabar), 2.0 * lg.tau_of(pa)[0, 1])
+    grid_F = cy._F_of(s, lg.deformation_form(pa, pabar))
     geo = bd._ScanGeometry(s, seed, bd._seed_bump(s, seed, R), pts)
     density = geo.F(amplitude).reshape(s.chart.shape)
     density = density / forms.integrate(s, density)
@@ -253,6 +253,6 @@ def test_seed_grid_F_follows_each_new_seed():
     for scale in np.linspace(0.01, 0.1, 20):
         seed = dataclasses.replace(base, scale_c=scale)
         pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
-        grid_F = bd.frame_F(lg.hermitian_of(pabar), 2.0 * lg.tau_of(pa)[0, 1])
+        grid_F = cy._F_of(s, lg.deformation_form(pa, pabar))
         assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
         del seed

@@ -7,9 +7,10 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
+from akcy.frame import LocalGeometry
 
-from conftest import (SLAB_GRIDS, SLAB_ROWS, assert_same_bytes, set_slab_rows, slab_structure,
-                      unblocked_deformation_form)
+from conftest import (SLAB_GRIDS, SLAB_ROWS, assert_same_bytes, make_twisted, set_slab_rows,
+                      slab_structure, unblocked_deformation_form)
 
 
 def sample_potential(s, rng, amp=0.01):
@@ -61,6 +62,46 @@ def test_decomposition_sums_to_top_ratio(s_tw12, rng):
     total = sum(comps)
     scale = np.abs(direct).max()
     assert np.abs(total - direct).max() <= 1e-10 * max(scale, 1.0)
+
+
+def _pointwise_deformation(s, rng, m=200, amp=1e-3):
+    """(LocalGeometry at m random points, covariant phi_a and phi_abar of a
+    random potential there, pair components of its d(J dphi))."""
+    pts = rng.uniform(size=(m, s.chart.dim))
+    pot = potentials.random_potential(s.half_dim, rng)
+    lg = LocalGeometry(s, pts)
+    pa, _, pabar = lg.covariant_of(amp * pot.grad(pts), amp * pot.hess(pts))
+    return lg, pa, pabar, lg.deformation_form(pa, pabar)
+
+
+def test_top_power_F_at_points_is_the_n2_frame_identity(s_tw12, rng):
+    """At n = 2 the top power of omega + B at off-grid points equals
+    det(M) + |tau_12|^2, M the Hermitian frame matrix of the (1,1) part.
+    A batch of another shape gives F of that shape, bitwise the same."""
+    lg, pa, pabar, B = _pointwise_deformation(s_tw12, rng)
+    M = lg.hermitian_of(pabar)
+    tau12 = 2.0 * lg.tau_of(pa)[0, 1]
+    expected = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real + np.abs(tau12) ** 2
+    F = cy._F_of(s_tw12, B)
+    assert F.shape == (200,)
+    assert np.abs(F - expected).max() < 1e-12
+    assert_same_bytes(cy._F_of(s_tw12, B.reshape(6, 8, 25)), F.reshape(8, 25))
+
+
+def test_top_power_F_at_points_is_the_pfaffian_at_n3(rng):
+    """At n = 3 the top power of omega + B at off-grid points equals the
+    Pfaffian of the matrix Omega + B, here sqrt(det) since F > 0."""
+    s = make_twisted([8] * 6)
+    _, _, _, B = _pointwise_deformation(s, rng, amp=2e-4)
+    A = np.zeros((6, 6) + B.shape[1:])
+    for p, (i, j) in enumerate(forms.multi_indices(6, 2)):
+        A[i, j], A[j, i] = B[p], -B[p]
+    for a in range(3):
+        A[2 * a, 2 * a + 1] += 1.0
+        A[2 * a + 1, 2 * a] -= 1.0
+    F = cy._F_of(s, B)
+    assert F.shape == (200,) and F.min() > 0.5
+    assert np.abs(F - np.sqrt(np.linalg.det(np.moveaxis(A, -1, 0)))).max() < 1e-12
 
 
 def test_F1_is_nonnegative_at_n2(s_tw12, rng):
