@@ -10,10 +10,14 @@ trap for sign or normalization errors.
 Memory notes: all bidegree algebra and h run on increasing-pair component
 storage through forms.contract_pairs (never the full 2n x 2n matrix field of
 the form); its coefficients live on J's broadcast lattice and are built one
-at a time, so the only grid-size temporary is one product per term.  tau
-wedge tau-bar is evaluated via the real identity (Bm^Bm + JBm^JBm)/4, so fine
-4D grids stay within budget.  d(J dphi) is filled in slabs of grid axis 0
-(_deformation_slab), so its gradient and J-gradient are only slab-size.
+at a time.  tau wedge tau-bar is evaluated via the real identity
+(Bm^Bm + JBm^JBm)/4, avoiding complex intermediates.  d(J dphi) is filled in
+slabs of grid axis 0 of about SLAB_POINTS points (_deformation_slabs), each
+row of J dphi built once and its last two rows handed on to the next slab,
+so its gradient and J-gradient are only slab-size.  The taming margin and F
+with its component check are reduced over the same row slabs of one
+d(J dphi) (_margin_of, _F_total): h, the F_j and their intermediates are
+slab-size, and only d(J dphi) itself and F are grid-size.
 """
 
 from __future__ import annotations
@@ -172,14 +176,14 @@ def min_eigenvalue_field(M):
 
 
 def deformation_form(s, phi):
-    """d(J d phi) as a real 2-form, filled slab by slab (_deformation_slab)."""
+    """d(J d phi) as a real 2-form, filled slab by slab (_deformation_slabs)."""
     u = _values(phi)
     u = u.reshape((1,) * (s.chart.dim - u.ndim) + u.shape)
     grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
     npairs = len(forms.multi_indices(s.chart.dim, 2))
     comps = np.zeros((npairs,) + grid, dtype=np.result_type(s.J, u, 1.0))
-    for a, b in _row_slabs(grid):
-        _deformation_slab(s, u, a, b, comps[:, a:b])
+    for _ in _deformation_slabs(s, u, comps):
+        pass
     return forms.FormField(s.chart, 2, comps)
 
 
@@ -187,6 +191,14 @@ def _row_slabs(grid):
     """Row ranges [a, b) of grid axis 0 holding about SLAB_POINTS points each."""
     rows = max(1, SLAB_POINTS // math.prod(grid[1:]))
     return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+
+
+def _rows(f, axis, a, b):
+    """Rows [a, b) of f along axis, as a view; a size-1 (broadcast) axis is
+    returned whole."""
+    if f.shape[axis] == 1:
+        return f
+    return f[(slice(None),) * axis + (slice(a, b),)]
 
 
 def _wrapped_rows(f, axis, lo, hi):
@@ -208,39 +220,66 @@ def _diff_rows(chart, f, out):
     return out
 
 
-def _deformation_slab(s, u, a, b, out):
-    """d(J du) on rows [a, b) of grid axis 0, added into out (zeros, pair
-    axis first, rows [a, b) of the broadcast grid of u and J).
-
-    It reads u's rows [a-2, b+2), wrapped: the gradient is taken on rows
-    [a-1, b+1), J acts on those rows of its lattice, and d on [a, b).  The
-    axis-0 differences are interior slice differences, the others
-    Chart.diff, and the terms are added in exterior_derivative's order, so
-    every value is bitwise that of d_scalar -> apply_J_oneform ->
-    exterior_derivative on the whole grid.
-    """
+def _j_gradient_rows(s, u, lo, hi, out):
+    """J du on rows [lo, hi) of grid axis 0, wrapped, into out.  It reads u's
+    rows [lo-1, hi+1); the axis-0 differences are interior slice
+    differences, the others Chart.diff."""
     chart = s.chart
-    ue = _wrapped_rows(u, 0, a - 2, b + 2)
+    ue = _wrapped_rows(u, 0, lo - 1, hi + 1)
     mid = ue[1:-1] if ue.shape[0] > 1 else ue
     g = np.empty((chart.dim,) + mid.shape, dtype=np.result_type(u, 1.0))
     _diff_rows(chart, ue, g[0])
     for d in range(1, chart.dim):
         chart.diff(mid, d, out=g[d])
     del ue, mid
-    Jg = forms.j_oneform_comps(_wrapped_rows(s.J, 2, a - 1, b + 1), g)
-    del g
-    Jg_mid = Jg[:, 1:-1] if Jg.shape[1] > 1 else Jg
-    diff = np.empty(out.shape[1:], dtype=out.dtype)
-    for i, d, o, minus in forms.d_terms(chart.dim, 1):
-        if d == 0:
-            _diff_rows(chart, Jg[i], diff)
+    out[...] = forms.j_oneform_comps(_wrapped_rows(s.J, 2, lo, hi), g)
+
+
+def _deformation_slabs(s, u, out=None):
+    """Yield (a, b, d(J du) on rows [a, b) of grid axis 0, pair axis first)
+    over _row_slabs of the broadcast grid of u and J.  The rows are added
+    into out[:, a:b] (zeros) when out is given, else into a new zero slab.
+
+    The slab [a, b) differences J du on rows [a-1, b+1).  Each row of J du
+    is built once, in one buffer of slab size: the first slab builds all of
+    its rows, every later one takes rows [a-1, a+1) from the slab before
+    (the halo) and builds only [a+1, b+1).  d is taken with axis-0
+    differences as interior slice differences, the others Chart.diff, and
+    the terms added in exterior_derivative's order, so every value is
+    bitwise that of d_scalar -> apply_J_oneform -> exterior_derivative on
+    the whole grid.
+    """
+    chart = s.chart
+    grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
+    npairs = len(forms.multi_indices(chart.dim, 2))
+    dtype = np.result_type(s.J, u, 1.0)
+    slabs = _row_slabs(grid)
+    halo = 2 if grid[0] > 1 else 0     # one broadcast row has no neighbours
+    rows = slabs[0][1] - slabs[0][0]
+    Jg = np.empty((chart.dim, rows + halo) + grid[1:], dtype=dtype)
+    diff = np.empty((rows,) + grid[1:], dtype=dtype)
+    built = 0                          # rows of Jg the slab before holds
+    for a, b in slabs:
+        if built:
+            Jg[:, :halo] = Jg[:, built - halo:built]
+            _j_gradient_rows(s, u, a + 1, b + 1, Jg[:, halo:b - a + halo])
         else:
-            chart.diff(Jg_mid[i], d, out=diff)
-        if minus:
-            out[o] -= diff
-        else:
-            out[o] += diff
-    return out
+            _j_gradient_rows(s, u, a - 1, b + 1, Jg[:, :b - a + halo])
+        built = b - a + halo
+        Jg_rows = Jg[:, :built]
+        Jg_mid = Jg_rows[:, 1:-1] if halo else Jg_rows
+        B = np.zeros((npairs, b - a) + grid[1:], dtype=dtype) if out is None else out[:, a:b]
+        d_rows = diff[:b - a]
+        for i, d, o, minus in forms.d_terms(chart.dim, 1):
+            if d == 0:
+                _diff_rows(chart, Jg_rows[i], d_rows)
+            else:
+                chart.diff(Jg_mid[i], d, out=d_rows)
+            if minus:
+                B[o] -= d_rows
+            else:
+                B[o] += d_rows
+        yield a, b, B
 
 
 def deformed_form(s, phi):
@@ -285,18 +324,22 @@ def h_form(s, phi):
     Positive definiteness of h(phi) at every point is equivalent to
     omega(phi) taming J.
     """
-    return _h_of(s, deformation_form(s, phi))
-
-
-def _h_of(s, B):
-    """h(phi) from B = d(J dphi), built from omega + B (not as g + h_matrix(B))."""
-    return h_matrix(s.J, (forms.omega_form(s) + B).comps)
+    return h_matrix(s.J, (forms.omega_form(s) + deformation_form(s, phi)).comps)
 
 
 def taming_margin(s, phi):
     """Grid-min over points of the smallest eigenvalue of h(phi)."""
-    margin, _ = min_eigenvalue_field(h_form(s, phi))
-    return margin
+    return _margin_of(s, deformation_form(s, phi))
+
+
+def _margin_of(s, B):
+    """taming_margin from B = d(J dphi): the least min_eigenvalue_field over
+    _row_slabs of h built from omega + B, so h is only ever slab-size."""
+    omega = forms.omega_form(s).comps
+    return min(
+        min_eigenvalue_field(h_matrix(_rows(s.J, 2, a, b), omega + B.comps[:, a:b]))[0]
+        for a, b in _row_slabs(B.comps.shape[1:])
+    )
 
 
 @dataclass
@@ -335,16 +378,18 @@ def F_components(s, phi):
 
     tau^taubar is evaluated through the real identity
     (Bm^Bm + mixed^mixed)/4 where Bm is the J-anti-invariant part of dJdphi
-    and mixed = (J^T Bm + Bm J)/2, avoiding complex intermediates.
+    and mixed = (J^T Bm + Bm J)/2, avoiding complex intermediates.  Their
+    sum is checked against the top power as in F_total.
     """
-    return _F_components(s, deformation_form(s, phi).comps)
+    return _F_total(s, deformation_form(s, phi), return_components=True)[1]
 
 
-def _F_components(s, B):
-    """F_components from the pair components B of d(J dphi)."""
+def _F_components(s, J, B):
+    """F_components from the pair components B of d(J dphi) and J on the
+    same points (matrix axes first; the point axes broadcast)."""
     n = s.half_dim
     chart = s.chart
-    P11, Bm, mixed = forms.bidegree_parts(s.J, B, chart.dim)
+    P11, Bm, mixed = forms.bidegree_parts(J, B, chart.dim)
     del B
     P11 += forms.omega_form(s).comps  # broadcast add; P11 is now H(phi)
     H = forms.FormField(chart, 2, P11)
@@ -370,8 +415,7 @@ def _F_components(s, B):
 def F_total(s, phi, return_components=False):
     """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j.
 
-    Both paths start from one evaluation of d(J dphi); omega(phi) is dropped
-    before the F_j are built.
+    Both paths start from one evaluation of d(J dphi) and run slab by slab.
     """
     return _F_total(s, deformation_form(s, phi), return_components)
 
@@ -388,13 +432,25 @@ def _F_of(s, B):
 
 
 def _F_total(s, B, return_components):
-    """F_total from B = d(J dphi)."""
-    direct = _F_of(s, B.comps)
-    comps = _F_components(s, B.comps)
-    del B
-    total = sum(comps[1:], comps[0])
-    scale = max(1.0, float(np.abs(direct).max()))
-    defect = float(np.abs(direct - total).max())
+    """F_total from B = d(J dphi), over _row_slabs of B: each slab's F
+    (_F_of) and F_j (_F_components) are slab-size, and the two paths must
+    agree to F_CONSISTENCY_RTOL relative to max(1, max |F|) over the grid.
+    The F_j fields are kept only when returned."""
+    grid = B.comps.shape[1:]
+    direct = np.empty(grid)
+    comps = [np.empty(grid) for _ in range(s.half_dim // 2 + 1)] if return_components else []
+    peak = defect = 0.0
+    for a, b in _row_slabs(grid):
+        Bs = B.comps[:, a:b]
+        F = direct[a:b]
+        F[...] = _F_of(s, Bs)
+        parts = _F_components(s, _rows(s.J, 2, a, b), Bs)
+        total = sum(parts[1:], parts[0])
+        peak = max(peak, float(np.abs(F).max()))
+        defect = max(defect, float(np.abs(F - total).max()))
+        for Fj, part in zip(comps, parts):
+            Fj[a:b] = part
+    scale = max(1.0, peak)
     if defect > F_CONSISTENCY_RTOL * scale:
         raise ConsistencyError(
             f"top-power and component-sum paths for F disagree by {defect:.3e} "
@@ -502,7 +558,7 @@ def analyze_potential(s, phi, compute_amplitude=True):
         for j, c in enumerate(comps)
     ]
     del comps
-    margin, _ = min_eigenvalue_field(_h_of(s, B))
+    margin = _margin_of(s, B)
     amplitude = None
     if compute_amplitude:
         try:

@@ -71,13 +71,14 @@ class SolveReport:
 
 
 class LinearOperatorHandle:
-    """Matrix-free application of L(phi) with cached omega(phi)^{n-1}; the
-    solvers, not the handle, check that phi is taming (L elliptic)."""
+    """Matrix-free application of L(phi) with cached omega(phi)^{n-1}, from
+    B = d(J dphi) (a FormField); the solvers, not the handle, check that phi
+    is taming (L elliptic)."""
 
-    def __init__(self, s, phi):
+    def __init__(self, s, B):
         self.s = s
         self.n = s.half_dim
-        self.wn1 = cy._wedge_power(cy.deformed_form(s, cy._values(phi)), self.n - 1)
+        self.wn1 = cy._wedge_power(forms.omega_form(s) + B, self.n - 1)
 
     def apply(self, u):
         """L(phi)u as a grid scalar field, slab by slab along grid axis 0: no
@@ -86,24 +87,22 @@ class LinearOperatorHandle:
         shape = s.chart.shape
         u = np.asarray(u, dtype=float).reshape(shape)
         w = self.wn1.comps
-        npairs = len(forms.multi_indices(s.chart.dim, 2))
         out = np.empty(shape)
-        for a, b in cy._row_slabs(shape):
-            B = np.zeros((npairs, b - a) + shape[1:])
-            dJdu = forms.FormField(s.chart, 2, cy._deformation_slab(s, u, a, b, B))
-            wn1 = forms.FormField(s.chart, self.wn1.degree, w[:, a:b] if w.shape[1] > 1 else w)
+        for a, b, B in cy._deformation_slabs(s, u):
+            dJdu = forms.FormField(s.chart, 2, B)
+            wn1 = forms.FormField(s.chart, self.wn1.degree, cy._rows(w, 1, a, b))
             out[a:b] = self.n * forms.top_ratio(s, forms.wedge(wn1, dJdu))
         return out
 
 
 def make_handle(s, phi):
-    return LinearOperatorHandle(s, phi)
+    return LinearOperatorHandle(s, cy.deformation_form(s, phi))
 
 
-def _taming_start(s, phi):
-    """Taming margin of a solver's starting point; raises unless L(phi) is
-    elliptic there."""
-    margin = cy.taming_margin(s, phi)
+def _taming_start(s, B):
+    """Taming margin of a solver's starting point, from its B = d(J dphi);
+    raises unless L(phi) is elliptic there."""
+    margin = cy._margin_of(s, B)
     if margin <= cy.TAMING_THRESHOLD:
         raise PreconditionError(
             f"linearization base is not taming (margin {margin:.3e}); "
@@ -340,10 +339,12 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     phi = cy.project_zero_mean(s, phi).values
 
     trace = []
-    margin = _taming_start(s, phi)
-    handle = make_handle(s, phi)
+    # One d(J dphi) per iterate and per trial serves its taming margin, F
+    # and, once a linear solve follows, the handle of L(phi).
+    B = cy.deformation_form(s, phi)
+    margin = _taming_start(s, B)
     precond = _Preconditioner(chart)
-    res_field = f - cy.F_total(s, phi)
+    res_field = f - cy._F_total(s, B, return_components=False)
     res = float(np.abs(res_field).max())
     # The line search measures progress on the component the operator can
     # actually reach; the complement (flat-kernel modes of the target) is an
@@ -368,14 +369,18 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             ew = EW_GAMMA * (res_proj / prev_proj) ** 2
             eta = min(ETA_MAX, max(ew, LIN_TOL, EW_FLOOR * tol / res_proj))
         prev_proj = res_proj
+        handle = LinearOperatorHandle(s, B)
+        del B
         delta, lin_res = _solve_linear(s, handle, res_field, precond, eta)
+        del handle
         alpha = 1.0
         accepted = False
         while alpha >= MIN_STEP:
             cand = phi + alpha * delta
-            trial = cy.taming_margin(s, cand)
+            B = cy.deformation_form(s, cand)
+            trial = cy._margin_of(s, B)
             if trial > cy.TAMING_THRESHOLD:
-                new_res_field = f - cy.F_total(s, cand)
+                new_res_field = f - cy._F_total(s, B, return_components=False)
                 new_res = float(np.abs(new_res_field).max())
                 new_proj = float(np.abs(precond.project(new_res_field)).max())
                 if (new_proj < res_proj * (1.0 - 0.25 * alpha)
@@ -393,7 +398,6 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
             reason = "margin_collapse" if trial <= cy.TAMING_THRESHOLD else "stagnation"
             report = SolveReport(False, it, res, trial, reason=reason, trace=trace)
             raise SolverFailure(f"Newton step rejected ({reason})", report=report)
-        handle = make_handle(s, phi)
         trace.append((it, res, margin, alpha, lin_res, eta))
 
     pot = cy.project_zero_mean(s, phi)
@@ -459,8 +463,9 @@ def kernel_check(s, phi):
             f"kernel_check builds a dense {npts}x{npts} matrix; use a grid "
             "with at most 8192 points"
         )
-    margin = _taming_start(s, phi)
-    handle = make_handle(s, phi)
+    B = cy.deformation_form(s, phi)
+    margin = _taming_start(s, B)
+    handle = LinearOperatorHandle(s, B)
     precond = _Preconditioner(chart)
     kernel_defect = float(max(np.abs(handle.apply(k)).max() for k in precond.kernel_modes()))
     A = np.empty((npts, npts))

@@ -50,6 +50,7 @@ def slab_structure(name):
     0, the standard structure, and n = 3."""
     return {
         "tw12": lambda: make_twisted([12] * 4),
+        "tw8": lambda: make_twisted([8] * 4),
         "tw9": lambda: make_twisted([9] * 4),
         "tw10_sin_x2": lambda: make_twisted([10] * 4, profile="sin_x2"),
         "std10": lambda: make_standard([10] * 4),
@@ -76,3 +77,6 @@ def assert_same_bytes(a, b):
 SLAB_GRIDS = ["tw12", "tw9", "tw10_sin_x2", "std10", "tw8_n3"]
 # One row per slab, a row count dividing no grid here, one slab for the axis.
 SLAB_ROWS = [None, 1, 5, 10**6]
+# Grids and slab sizes of the slab margin and F checks.
+REDUCTION_GRIDS = ["tw8", "tw9", "tw8_n3"]
+REDUCTION_ROWS = [1, 2, 10**6]

@@ -9,8 +9,8 @@ from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
 from akcy.frame import LocalGeometry
 
-from conftest import (SLAB_GRIDS, SLAB_ROWS, assert_same_bytes, make_twisted, set_slab_rows,
-                      slab_structure, unblocked_deformation_form)
+from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
+                      make_twisted, set_slab_rows, slab_structure, unblocked_deformation_form)
 
 
 def sample_potential(s, rng, amp=0.01):
@@ -48,6 +48,66 @@ def test_deformation_form_slabs_are_bitwise_the_unblocked_composition(monkeypatc
               phi[:1]):
         assert_same_bytes(cy.deformation_form(s, u).comps,
                           unblocked_deformation_form(s, u).comps)
+
+
+@pytest.mark.parametrize("rows", REDUCTION_ROWS)
+@pytest.mark.parametrize("grid", REDUCTION_GRIDS)
+def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, grid, rows):
+    """taming_margin and F_total with its F_j, reduced slab by slab, equal
+    the whole-grid h, its eigenvalue sweep, the top power and the component
+    path on the unblocked d(J dphi) byte for byte; the eigenvalue sweeps
+    still see every grid point once."""
+    s = slab_structure(grid)
+    shape = s.chart.shape
+    set_slab_rows(monkeypatch, shape, rows)
+    phi = 1e-3 * np.random.default_rng(3).standard_normal(shape)
+    B = unblocked_deformation_form(s, phi)
+    margin, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, (forms.omega_form(s) + B).comps))
+    direct = cy._F_of(s, B.comps)
+    comps = cy._F_components(s, s.J, B.comps)
+
+    points = []
+    sweep = cy.min_eigenvalue_field
+
+    def counted(M):
+        points.append(int(np.prod(M.shape[2:])))
+        return sweep(M)
+
+    monkeypatch.setattr(cy, "min_eigenvalue_field", counted)
+    assert cy.taming_margin(s, phi) == margin
+    assert sum(points) == int(np.prod(shape))
+    assert len(points) == -(-shape[0] // min(rows, shape[0]))
+    F, Fj = cy.F_total(s, phi, return_components=True)
+    assert_same_bytes(F, direct)
+    assert len(Fj) == len(comps)
+    for got, want in zip(Fj, comps):
+        assert_same_bytes(got, want)
+    report = cy.analyze_potential(s, phi, compute_amplitude=False)
+    assert report.margin == margin
+    assert_same_bytes(report.F, direct)
+
+
+def test_one_slabs_component_defect_raises(monkeypatch):
+    """A defect in the component path of one slab only, far from the first,
+    fails the grid-wide consistency check."""
+    s = slab_structure("tw8")
+    set_slab_rows(monkeypatch, s.chart.shape, 1)
+    phi = 1e-3 * np.random.default_rng(3).standard_normal(s.chart.shape)
+    cy.F_total(s, phi)
+    components = cy._F_components
+    calls = []
+
+    def perturbed(s, J, B):
+        out = components(s, J, B)
+        calls.append(1)
+        if len(calls) == 6:
+            out[0].flat[17] += 1e-8
+        return out
+
+    monkeypatch.setattr(cy, "_F_components", perturbed)
+    with pytest.raises(ConsistencyError, match="disagree by 1.000e-08"):
+        cy.F_total(s, phi)
+    assert len(calls) == 8
 
 
 def test_deformed_form_is_closed(s_tw12, rng):

@@ -92,14 +92,16 @@ def test_report_margins_are_the_iterates_taming_margins(monkeypatch, s_tw12):
     phi_star = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
     f = cy.F_total(s_tw12, cy.project_zero_mean(s_tw12, phi_star).values)
     bases = []
+    deformation_form = cy.deformation_form
 
-    def recording_handle(s, phi):
+    def recording_deformation_form(s, phi):
         bases.append(np.array(phi))
-        return sv.LinearOperatorHandle(s, phi)
+        return deformation_form(s, phi)
 
-    monkeypatch.setattr(sv, "make_handle", recording_handle)
+    monkeypatch.setattr(cy, "deformation_form", recording_deformation_form)
     _, rep = sv.newton_solve(s_tw12, f, tol=1e-10)
-    iterates = bases[1:]        # bases: the start, then one per accepted step
+    monkeypatch.undo()
+    iterates = bases[1:]        # bases: the start, then one per line-search trial
     assert rep.iters == len(rep.trace) == len(iterates) >= 2
     for row, phi in zip(rep.trace, iterates):
         assert row[2] == cy.taming_margin(s_tw12, phi)
