@@ -36,8 +36,9 @@ from .frame import (
     LocalGeometry,
     build_frame,
     frame_tau_components,
-    nijenhuis_coordinate,
+    hermitian_coefficients,
     nijenhuis_max_norm,
+    tau_coefficients,
 )
 from .potentials import AnalyticPotential, default_candidates
 
@@ -50,8 +51,6 @@ __all__ = [
     "cutoff_eta_d1",
     "cutoff_eta_d2",
     "bump_psi",
-    "pseudo_holomorphic_defect",
-    "nijenhuis_pairing",
     "select_seed",
     "boundary_potential",
     "search_R",
@@ -267,29 +266,6 @@ def bump_psi(spec: BumpSpec) -> BumpField:
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-holomorphic diagnostics.
-
-def pseudo_holomorphic_defect(s, fvals):
-    """|df o J - i df| per grid point."""
-    fvals = np.asarray(fvals, dtype=complex)
-    df = forms.d_scalar(s.chart, fvals)
-    dfJ = forms.apply_J_oneform(s, df)
-    return np.sqrt(np.sum(np.abs(dfJ.comps - 1j * df.comps) ** 2, axis=0))
-
-
-def nijenhuis_pairing(s, fvals):
-    """max over frame pairs (e_a, e_b) of |df(N(e_a, e_b))| per point."""
-    fvals = np.asarray(fvals, dtype=complex)
-    df = forms.d_scalar(s.chart, fvals)
-    N = nijenhuis_coordinate(s)
-    f = build_frame(s)
-    pair = np.einsum(
-        "k...,kij...,ai...,bj...->ab...", df.comps, N.astype(complex), f.e, f.e
-    )
-    return np.abs(pair).max(axis=(0, 1))
-
-
-# ---------------------------------------------------------------------------
 # Seed selection.
 
 @dataclass
@@ -406,7 +382,7 @@ def select_seed(s):
     # H(phi)(p0) in the frame basis, via the exact pointwise path.
     lg = LocalGeometry(s, p0[None, :])
     _, _, pabar = lg.covariant_of(c * cand.grad(p0[None, :]), c * cand.hess(p0[None, :]))
-    M0 = lg.hermitian_of(pabar)[..., 0]
+    M0 = hermitian_coefficients(pabar)[..., 0]
     lamvals, U = np.linalg.eigh(0.5 * (M0 + M0.conj().T))
     if lamvals.min() <= 0:
         raise SeedSearchError(f"H(phi)(p0) not positive definite: eigenvalues {lamvals}")
@@ -436,7 +412,6 @@ class _ScanGeometry:
     seed-rotated LocalGeometry at those points."""
 
     def __init__(self, s, seed, bump, points, lg=None):
-        self.points = points
         self.lg = LocalGeometry(s, points).rotate(seed.U) if lg is None else lg
         gphi = seed.analytic_grad(points)
         hphi = seed.analytic_hess(points)
@@ -447,7 +422,7 @@ class _ScanGeometry:
         self.Bpsi = self.lg.deformation_form(self.pa_psi, pabar_psi)
 
     def tau12(self, amp):
-        c = self.lg.tau_of(self.pa_phi + amp * self.pa_psi)
+        c = tau_coefficients(self.pa_phi + amp * self.pa_psi, self.lg.N)
         return 2.0 * c[0, 1]
 
     def F(self, amp):
@@ -643,8 +618,9 @@ def boundary_potential(s, seed, R, rng_seed=7):
     # lower bound on |tau12| over s in [0,1] on the Delta_R image; tau12 is
     # affine in s so the sampled minimum is cheap on the existing geometry.
     in_disk = _pair_radii(bump.torus_to_chart(all_pts)).max(axis=1) <= 1.0 / R + 1e-12
-    c_phi = geo.tau12(0.0)[in_disk]
-    c_psi = (geo.tau12(1.0) - geo.tau12(0.0))[in_disk]
+    tau12_phi = geo.tau12(0.0)
+    c_phi = tau12_phi[in_disk]
+    c_psi = (geo.tau12(1.0) - tau12_phi)[in_disk]
     tau12_bound = min(
         float(np.abs(c_phi + sv * c_psi).min()) for sv in np.linspace(0.0, 1.0, 11)
     )

@@ -165,7 +165,10 @@ def _parse_keyvalue(text):
 
 
 def parse_config(path):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import forms
 from .errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
-from .frame import build_frame
+from .frame import build_frame, frame_hermitian_components
 
 __all__ = [
     "Potential",
@@ -38,7 +38,6 @@ __all__ = [
     "deformed_form",
     "tau",
     "H_part",
-    "h_form",
     "h_matrix",
     "min_eigenvalue_field",
     "F_components",
@@ -59,8 +58,7 @@ F_CONSISTENCY_RTOL = 1e-10
 # relative offset of the two sweeps that certify the closed-form amplitude.
 AMPLITUDE_MAX = 1e6
 AMPLITUDE_RTOL = 1e-9
-POINT_CHUNK = 1 << 18    # points per block of a taming sweep
-SLAB_POINTS = 1 << 16    # points per slab of d(J d.) along grid axis 0
+SLAB_POINTS = 1 << 16    # points per slab along grid axis 0 (_row_slabs)
 PROBE = 64               # lowest-bound points per block evaluated first
 # Allowance, relative to the largest absolute row sum, by which a Gershgorin
 # bound is lowered so that it also bounds the rounded kernel value: LAPACK's
@@ -89,18 +87,13 @@ def _values(phi):
 
 def _point_blocks(*fields):
     """(flat index of the first point, grid shape of the block, one view per
-    field) along the leading grid axis of matrix fields (matrix axes first,
-    grid axes broadcast), about POINT_CHUNK points per block.  A view keeps
-    its field's size-1 axes, so a broadcast field (the metric) is never
-    copied to grid size."""
-    shape = np.broadcast_shapes(*(M.shape for M in fields))
-    grid = shape[2:]
+    field) over the _row_slabs of matrix fields (matrix axes first, grid axes
+    broadcast).  A view keeps its field's size-1 axes, so a broadcast field
+    (the metric) is never copied to grid size."""
+    grid = np.broadcast_shapes(*(M.shape for M in fields))[2:]
     per_row = math.prod(grid[1:])
-    rows = max(1, POINT_CHUNK // per_row)
-    for start in range(0, grid[0], rows):
-        chunk = (slice(None), slice(None), slice(start, start + rows))
-        views = [M[chunk] if M.shape[2] > 1 else M for M in fields]
-        yield start * per_row, (min(rows, grid[0] - start),) + grid[1:], views
+    for a, b in _row_slabs(grid):
+        yield a * per_row, (b - a,) + grid[1:], [_rows(M, 2, a, b) for M in fields]
 
 
 def _take(M, idx, grid):
@@ -295,8 +288,6 @@ def tau(s, phi):
 def H_part(s, phi, f=None):
     """(1,1)-part of omega(phi) as the Hermitian frame coefficient matrix
     M[a,b] with H = i M_ab theta^a wedge conj-theta^b; M(0) = identity."""
-    from .frame import frame_hermitian_components
-
     if f is None:
         f = build_frame(s)
     H11 = forms.bidegree_project(s, deformed_form(s, phi), 1, 1)
@@ -318,17 +309,10 @@ def h_matrix(J, comps):
     return h.reshape((dim, dim) + h.shape[1:])
 
 
-def h_form(s, phi):
-    """Symmetric bilinear form h(phi) as a coordinate matrix field.
-
-    Positive definiteness of h(phi) at every point is equivalent to
-    omega(phi) taming J.
-    """
-    return h_matrix(s.J, (forms.omega_form(s) + deformation_form(s, phi)).comps)
-
-
 def taming_margin(s, phi):
-    """Grid-min over points of the smallest eigenvalue of h(phi)."""
+    """Grid-min over points of the smallest eigenvalue of h(phi), the h_matrix
+    of omega + d(J dphi); h(phi) is positive definite exactly where omega(phi)
+    tames J."""
     return _margin_of(s, deformation_form(s, phi))
 
 

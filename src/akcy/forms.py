@@ -31,7 +31,6 @@ __all__ = [
     "integrate",
     "omega_form",
     "form_to_matrix",
-    "form_from_matrix",
 ]
 
 
@@ -203,13 +202,6 @@ def form_to_matrix(a):
         B[i, j] = a.comps[idx]
         B[j, i] = -a.comps[idx]
     return B
-
-
-def form_from_matrix(chart, B):
-    dim = chart.dim
-    pairs = multi_indices(dim, 2)
-    comps = np.stack([B[i, j] for (i, j) in pairs])
-    return FormField(chart, 2, comps)
 
 
 @lru_cache(maxsize=None)

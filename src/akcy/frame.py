@@ -42,8 +42,8 @@ __all__ = [
     "torsion",
     "nijenhuis_coordinate",
     "covariant_hessian",
-    "tau_frame_path",
-    "hermitian_frame_path",
+    "tau_coefficients",
+    "hermitian_coefficients",
     "frame_tau_components",
     "frame_hermitian_components",
     "LocalGeometry",
@@ -353,7 +353,7 @@ def _second_covariant(phi_a, dpa, conn_omega, e):
 # Frame-path operators (validation mirrors of the coordinate path), shared by
 # the grid path and LocalGeometry.
 
-def _tau_coefficients(phi_a, N):
+def tau_coefficients(phi_a, N):
     """tau coefficients c[b,c] = -2i sum_a conj(phi_a) conj(N^a_{bc}).
 
     tau = sum_{b,c} c[b,c] theta^b wedge theta^c (full double sum, c antisym).
@@ -361,21 +361,11 @@ def _tau_coefficients(phi_a, N):
     return -2j * np.einsum("a...,abc...->bc...", np.conj(phi_a), np.conj(N))
 
 
-def _hermitian_coefficients(phi_abar):
+def hermitian_coefficients(phi_abar):
     """H coefficient matrix delta_ab - 2 phi_abar (Hermitian to O(h^2))."""
     n = phi_abar.shape[0]
     eye = np.eye(n).reshape((n, n) + (1,) * (phi_abar.ndim - 2))
     return eye - 2.0 * phi_abar
-
-
-def tau_frame_path(s, tors, hess):
-    """Grid-path tau coefficients (see _tau_coefficients)."""
-    return _tau_coefficients(hess.phi_a, tors.N)
-
-
-def hermitian_frame_path(hess):
-    """Grid-path H coefficient matrix (see _hermitian_coefficients)."""
-    return _hermitian_coefficients(hess.phi_abar)
 
 
 def frame_tau_components(f, cff):
@@ -474,18 +464,12 @@ class LocalGeometry:
         )
         return (phi_a,) + _second_covariant(phi_a, dpa, self.conn_omega, self.e)
 
-    def tau_of(self, phi_a):
-        return _tau_coefficients(phi_a, self.N)
-
-    def hermitian_of(self, phi_abar):
-        return _hermitian_coefficients(phi_abar)
-
     def deformation_form(self, phi_a, phi_abar):
         """Increasing-pair components (pair axis first) of the real 2-form
         d(Jd phi) from the frame expansion
         -2i( conj(phi_a) conj(N) theta^b theta^c + phi_abar theta^a conj-theta^b
              - phi_a N conj-theta^b conj-theta^c )."""
-        c20 = self.tau_of(phi_a)
+        c20 = tau_coefficients(phi_a, self.N)
         th = self.theta
         thb = np.conj(self.theta)
         B20 = np.einsum("bc...,bi...,cj...->ij...", c20, th, th)

@@ -64,8 +64,12 @@ def read_field(path):
     """Read a field written by write_field; returns (values, degree).
 
     A file cut short, or carrying bytes past the payload its header
-    declares, is rejected."""
-    with open(path, "rb") as fh:
+    declares, is rejected, as is a path that cannot be opened."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read field file {path}: {exc.strerror}")
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(8) != _MAGIC:
             raise ConfigurationError(f"{path} is not a field file (bad magic)")

@@ -113,10 +113,10 @@ def test_criterion_05_frame_coordinate_crossval():
         c = fr.connection_forms(s, f)
         t = fr.torsion(s, f, c)
         h = fr.covariant_hessian(s, f, c, phi)
-        tau_frame = fr.tau_frame_path(s, t, h)
+        tau_frame = fr.tau_coefficients(h.phi_a, t.N)
         tau_coord = fr.frame_tau_components(f, cy.tau(s, phi))
         errs_tau.append(float(np.abs(tau_frame - tau_coord).max()))
-        M_frame = fr.hermitian_frame_path(h)
+        M_frame = fr.hermitian_coefficients(h.phi_abar)
         M_coord = cy.H_part(s, phi, f=f)
         errs_H.append(float(np.abs(M_frame - M_coord).max()))
         hs.append(1.0 / res)

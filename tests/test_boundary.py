@@ -7,7 +7,7 @@ from akcy import boundary as bd
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import frame as fr
-from akcy.errors import ConfigurationError, NoSeedError
+from akcy.errors import ConfigurationError, NoSeedError, PreconditionError
 from akcy.potentials import default_candidates
 from conftest import make_standard, make_twisted
 
@@ -123,35 +123,35 @@ def test_grid_near_matches_brute_force_mask(monkeypatch, s_tw12, chunk):
 
 
 def test_pseudo_holomorphic_coordinate_standard(s_std12):
-    """f = x1 + i y1 is holomorphic for the flat structure away from the
-    periodic seam of the sawtooth coordinates; the conjugate has defect
-    2|df| everywhere."""
+    """f = x1 + i y1 is J0-holomorphic, df o J0 = i df, away from the
+    periodic seam of the sawtooth coordinates; its conjugate has
+    df o J0 = -i df there, with |df| = sqrt(2)."""
     X = s_std12.chart.grid_points()
     f = X[..., 0] + 1j * X[..., 1]
-    defect = bd.pseudo_holomorphic_defect(s_std12, f)
-    interior = (slice(1, -1), slice(1, -1), slice(None), slice(None))
-    assert defect[interior].max() < 1e-12
-    d_conj = bd.pseudo_holomorphic_defect(s_std12, np.conj(f))
-    # |df| = sqrt(2) on the interior, so the anti-holomorphic defect is 2*sqrt(2)
-    assert d_conj[interior].max() == pytest.approx(2 * np.sqrt(2), abs=1e-12)
-    assert d_conj[interior].min() == pytest.approx(2 * np.sqrt(2), abs=1e-12)
-
-
-def test_nijenhuis_pairing_vanishes_on_integrable(s_std12):
-    X = s_std12.chart.grid_points()
-    f = np.sin(2 * np.pi * X[..., 0]) + 1j * np.cos(2 * np.pi * X[..., 1])
-    assert bd.nijenhuis_pairing(s_std12, f).max() < 1e-12
-
-
-def test_nijenhuis_pairing_nonzero_on_twisted(s_tw12):
-    X = s_tw12.chart.grid_points()
-    f = np.sin(2 * np.pi * X[..., 0]).astype(complex)
-    assert bd.nijenhuis_pairing(s_tw12, f).max() > 1e-3
+    interior = (slice(None), slice(1, -1), slice(1, -1), slice(None), slice(None))
+    for g, eigenvalue in ((f, 1j), (np.conj(f), -1j)):
+        df = forms.d_scalar(s_std12.chart, g)
+        dfJ = forms.apply_J_oneform(s_std12, df)
+        assert np.abs(dfJ.comps - eigenvalue * df.comps)[interior].max() < 1e-12
+        norm = np.sqrt(np.sum(np.abs(df.comps) ** 2, axis=0))[interior[1:]]
+        np.testing.assert_allclose(norm, np.sqrt(2), rtol=0, atol=1e-12)
 
 
 def test_select_seed_rejects_integrable(s_std12):
     with pytest.raises(NoSeedError):
         bd.select_seed(s_std12)
+
+
+def test_search_R_rejects_an_empty_R_list(s_tw12):
+    """The list is checked before the seed is read."""
+    with pytest.raises(ConfigurationError):
+        bd.search_R(s_tw12, None, [])
+
+
+def test_boundary_potential_requires_n2():
+    """n = 3 is rejected before the seed is read."""
+    with pytest.raises(PreconditionError):
+        bd.boundary_potential(make_standard([8] * 6), None, 8.0)
 
 
 def test_select_seed_certifies_only_the_winner(monkeypatch, s_tw12):

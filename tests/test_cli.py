@@ -127,6 +127,44 @@ def test_analyze_rejects_a_cut_potential_file(tmp_path, capsys):
     assert "truncated inside its header" in capsys.readouterr().err
 
 
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "no_such.json"
+    code = cli.main(["validate", "--config", str(missing), "--out", str(tmp_path)])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_missing_potential_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.bin"
+    doc = {"structure": BASE_STRUCTURE, "analyze": {"potential": f"file:{missing}"}}
+    code = cli.main(["analyze", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path), "--grid-override", "8,8,8,8"])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_boundary_on_integrable_structure_exit_code(tmp_path, capsys):
+    """select_seed raises NoSeedError on the standard structure: exit 3."""
+    doc = {"structure": {"kind": "standard", "n": 2, "resolution": [8] * 4}}
+    code = cli.main(["boundary", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert "NoSeedError" in capsys.readouterr().err
+
+
+def test_solve_newton_out_of_iterations_exit_code(tmp_path):
+    """One Newton step does not reach the tolerance: exit 5, with the
+    report of the unconverged solve written."""
+    doc = {
+        "structure": dict(BASE_STRUCTURE, resolution=[8] * 4),
+        "solve": {"target": "manufactured", "potential": "builtin:prod_x2_y1",
+                  "scale": 0.01, "method": "newton", "tol": 1e-9, "max_iter": 1},
+    }
+    code = cli.main(["solve", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 5
+    assert json.loads((tmp_path / "solve_report.json").read_text())["converged"] is False
+
+
 def test_boundary_writes_unit_mass_witness(tmp_path):
     doc = {
         "structure": BASE_STRUCTURE,

@@ -7,7 +7,7 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
-from akcy.frame import LocalGeometry
+from akcy.frame import LocalGeometry, hermitian_coefficients, tau_coefficients
 
 from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
                       make_twisted, set_slab_rows, slab_structure, unblocked_deformation_form)
@@ -29,7 +29,8 @@ def test_margin_of_zero_standard_is_one(s_std12):
 
 
 def test_h_of_zero_equals_metric(s_tw12):
-    h = cy.h_form(s_tw12, np.zeros(s_tw12.chart.shape))
+    h = cy.h_matrix(s_tw12.J, (forms.omega_form(s_tw12)
+                               + cy.deformation_form(s_tw12, np.zeros(s_tw12.chart.shape))).comps)
     g = np.broadcast_to(s_tw12.g, h.shape)
     assert np.array_equal(h, g)
 
@@ -139,8 +140,8 @@ def test_top_power_F_at_points_is_the_n2_frame_identity(s_tw12, rng):
     det(M) + |tau_12|^2, M the Hermitian frame matrix of the (1,1) part.
     A batch of another shape gives F of that shape, bitwise the same."""
     lg, pa, pabar, B = _pointwise_deformation(s_tw12, rng)
-    M = lg.hermitian_of(pabar)
-    tau12 = 2.0 * lg.tau_of(pa)[0, 1]
+    M = hermitian_coefficients(pabar)
+    tau12 = 2.0 * tau_coefficients(pa, lg.N)[0, 1]
     expected = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real + np.abs(tau12) ** 2
     F = cy._F_of(s_tw12, B)
     assert F.shape == (200,)
@@ -281,7 +282,7 @@ def _pencil_scale_full_copy(g, delta, chunk):
     return best
 
 
-@pytest.mark.parametrize("chunk", [cy.POINT_CHUNK, 1000])
+@pytest.mark.parametrize("chunk", [1 << 18, 1000])
 def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw12, rng, chunk):
     """Chunking along the leading grid axis (one 12^3 slab per chunk when the
     chunk is small) leaves every per-point reduction and the minimum as they
@@ -289,7 +290,7 @@ def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw
     assert s_tw12.g.shape[2:] == (12, 1, 1, 12)
     delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
     expected = _pencil_scale_full_copy(s_tw12.g, delta, chunk)
-    monkeypatch.setattr(cy, "POINT_CHUNK", chunk)
+    monkeypatch.setattr(cy, "SLAB_POINTS", chunk)
     assert cy._pencil_critical_scale(s_tw12.g, delta) == expected
     assert np.isfinite(expected)
 
@@ -298,9 +299,10 @@ def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw
 def test_min_eigenvalue_blocks_leave_min_and_argmin_unchanged(monkeypatch, s_tw12, rng, chunk):
     """Small point blocks give the minimum and flat argmin of one unblocked
     eigvalsh, on a grid field, a non-contiguous slice of it and a point list."""
-    h = cy.h_form(s_tw12, sample_potential(s_tw12, rng, amp=1.0))
+    phi = sample_potential(s_tw12, rng, amp=1.0)
+    h = cy.h_matrix(s_tw12.J, (forms.omega_form(s_tw12) + cy.deformation_form(s_tw12, phi)).comps)
     scan = h.reshape(4, 4, -1)[:, :, ::3]
-    monkeypatch.setattr(cy, "POINT_CHUNK", chunk)
+    monkeypatch.setattr(cy, "SLAB_POINTS", chunk)
     for M in (h, h[:, :, :, ::2], scan):
         assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
 
@@ -333,7 +335,7 @@ def _count_kernel_points(monkeypatch, name):
 
 def test_min_eigenvalue_of_constant_field_ties_at_index_zero(monkeypatch):
     """Every point ties, so every point stays a candidate and the first wins."""
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     M = np.broadcast_to(_symmetric_field(np.random.default_rng(1), 4, (1, 1)), (4, 4, 3, 100))
     M = np.ascontiguousarray(M)
     assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
@@ -341,7 +343,7 @@ def test_min_eigenvalue_of_constant_field_ties_at_index_zero(monkeypatch):
 
 
 def test_min_eigenvalue_equal_minima_in_two_blocks_first_wins(monkeypatch):
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     M = _symmetric_field(np.random.default_rng(2), 4, (5, 100))
     low = np.diag([-5.0, 2.0, 3.0, 4.0])
     M[:, :, 1, 30] = low
@@ -354,7 +356,7 @@ def test_min_eigenvalue_equal_minima_in_two_blocks_first_wins(monkeypatch):
 def test_min_eigenvalue_dense_off_diagonals_prune_nothing(monkeypatch):
     """(1 - c) I + c ones has lambda_min = 1 - c >= 0.7 but Gershgorin bound
     1 - 3c <= 0.4, below every point's value, so every point reaches eigvalsh."""
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     c = np.random.default_rng(3).uniform(0.2, 0.3, size=(3, 100))
     M = (1.0 - c) * np.eye(4)[:, :, None, None] + c * np.ones((4, 4, 1, 1))
     seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
@@ -363,7 +365,7 @@ def test_min_eigenvalue_dense_off_diagonals_prune_nothing(monkeypatch):
 
 
 def test_min_eigenvalue_six_by_six_field(monkeypatch):
-    monkeypatch.setattr(cy, "POINT_CHUNK", 200)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 200)
     M = _symmetric_field(np.random.default_rng(4), 6, (4, 6, 50), diag=6.0)
     seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
     assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
@@ -372,7 +374,7 @@ def test_min_eigenvalue_six_by_six_field(monkeypatch):
 
 def test_pencil_scale_non_broadcast_base(monkeypatch):
     """A per-point base, as on the boundary scan set."""
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     rng = np.random.default_rng(5)
     base = _symmetric_field(rng, 4, (3, 200), diag=4.0)
     delta = _symmetric_field(rng, 4, (3, 200), diag=0.0)
@@ -384,7 +386,7 @@ def test_pencil_scale_non_broadcast_base(monkeypatch):
 def test_pencil_scale_metric_with_nonpositive_gershgorin_bound(monkeypatch):
     """(1 - c) I + c ones is positive definite for c < 1 but its Gershgorin
     bound 1 - 3c is <= 0 for c >= 1/3; those points are never pruned."""
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     rng = np.random.default_rng(6)
     c = np.where(rng.uniform(size=(3, 100)) < 0.3, 0.5, 0.05)
     g = (1.0 - c) * np.eye(4)[:, :, None, None] + c * np.ones((4, 4, 1, 1))
@@ -399,7 +401,7 @@ def test_pencil_scale_metric_with_nonpositive_gershgorin_bound(monkeypatch):
 def test_nonfinite_entry_at_one_point_raises(monkeypatch, value, entry):
     """eigvalsh returns NaN (or finite values) for such a matrix instead of
     raising, so the sweeps check the entries themselves."""
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     rng = np.random.default_rng(7)
     M = _symmetric_field(rng, 4, (3, 100), diag=8.0)
     M[entry + (2, 99)] = value
@@ -412,7 +414,7 @@ def test_nonfinite_entry_at_one_point_raises(monkeypatch, value, entry):
 
 
 def test_pencil_scale_metric_failing_cholesky_at_one_point_raises(monkeypatch):
-    monkeypatch.setattr(cy, "POINT_CHUNK", 7)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     rng = np.random.default_rng(8)
     g = np.broadcast_to(np.eye(4)[:, :, None, None], (4, 4, 3, 100)).copy()
     g[:, :, 2, 99] = np.diag([1.0, 1.0, -1e-3, 1.0])
@@ -436,10 +438,10 @@ def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
     pick = rng.integers(pool, size=(rows, cols))
     M = _symmetric_field(rng, k, (pool,), diag=rng.uniform(0.0, 4.0))[:, :, pick]
     base = _symmetric_field(rng, k, (pool,), diag=k + 1.0)[:, :, pick]
-    old = cy.POINT_CHUNK
-    cy.POINT_CHUNK = chunk
+    old = cy.SLAB_POINTS
+    cy.SLAB_POINTS = chunk
     try:
         assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
         assert cy._pencil_critical_scale(base, M) == _pencil_scale_full_copy(base, M, chunk)
     finally:
-        cy.POINT_CHUNK = old
+        cy.SLAB_POINTS = old

@@ -1,7 +1,8 @@
 """Every public name the package advertises resolves: each module's __all__
-entries and each name the package root imports from its modules.  Importing
-the package and its command line leaves scipy's sparse solvers unloaded, and
-a Newton solve never loads scipy at all."""
+entries and each name the package root imports from its modules, and each
+has a caller outside the tests.  Importing the package and its command line
+leaves scipy's sparse solvers unloaded, and a Newton solve never loads scipy
+at all."""
 import ast
 import importlib
 import os
@@ -37,6 +38,57 @@ def test_package_root_imports_resolve():
     for module, attr in imported:
         assert hasattr(importlib.import_module(f"akcy.{module}"), attr), (module, attr)
         assert hasattr(akcy, attr), attr
+
+
+SRC = Path(akcy.__file__).resolve().parent
+REPO = SRC.parents[1]
+# Public names kept though only the tests use them, as references: H_part
+# is the coordinate-path H of criterion 05's frame/coordinate cross-check,
+# and TORSION_NIJENHUIS_RATIO the desk-derived ratio of frame (0,2) torsion
+# to the bracket Nijenhuis tensor that test_frame asserts.
+TEST_REFERENCES = {"H_part", "TORSION_NIJENHUIS_RATIO"}
+
+
+def _public_names():
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _used_names(node, strings, enclosing=()):
+    """Names node uses: loaded identifiers, attributes, imported names and,
+    with strings, string literals; a use inside the definition of the same
+    name does not count."""
+    used = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        used.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        used.add(node.attr)
+    elif isinstance(node, ast.alias):
+        used.add(node.name)
+    elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        used.add(node.value)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        used |= _used_names(child, strings, enclosing)
+    return used - set(enclosing)
+
+
+def test_public_names_have_a_caller():
+    """Every __all__ name of akcy is used by akcy itself, a demo or the
+    benchmark, whose tracer patches functions by name (so its string
+    literals count); an __all__ list is not a use."""
+    used = set()
+    for folder, strings in (("src", False), ("demos", False), ("bench", True)):
+        for path in (REPO / folder).rglob("*.py"):
+            used |= _used_names(ast.parse(path.read_text()), strings)
+    assert sorted(_public_names() - used) == sorted(TEST_REFERENCES)
 
 
 def _run_python(code):

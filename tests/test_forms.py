@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st_hyp
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import structure
-from akcy.errors import DegreeError
+from akcy.errors import ConfigurationError, DegreeError, ShapeMismatchError
 from akcy.frame import LocalGeometry
 
 from conftest import make_twisted
@@ -95,11 +95,33 @@ def test_integrate_kills_pure_waves(s_std12):
 
 
 def test_form_matrix_roundtrip(s_std12, rng):
+    """Each entry of the matrix view is its pair component, with the
+    opposite sign below the diagonal; the diagonal is zero."""
     a = random_form(s_std12.chart, 2, rng)
     B = forms.form_to_matrix(a)
-    assert np.abs(B + np.swapaxes(B, 0, 1)).max() < 1e-15
-    back = forms.form_from_matrix(s_std12.chart, B)
-    assert np.abs(back.comps - a.comps).max() == 0.0
+    for p, (i, j) in enumerate(forms.multi_indices(s_std12.chart.dim, 2)):
+        assert np.array_equal(B[i, j], a.comps[p])
+        assert np.array_equal(B[j, i], -a.comps[p])
+    for i in range(s_std12.chart.dim):
+        assert not B[i, i].any()
+
+
+def test_bidegree_project_rejects_a_bidegree_past_two(s_std12, rng):
+    with pytest.raises(ConfigurationError):
+        forms.bidegree_project(s_std12, random_form(s_std12.chart, 2, rng), 3, 0)
+
+
+def test_wedge_and_top_ratio_reject_wrong_degrees(s_std12, rng):
+    chart = s_std12.chart
+    with pytest.raises(DegreeError):
+        forms.wedge(random_form(chart, 3, rng), random_form(chart, 2, rng))
+    with pytest.raises(DegreeError):
+        forms.top_ratio(s_std12, random_form(chart, 3, rng))
+
+
+def test_form_field_rejects_a_wrong_component_count(s_std12):
+    with pytest.raises(ShapeMismatchError):
+        forms.FormField(s_std12.chart, 2, np.zeros((5,) + s_std12.chart.shape))
 
 
 def test_bidegree_projection_resolves_identity(s_tw12, rng):
