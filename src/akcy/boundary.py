@@ -11,6 +11,14 @@ grid pass (`_grid_near`) finds them, and it feeds both `boundary_potential`
 (psi_R values, scan set, min F) and `witness_density` (F(phi_R), which equals
 the seed's F everywhere else).
 
+Memory: every pointwise pass runs over batches of SCAN_CHUNK points in point
+order.  The scan set's LocalGeometry exists one batch at a time and is
+reduced at once to the per-point arrays the certification reads
+(`_ScanGeometry`); the grid's seed F and the witness density gather only the
+frame arrays of `PointFrame` from the broadcast-reduced lattice geometry.
+Point order is kept, so minima, first argmins and every output are bitwise
+those of one pass over all points.
+
 Chart convention: the polydisk chart around the basepoint p0 is
 x(zeta) = p0 + rho * sum_a (zeta_a e_a + conj), with e_a the p0-frame rotated
 so that H(phi)(p0) is diagonal; zeta lives in the unit polydisk and the
@@ -57,7 +65,8 @@ __all__ = [
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
-# Points per LocalGeometry batch, and per batch of plain grid-point sweeps.
+# Points per pointwise batch (a LocalGeometry or a gathered PointFrame), and
+# per batch of plain grid-point sweeps.
 SCAN_CHUNK = 8_192
 GRID_CHUNK = 1 << 20
 
@@ -406,34 +415,68 @@ def select_seed(s):
 # ---------------------------------------------------------------------------
 # Pointwise geometry of the seed and the bump at scan points.
 
-class _ScanGeometry:
-    """Covariant data of seed and bump at a batch of scan points, and their
-    d(J d.) in pair components, Bphi and Bpsi; lg, when given, is the
-    seed-rotated LocalGeometry at those points."""
+def _batches(m):
+    """Point ranges [a, b) of at most SCAN_CHUNK points, in point order."""
+    return [(a, min(a + SCAN_CHUNK, m)) for a in range(0, m, SCAN_CHUNK)]
 
-    def __init__(self, s, seed, bump, points, lg=None):
-        self.lg = LocalGeometry(s, points).rotate(seed.U) if lg is None else lg
-        gphi = seed.analytic_grad(points)
-        hphi = seed.analytic_hess(points)
-        self.pa_phi, _, pabar_phi = self.lg.covariant_of(gphi, hphi)
-        _, gpsi, hpsi = bump.torus_eval(points, order=2)
-        self.pa_psi, _, pabar_psi = self.lg.covariant_of(gpsi, hpsi)
-        self.Bphi = self.lg.deformation_form(self.pa_phi, pabar_phi)
-        self.Bpsi = self.lg.deformation_form(self.pa_psi, pabar_psi)
+
+def _seed_and_bump(frame, seed, bump, points):
+    """(phi_a, Bphi, psi_a, Bpsi): covariant first derivatives of the seed
+    phi and the bump psi at points, and their d(J d.) in pair components,
+    on the frame (a PointFrame or LocalGeometry) at those points."""
+    pa_phi, _, pabar_phi = frame.covariant_of(
+        seed.analytic_grad(points), seed.analytic_hess(points)
+    )
+    _, gpsi, hpsi = bump.torus_eval(points, order=2)
+    pa_psi, _, pabar_psi = frame.covariant_of(gpsi, hpsi)
+    Bphi = frame.deformation_form(pa_phi, pabar_phi)
+    Bpsi = frame.deformation_form(pa_psi, pabar_psi)
+    return pa_phi, Bphi, pa_psi, Bpsi
+
+
+def _scan_batch(s, seed, bump, points):
+    """The per-point arrays _ScanGeometry keeps, on one batch of points; the
+    batch's seed-rotated LocalGeometry is dropped on return."""
+    lg = LocalGeometry(s, points).rotate(seed.U)
+    pa_phi, Bphi, pa_psi, Bpsi = _seed_and_bump(lg, seed, bump, points)
+    return {
+        "pa_phi": pa_phi,
+        "pa_psi": pa_psi,
+        "N12": lg.N[:, 0:1, 1:2],
+        "Bphi": Bphi,
+        "Bpsi": Bpsi,
+        "base": lg.g + cy.h_matrix(lg.J, Bphi),
+        "delta": cy.h_matrix(lg.J, Bpsi),
+    }
+
+
+class _ScanGeometry:
+    """Seed phi and bump psi at the scan points, as the per-point arrays the
+    witness reads: phi_a, psi_a and the torsion entries N^a_{12} for tau_12;
+    Bphi and Bpsi, their d(J d.) in pair components, for F; and the taming
+    pencil h(phi + s psi) = base + s * delta.
+
+    The seed-rotated LocalGeometry is built one SCAN_CHUNK batch at a time,
+    in point order, reduced to these arrays and dropped: memory grows with
+    the scan set only through them (448 bytes per point at n = 2, 960 at
+    n = 3), and they are bitwise those of one geometry on all the points.
+    """
+
+    def __init__(self, s, seed, bump, points):
+        self.s = s
+        m = points.shape[0]
+        for a, b in _batches(m):
+            for key, value in _scan_batch(s, seed, bump, points[a:b]).items():
+                if a == 0:
+                    setattr(self, key, np.empty(value.shape[:-1] + (m,), value.dtype))
+                getattr(self, key)[..., a:b] = value
 
     def tau12(self, amp):
-        c = tau_coefficients(self.pa_phi + amp * self.pa_psi, self.lg.N)
-        return 2.0 * c[0, 1]
+        return 2.0 * tau_coefficients(self.pa_phi + amp * self.pa_psi, self.N12)[0, 0]
 
     def F(self, amp):
         """F(phi + amp psi) at the scan points, by the grid's top power."""
-        return cy._F_of(self.lg.s, self.Bphi + amp * self.Bpsi)
-
-    def h_pencil(self):
-        """(base, delta): coordinate h(phi + s psi) = base + s * delta."""
-        base = self.lg.g + cy.h_matrix(self.lg.J, self.Bphi)
-        delta = cy.h_matrix(self.lg.J, self.Bpsi)
-        return base, delta
+        return cy._F_of(self.s, self.Bphi + amp * self.Bpsi)
 
 
 def _seed_bump(s, seed, R):
@@ -523,13 +566,12 @@ def _seed_grid_F(s, seed):
         pts = chart.grid_points().reshape(-1, chart.dim)
         lattice, idx = _lattice_geometry(s)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], SCAN_CHUNK):
-            block = pts[start : start + SCAN_CHUNK]
-            lg = lattice.take(idx.flat[start : start + SCAN_CHUNK])
-            pa, _, pabar = lg.covariant_of(
-                seed.analytic_grad(block), seed.analytic_hess(block)
+        for a, b in _batches(pts.shape[0]):
+            frame = lattice.take(idx.flat[a:b])
+            pa, _, pabar = frame.covariant_of(
+                seed.analytic_grad(pts[a:b]), seed.analytic_hess(pts[a:b])
             )
-            out[start : start + SCAN_CHUNK] = cy._F_of(s, lg.deformation_form(pa, pabar))
+            out[a:b] = cy._F_of(s, frame.deformation_form(pa, pabar))
         return out
 
     entry = s.cache("seed_grid_F", lambda: [None, None])
@@ -590,7 +632,7 @@ def boundary_potential(s, seed, R, rng_seed=7):
     all_pts = np.concatenate([scan_pts, near_pts], axis=0)
 
     geo = _ScanGeometry(s, seed, bump, all_pts)
-    base, delta = geo.h_pencil()
+    base, delta = geo.base, geo.delta
 
     m0, _ = cy.min_eigenvalue_field(base)
     if m0 <= cy.TAMING_THRESHOLD:
@@ -656,10 +698,13 @@ def witness_density(s, seed, R, amplitude):
     bump = _seed_bump(s, seed, R)
     near_idx, near_pts, _ = _grid_near(s, bump)
     lattice, idx = _lattice_geometry(s)
-    lg = lattice.rotate(seed.U).take(idx.flat[near_idx])
+    rotated = lattice.rotate(seed.U)
     # Off the near set psi_R has zero value and derivatives: F is F(phi).
     out = _seed_grid_F(s, seed).copy()
-    out[near_idx] = _ScanGeometry(s, seed, bump, near_pts, lg).F(amplitude)
+    for a, b in _batches(near_idx.size):
+        frame = rotated.take(idx.flat[near_idx[a:b]])
+        _, Bphi, _, Bpsi = _seed_and_bump(frame, seed, bump, near_pts[a:b])
+        out[near_idx[a:b]] = cy._F_of(s, Bphi + amplitude * Bpsi)
     f = out.reshape(s.chart.shape)
     return f / forms.integrate(s, f)
 

@@ -119,22 +119,26 @@ def _gershgorin(M):
     return low, norm
 
 
-def _pruned_min(fields, bound, kernel):
+def _pruned_min(fields, bound, kernel, limit=np.inf):
     """(min over points of kernel, first flat argmin) over _point_blocks.
 
     bound(*views) is a per-point lower bound of the computed kernel value.
-    The kernel first runs on the PROBE points of lowest bound in each block;
-    it then runs only on points whose bound is not above the least value
-    found so far, since no other point can hold or tie the minimum.  The
-    kernel acts matrix by matrix, so min and argmin equal those of a sweep
-    over every point.
+    The kernel first runs on the PROBE points of lowest bound in each block
+    with more than PROBE points whose bound is not above limit; it then runs
+    only on points whose bound is not above the least value found so far,
+    since no other point can hold or tie the minimum.  The kernel acts
+    matrix by matrix, so min and argmin equal those of a sweep over every
+    point whenever the minimum is not above limit (a value the caller
+    already holds); otherwise the result is some value above limit, or
+    (inf, 0) if no point can reach it.
     """
     blocks = [
         (first, grid, views, np.broadcast_to(bound(*views), grid).ravel())
         for first, grid, views in _point_blocks(*fields)
     ]
-    limit = np.inf
     for _, grid, views, lb in blocks:
+        if np.count_nonzero(lb <= limit) <= PROBE:
+            continue
         probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
         idx = np.unravel_index(probe, grid)
         limit = min(limit, float(kernel(*(_take(V, idx, grid) for V in views)).min()))
@@ -161,11 +165,13 @@ def _min_eigenvalue(M):
     return np.linalg.eigvalsh(M)[:, 0]
 
 
-def min_eigenvalue_field(M):
+def min_eigenvalue_field(M, limit=np.inf):
     """(min eigenvalue over all points, flat argmin index) of a Hermitian
     matrix field with matrix axes first; processes points in blocks and runs
-    eigvalsh only where the Gershgorin bound admits the minimum."""
-    return _pruned_min((M,), _eigen_bound, _min_eigenvalue)
+    eigvalsh only where the Gershgorin bound admits the minimum.  Exact when
+    the minimum is not above limit, a least value known from elsewhere
+    (_pruned_min); points that cannot reach it are skipped."""
+    return _pruned_min((M,), _eigen_bound, _min_eigenvalue, limit)
 
 
 def deformation_form(s, phi):
@@ -318,12 +324,17 @@ def taming_margin(s, phi):
 
 def _margin_of(s, B):
     """taming_margin from B = d(J dphi): the least min_eigenvalue_field over
-    _row_slabs of h built from omega + B, so h is only ever slab-size."""
+    _row_slabs of h built from omega + B, so h is only ever slab-size.  Each
+    slab's sweep is limited by the least margin of the slabs before it, so a
+    slab that cannot hold the minimum runs no eigenvalue kernel."""
     omega = forms.omega_form(s).comps
-    return min(
-        min_eigenvalue_field(h_matrix(_rows(s.J, 2, a, b), omega + B.comps[:, a:b]))[0]
-        for a, b in _row_slabs(B.comps.shape[1:])
-    )
+    margin = np.inf
+    for a, b in _row_slabs(B.comps.shape[1:]):
+        # h is not bound to a name, so no slab's h outlives its sweep.
+        margin = min(margin, min_eigenvalue_field(
+            h_matrix(_rows(s.J, 2, a, b), omega + B.comps[:, a:b]), limit=margin
+        )[0])
+    return margin
 
 
 @dataclass

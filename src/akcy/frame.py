@@ -46,6 +46,7 @@ __all__ = [
     "hermitian_coefficients",
     "frame_tau_components",
     "frame_hermitian_components",
+    "PointFrame",
     "LocalGeometry",
     "TORSION_NIJENHUIS_RATIO",
 ]
@@ -383,7 +384,47 @@ def frame_hermitian_components(f, cff):
 # ---------------------------------------------------------------------------
 # Pointwise analytic path.
 
-class LocalGeometry:
+class PointFrame:
+    """A unitary frame e with its coordinate derivative de and dual coframe
+    theta, the connection 1-forms and the (0,2) torsion N at a batch of
+    points (point axis last): all that covariant_of and deformation_form
+    read."""
+
+    FIELDS = ("e", "de", "theta", "conn_omega", "N")
+
+    def __init__(self, e, de, theta, conn_omega, N):
+        self.e, self.de, self.theta, self.conn_omega, self.N = e, de, theta, conn_omega, N
+
+    def covariant_of(self, grad, hess):
+        """Covariant phi_a, phi_abar, phi_ab of a potential from its analytic
+        coordinate gradient (2n, m) and Hessian (2n, 2n, m)."""
+        phi_a = np.einsum("ak...,k...->a...", self.e, grad)
+        # d(phi_a)_d = (de[d,a,k]) grad_k + e[a,k] hess[d,k]
+        dpa = np.einsum("dak...,k...->da...", self.de, grad) + np.einsum(
+            "ak...,dk...->da...", self.e, hess
+        )
+        return (phi_a,) + _second_covariant(phi_a, dpa, self.conn_omega, self.e)
+
+    def deformation_form(self, phi_a, phi_abar):
+        """Increasing-pair components (pair axis first) of the real 2-form
+        d(Jd phi) from the frame expansion
+        -2i( conj(phi_a) conj(N) theta^b theta^c + phi_abar theta^a conj-theta^b
+             - phi_a N conj-theta^b conj-theta^c )."""
+        c20 = tau_coefficients(phi_a, self.N)
+        th = self.theta
+        thb = np.conj(self.theta)
+        B20 = np.einsum("bc...,bi...,cj...->ij...", c20, th, th)
+        B20 = B20 - np.swapaxes(B20, 0, 1)
+        B11 = -2j * np.einsum("ab...,ai...,bj...->ij...", phi_abar, th, thb)
+        B11 = B11 - np.swapaxes(B11, 0, 1)
+        c02 = 2j * np.einsum("a...,abc...->bc...", phi_a, self.N)
+        B02 = np.einsum("bc...,bi...,cj...->ij...", c02, thb, thb)
+        B02 = B02 - np.swapaxes(B02, 0, 1)
+        total = (B20 + B11 + B02).real
+        return np.stack([total[i, j] for i, j in forms.multi_indices(total.shape[0], 2)])
+
+
+class LocalGeometry(PointFrame):
     """Frame/connection/torsion of an analytic structure at arbitrary points.
 
     Derivatives are small-step central differences of the closed-form fields,
@@ -441,43 +482,11 @@ class LocalGeometry:
         return new
 
     def take(self, idx):
-        """The geometry at points[idx] for a 1-D index array, gathered from
-        this one without evaluating the structure again.  np.take keeps the
-        point axis last in memory too (value[..., idx] would put it first,
-        which slows every later einsum over the points two- to threefold)."""
-        new = object.__new__(LocalGeometry)
-        for key, value in self.__dict__.items():
-            if key == "points":
-                value = value[idx]
-            elif isinstance(value, np.ndarray):
-                value = np.take(value, idx, axis=-1)
-            setattr(new, key, value)
-        return new
-
-    def covariant_of(self, grad, hess):
-        """Covariant phi_a, phi_abar, phi_ab of a potential from its analytic
-        coordinate gradient (2n, m) and Hessian (2n, 2n, m)."""
-        phi_a = np.einsum("ak...,k...->a...", self.e, grad)
-        # d(phi_a)_d = (de[d,a,k]) grad_k + e[a,k] hess[d,k]
-        dpa = np.einsum("dak...,k...->da...", self.de, grad) + np.einsum(
-            "ak...,dk...->da...", self.e, hess
+        """The PointFrame at points[idx] for a 1-D index array, gathered from
+        this geometry without evaluating the structure again; only the five
+        arrays of PointFrame.FIELDS are gathered.  np.take keeps the point
+        axis last in memory too (value[..., idx] would put it first, which
+        slows every later einsum over the points two- to threefold)."""
+        return PointFrame(
+            *(np.take(getattr(self, key), idx, axis=-1) for key in PointFrame.FIELDS)
         )
-        return (phi_a,) + _second_covariant(phi_a, dpa, self.conn_omega, self.e)
-
-    def deformation_form(self, phi_a, phi_abar):
-        """Increasing-pair components (pair axis first) of the real 2-form
-        d(Jd phi) from the frame expansion
-        -2i( conj(phi_a) conj(N) theta^b theta^c + phi_abar theta^a conj-theta^b
-             - phi_a N conj-theta^b conj-theta^c )."""
-        c20 = tau_coefficients(phi_a, self.N)
-        th = self.theta
-        thb = np.conj(self.theta)
-        B20 = np.einsum("bc...,bi...,cj...->ij...", c20, th, th)
-        B20 = B20 - np.swapaxes(B20, 0, 1)
-        B11 = -2j * np.einsum("ab...,ai...,bj...->ij...", phi_abar, th, thb)
-        B11 = B11 - np.swapaxes(B11, 0, 1)
-        c02 = 2j * np.einsum("a...,abc...->bc...", phi_a, self.N)
-        B02 = np.einsum("bc...,bi...,cj...->ij...", c02, thb, thb)
-        B02 = B02 - np.swapaxes(B02, 0, 1)
-        total = (B20 + B11 + B02).real
-        return np.stack([total[i, j] for i, j in forms.multi_indices(total.shape[0], 2)])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from akcy import forms
 from akcy import frame as fr
 from akcy.errors import ConfigurationError, NoSeedError, PreconditionError
 from akcy.potentials import default_candidates
-from conftest import make_standard, make_twisted
+from conftest import assert_same_bytes, make_standard, make_twisted
 
 
 def test_cutoff_plateau_and_tail():
@@ -192,6 +193,46 @@ def test_boundary_potential_sits_on_cone_boundary():
     assert report.amplitude_in_range
     assert report.min_eig_in_disk
     assert report.minF > 0.0
+
+
+@pytest.fixture(scope="module")
+def tw12_seed(s_tw12):
+    return bd.select_seed(s_tw12)
+
+
+def _witness(s, seed, R=8.0):
+    """(report JSON, phi_R, witness density) of one boundary run, on a copy of
+    the seed so that its grid F is rebuilt too."""
+    seed = dataclasses.replace(seed)
+    phi_R, report = bd.boundary_potential(s, seed, R)
+    density = bd.witness_density(s, seed, R, report.amplitude)
+    return json.dumps(report.as_dict()), phi_R.values, density
+
+
+@pytest.mark.parametrize("chunk", [1000, 4096, 10**6])
+def test_boundary_witness_is_bitwise_the_same_in_any_batches(monkeypatch, s_tw12, tw12_seed, chunk):
+    """Scan geometry, seed grid F and witness density built in batches of
+    1,000, of 4,096 (a ragged last batch) or of all the points give the
+    report, phi_R and the density of the default batches byte for byte."""
+    want = _witness(s_tw12, tw12_seed)
+    monkeypatch.setattr(bd, "SCAN_CHUNK", chunk)
+    got = _witness(s_tw12, tw12_seed)
+    assert got[0] == want[0]
+    assert_same_bytes(got[1], want[1])
+    assert_same_bytes(got[2], want[2])
+
+
+def test_scan_geometry_holds_no_geometry_and_under_1kb_per_point(monkeypatch, s_tw12, tw12_seed):
+    """The scan geometry keeps only per-point arrays, under 1 KB per point at
+    n = 2, and no LocalGeometry or PointFrame, also across batches."""
+    bump = bd._seed_bump(s_tw12, tw12_seed, 8.0)
+    w = bd._scan_lattice(bump, 8.0, np.random.default_rng(7))[:2500]
+    monkeypatch.setattr(bd, "SCAN_CHUNK", 1000)
+    geo = bd._ScanGeometry(s_tw12, tw12_seed, bump, bump.chart_to_torus(w))
+    held = [v for v in vars(geo).values() if isinstance(v, np.ndarray)]
+    assert not any(isinstance(v, fr.PointFrame) for v in vars(geo).values())
+    assert held and all(v.shape[-1] == len(w) for v in held)
+    assert sum(v.nbytes for v in held) < 1024 * len(w)
 
 
 def _flat_seed(s):

@@ -70,9 +70,9 @@ def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, g
     points = []
     sweep = cy.min_eigenvalue_field
 
-    def counted(M):
+    def counted(M, **kwargs):
         points.append(int(np.prod(M.shape[2:])))
-        return sweep(M)
+        return sweep(M, **kwargs)
 
     monkeypatch.setattr(cy, "min_eigenvalue_field", counted)
     assert cy.taming_margin(s, phi) == margin
@@ -86,6 +86,38 @@ def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, g
     report = cy.analyze_potential(s, phi, compute_amplitude=False)
     assert report.margin == margin
     assert_same_bytes(report.F, direct)
+
+
+@pytest.mark.parametrize("rows", REDUCTION_ROWS)
+@pytest.mark.parametrize("grid", REDUCTION_GRIDS)
+def test_running_minimum_margin_needs_no_more_eigvalsh_calls(monkeypatch, grid, rows):
+    """The taming margin, each slab's sweep limited by the slabs before it,
+    equals the whole-grid sweep bitwise and makes no more eigvalsh calls
+    than independent sweeps of the same slabs; the noise whose size grows
+    along axis 0 puts the least margins in the later slabs."""
+    s = slab_structure(grid)
+    shape = s.chart.shape
+    set_slab_rows(monkeypatch, shape, rows)
+    omega = forms.omega_form(s).comps
+    noise = 1e-3 * np.random.default_rng(3).standard_normal(shape)
+    ramp = np.linspace(1.0, 3.0, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+    smooth = 0.02 * potentials.default_candidates(s.half_dim)[0].value(s.chart.grid_points())
+    for phi in (noise, ramp * noise, smooth):
+        B = unblocked_deformation_form(s, phi)
+        whole, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, omega + B.comps))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(len(M)) or eigvalsh(M))
+        independent = min(
+            cy.min_eigenvalue_field(cy.h_matrix(cy._rows(s.J, 2, a, b), omega + B.comps[:, a:b]))[0]
+            for a, b in cy._row_slabs(shape)
+        )
+        before = len(calls)
+        calls.clear()
+        margin = cy._margin_of(s, B)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert margin == whole == independent
+        assert len(calls) <= before
 
 
 def test_one_slabs_component_defect_raises(monkeypatch):
@@ -362,6 +394,21 @@ def test_min_eigenvalue_dense_off_diagonals_prune_nothing(monkeypatch):
     seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
     assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
     assert seen[0] >= M[0, 0].size
+
+
+def test_min_eigenvalue_limit_is_exact_at_or_above_the_minimum(monkeypatch):
+    """On diagonal matrices, whose Gershgorin bound is the value itself, a
+    limit at or above the minimum leaves min and argmin exact, and a limit
+    below it lets no point reach eigvalsh."""
+    monkeypatch.setattr(cy, "SLAB_POINTS", 100)
+    d = np.random.default_rng(5).uniform(1.0, 2.0, size=(4, 3, 100))
+    M = d[:, None] * np.eye(4)[:, :, None, None]
+    want = _min_eigenvalue_reference(M)
+    for limit in (np.inf, want[0] + 0.01, want[0]):
+        assert cy.min_eigenvalue_field(M, limit=limit) == want
+    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    assert cy.min_eigenvalue_field(M, limit=want[0] - 1e-6) == (np.inf, 0)
+    assert seen[0] == 0
 
 
 def test_min_eigenvalue_six_by_six_field(monkeypatch):
