@@ -381,10 +381,12 @@ def select_seed(s):
 
     cand = best["cand"]
     raw = cand.value(chart.grid_points())
-    c = 0.9 * cy.positivity_amplitude(s, raw) if best["bounded"] else 1.0
+    # One pencil g + t*delta gives the winner's certified scale and its margin.
+    delta = cy.h_matrix(s.J, cy.deformation_form(s, raw).comps)
+    c = 0.9 * cy.pencil_amplitude(s.g, delta) if best["bounded"] else 1.0
+    margin, _ = cy.min_eigenvalue_field(delta, c, s.g)
     p0 = chart.index_to_point(best["p0_idx"])
     phi_vals = c * raw
-    margin = cy.taming_margin(s, phi_vals)
     if margin <= cy.TAMING_THRESHOLD:
         raise SeedSearchError(f"seed scaling failed to keep taming margin > 0 ({margin})")
 
@@ -640,7 +642,7 @@ def boundary_potential(s, seed, R, rng_seed=7):
             f"seed potential is not strictly taming on the scan set (margin {m0:.3e})"
         )
     a = cy.pencil_amplitude(base, delta)
-    margin_final, loc = cy.min_eigenvalue_field(base + a * delta)
+    margin_final, loc = cy.min_eigenvalue_field(delta, a, base)
     rmax = _pair_radii(bump.torus_to_chart(all_pts[loc][None, :])).max()
     min_eig_in_disk = bool(rmax <= 1.0 / R + 1e-9)
 

@@ -17,7 +17,9 @@ row of J dphi built once and its last two rows handed on to the next slab,
 so its gradient and J-gradient are only slab-size.  The taming margin and F
 with its component check are reduced over the same row slabs of one
 d(J dphi) (_margin_of, _F_total): h, the F_j and their intermediates are
-slab-size, and only d(J dphi) itself and F are grid-size.
+slab-size, and only d(J dphi) itself and F are grid-size.  The taming matrix
+is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil of it,
+g + h_matrix(J, B) + t*delta, block by block, never at grid size.
 """
 
 from __future__ import annotations
@@ -165,13 +167,16 @@ def _min_eigenvalue(M):
     return np.linalg.eigvalsh(M)[:, 0]
 
 
-def min_eigenvalue_field(M, limit=np.inf):
-    """(min eigenvalue over all points, flat argmin index) of a Hermitian
-    matrix field with matrix axes first; processes points in blocks and runs
-    eigvalsh only where the Gershgorin bound admits the minimum.  Exact when
-    the minimum is not above limit, a least value known from elsewhere
-    (_pruned_min); points that cannot reach it are skipped."""
-    return _pruned_min((M,), _eigen_bound, _min_eigenvalue, limit)
+def min_eigenvalue_field(M, t=1.0, base=None, limit=np.inf):
+    """(min eigenvalue, first flat argmin) over the points of base + t*M, or
+    of M when base is None; fields have matrix axes first, and base may
+    broadcast (the metric).  _pruned_min forms the pencil t*M + base block by
+    block in its bound and kernel, so it is never grid-size.  Exact when the
+    minimum is not above limit, a least value known from elsewhere."""
+    if base is None:
+        return _pruned_min((M,), _eigen_bound, _min_eigenvalue, limit)
+    return _pruned_min((M, base), lambda Mv, bv: _eigen_bound(t * Mv + bv),
+                       lambda Mp, bp: _min_eigenvalue(t * Mp + bp), limit)
 
 
 def deformation_form(s, phi):
@@ -269,15 +274,9 @@ def _deformation_slabs(s, u, out=None):
         Jg_mid = Jg_rows[:, 1:-1] if halo else Jg_rows
         B = np.zeros((npairs, b - a) + grid[1:], dtype=dtype) if out is None else out[:, a:b]
         d_rows = diff[:b - a]
-        for i, d, o, minus in forms.d_terms(chart.dim, 1):
-            if d == 0:
-                _diff_rows(chart, Jg_rows[i], d_rows)
-            else:
-                chart.diff(Jg_mid[i], d, out=d_rows)
-            if minus:
-                B[o] -= d_rows
-            else:
-                B[o] += d_rows
+        forms.add_d_terms(B, chart.dim, 1, lambda i, d: (
+            _diff_rows(chart, Jg_rows[i], d_rows) if d == 0
+            else chart.diff(Jg_mid[i], d, out=d_rows)))
         yield a, b, B
 
 
@@ -316,24 +315,23 @@ def h_matrix(J, comps):
 
 
 def taming_margin(s, phi):
-    """Grid-min over points of the smallest eigenvalue of h(phi), the h_matrix
-    of omega + d(J dphi); h(phi) is positive definite exactly where omega(phi)
-    tames J."""
+    """Grid-min over points of the smallest eigenvalue of h(phi) =
+    g + h_matrix(J, d(J dphi)); h(phi) is positive definite exactly where
+    omega(phi) tames J."""
     return _margin_of(s, deformation_form(s, phi))
 
 
 def _margin_of(s, B):
     """taming_margin from B = d(J dphi): the least min_eigenvalue_field over
-    _row_slabs of h built from omega + B, so h is only ever slab-size.  Each
+    _row_slabs of h = h_matrix(J, B) + g, so h is only ever slab-size.  Each
     slab's sweep is limited by the least margin of the slabs before it, so a
     slab that cannot hold the minimum runs no eigenvalue kernel."""
-    omega = forms.omega_form(s).comps
     margin = np.inf
     for a, b in _row_slabs(B.comps.shape[1:]):
-        # h is not bound to a name, so no slab's h outlives its sweep.
-        margin = min(margin, min_eigenvalue_field(
-            h_matrix(_rows(s.J, 2, a, b), omega + B.comps[:, a:b]), limit=margin
-        )[0])
+        h = h_matrix(_rows(s.J, 2, a, b), B.comps[:, a:b])
+        h += _rows(s.g, 2, a, b)
+        margin = min(margin, min_eigenvalue_field(h, limit=margin)[0])
+        del h
     return margin
 
 
@@ -487,13 +485,6 @@ def _pencil_critical_scale(g, delta):
     return -1.0 / lam if lam < 0.0 else np.inf
 
 
-def _pencil_at(base, delta, t):
-    """base + t*delta with one grid-size temporary (addition commutes exactly)."""
-    out = t * delta
-    out += base
-    return out
-
-
 def pencil_amplitude(base, delta):
     """a = sup{ s > 0 : base + s*delta positive definite at every point }.
 
@@ -507,8 +498,8 @@ def pencil_amplitude(base, delta):
         raise AmplitudeError(
             f"no taming sign change up to {AMPLITUDE_MAX:.1e}; amplitude unbounded"
         )
-    below, _ = min_eigenvalue_field(_pencil_at(base, delta, a * (1.0 - AMPLITUDE_RTOL)))
-    above, _ = min_eigenvalue_field(_pencil_at(base, delta, a * (1.0 + AMPLITUDE_RTOL)))
+    below, _ = min_eigenvalue_field(delta, a * (1.0 - AMPLITUDE_RTOL), base)
+    above, _ = min_eigenvalue_field(delta, a * (1.0 + AMPLITUDE_RTOL), base)
     if not (below > 0.0 and above <= 0.0):
         raise ConsistencyError(
             f"pencil critical scale {a!r} is not a taming sign change: margin "
@@ -543,8 +534,9 @@ def analyze_potential(s, phi, compute_amplitude=True):
     """Full diagnostic sweep of a potential: F bounds, margin, amplitude.
 
     The report carries the F field itself as ``report.F``.  One d(J dphi)
-    feeds F, the margin and the amplitude direction; it is released before
-    the amplitude sweeps.
+    feeds F and the margin; with an amplitude, it is released once the
+    direction delta = h_matrix(J, d(J dphi)) is built, and the margin is
+    read off the pencil g + delta.
     """
     B = deformation_form(s, phi)
     direct, comps = _F_total(s, B, return_components=True)
@@ -553,16 +545,18 @@ def analyze_potential(s, phi, compute_amplitude=True):
         for j, c in enumerate(comps)
     ]
     del comps
-    margin = _margin_of(s, B)
     amplitude = None
     if compute_amplitude:
+        delta = h_matrix(s.J, B.comps)
+        del B
+        margin, _ = min_eigenvalue_field(delta, 1.0, s.g)
         try:
             _require_nonconstant(phi)
-            delta = h_matrix(s.J, B.comps)
-            del B
             amplitude = pencil_amplitude(s.g, delta)
         except (AmplitudeError, PreconditionError):
             amplitude = None
+    else:
+        margin = _margin_of(s, B)
     return PotentialReport(
         F_min=float(direct.min()),
         F_max=float(direct.max()),

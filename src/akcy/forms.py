@@ -135,20 +135,23 @@ def exterior_derivative(a):
     shape = a.comps.shape[1:]
     comps = np.zeros((len(multi_indices(chart.dim, k + 1)),) + shape, dtype=a.comps.dtype)
     diff = np.empty_like(comps[0])
-    for i, d, o, minus in d_terms(chart.dim, k):
-        chart.diff(a.comps[i], d, out=diff)
-        if minus:
-            comps[o] -= diff
-        else:
-            comps[o] += diff
+    add_d_terms(comps, chart.dim, k, lambda i, d: chart.diff(a.comps[i], d, out=diff))
     return FormField(chart, k + 1, comps)
+
+
+def add_d_terms(out, dim, k, diff):
+    """Add the discrete d of a k-form into the (k+1)-form components out
+    (zeros), term by term in d_terms order; diff(i, d) returns the axis-d
+    difference of component i."""
+    for i, d, o, minus in d_terms(dim, k):
+        (np.subtract if minus else np.add)(out[o], diff(i, d), out=out[o])
 
 
 @lru_cache(maxsize=None)
 def d_terms(dim, k):
     """Terms (i, d, o, minus) of the discrete d of a k-form, in the order
-    exterior_derivative adds them: component o of the (k+1)-form gains the
-    axis-d difference of component i, subtracted when minus."""
+    add_d_terms adds them: component o of the (k+1)-form gains the axis-d
+    difference of component i, subtracted when minus."""
     out_pos = index_positions(dim, k + 1)
     terms = []
     for i, I in enumerate(multi_indices(dim, k)):

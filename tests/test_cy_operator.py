@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +65,7 @@ def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, g
     set_slab_rows(monkeypatch, shape, rows)
     phi = 1e-3 * np.random.default_rng(3).standard_normal(shape)
     B = unblocked_deformation_form(s, phi)
-    margin, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, (forms.omega_form(s) + B).comps))
+    margin, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, B.comps) + s.g)
     direct = cy._F_of(s, B.comps)
     comps = cy._F_components(s, s.J, B.comps)
 
@@ -98,18 +100,18 @@ def test_running_minimum_margin_needs_no_more_eigvalsh_calls(monkeypatch, grid, 
     s = slab_structure(grid)
     shape = s.chart.shape
     set_slab_rows(monkeypatch, shape, rows)
-    omega = forms.omega_form(s).comps
     noise = 1e-3 * np.random.default_rng(3).standard_normal(shape)
     ramp = np.linspace(1.0, 3.0, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
     smooth = 0.02 * potentials.default_candidates(s.half_dim)[0].value(s.chart.grid_points())
     for phi in (noise, ramp * noise, smooth):
         B = unblocked_deformation_form(s, phi)
-        whole, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, omega + B.comps))
+        whole, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, B.comps) + s.g)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(len(M)) or eigvalsh(M))
         independent = min(
-            cy.min_eigenvalue_field(cy.h_matrix(cy._rows(s.J, 2, a, b), omega + B.comps[:, a:b]))[0]
+            cy.min_eigenvalue_field(cy.h_matrix(cy._rows(s.J, 2, a, b), B.comps[:, a:b])
+                                    + cy._rows(s.g, 2, a, b))[0]
             for a, b in cy._row_slabs(shape)
         )
         before = len(calls)
@@ -258,6 +260,16 @@ def test_analyze_potential_report_schema(s_tw12, rng):
     assert [c["j"] for c in d["components"]] == [0, 1]
 
 
+def test_analyze_margin_with_and_without_amplitude_is_bitwise_the_same(s_tw12, rng):
+    """With an amplitude the margin is read off the pencil g + 1.0*delta,
+    without one slab by slab off h_matrix(J, B) + g: the same numbers."""
+    phi = sample_potential(s_tw12, rng, amp=0.05)
+    with_amplitude = cy.analyze_potential(s_tw12, phi)
+    without = cy.analyze_potential(s_tw12, phi, compute_amplitude=False)
+    assert with_amplitude.amplitude is not None and without.amplitude is None
+    assert with_amplitude.margin == without.margin == cy.taming_margin(s_tw12, phi)
+
+
 def test_amplitude_rejects_constant_direction(s_tw12):
     with pytest.raises(PreconditionError):
         cy.positivity_amplitude(s_tw12, np.zeros(s_tw12.chart.shape))
@@ -337,6 +349,47 @@ def test_min_eigenvalue_blocks_leave_min_and_argmin_unchanged(monkeypatch, s_tw1
     monkeypatch.setattr(cy, "SLAB_POINTS", chunk)
     for M in (h, h[:, :, :, ::2], scan):
         assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1000, 7])
+def test_pencil_sweep_is_bitwise_the_materialised_pencil(monkeypatch, s_tw12, rng, chunk):
+    """min_eigenvalue_field(M, t, base, limit), which forms t*M + base block
+    by block, gives the value and first argmin of one unblocked sweep of the
+    materialised t*M + base, for the broadcast metric, a full base and a
+    point list, at scales on both sides of the critical one."""
+    phi = sample_potential(s_tw12, rng, amp=0.05)
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, phi).comps)
+    full = s_tw12.g + 0.5 * delta[:, :, ::-1]
+    a = cy.pencil_amplitude(s_tw12.g, delta)
+    monkeypatch.setattr(cy, "SLAB_POINTS", chunk)
+    for M, base in ((delta, s_tw12.g), (delta, full),
+                    (delta.reshape(4, 4, -1)[:, :, ::5], full.reshape(4, 4, -1)[:, :, ::5])):
+        for t in (0.0, 0.5 * a, a * (1.0 - 1e-9), a, 2.0 * a):
+            want = _min_eigenvalue_reference(t * M + base)
+            assert cy.min_eigenvalue_field(M, t, base) == want
+            assert cy.min_eigenvalue_field(M, t, base, limit=want[0]) == want
+            assert cy.min_eigenvalue_field(M, t, base, limit=want[0] - 1e-6)[0] > want[0] - 1e-6
+
+
+def test_pencil_amplitude_builds_no_pencil_size_temporary(monkeypatch, s_tw12, rng):
+    """The certifying sweeps of pencil_amplitude form base + t*delta block by
+    block: on a grid of twelve slabs its allocation peak stays below half
+    the size of delta (about a quarter), where one materialised pencil
+    alone is all of it."""
+    shape = s_tw12.chart.shape
+    set_slab_rows(monkeypatch, shape, 1)
+    phi = sample_potential(s_tw12, rng, amp=0.05)
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, phi).comps)
+    assert len(cy._row_slabs(shape)) == 12 and delta.shape[2:] == shape
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cy.pencil_amplitude(s_tw12.g, delta)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * delta.nbytes
 
 
 def _min_eigenvalue_reference(M):
