@@ -381,12 +381,10 @@ def select_seed(s):
 
     cand = best["cand"]
     raw = cand.value(chart.grid_points())
-    # One pencil g + t*delta gives the winner's certified scale and its margin.
-    delta = cy.h_matrix(s.J, cy.deformation_form(s, raw).comps)
-    c = 0.9 * cy.pencil_amplitude(s.g, delta) if best["bounded"] else 1.0
-    margin, _ = cy.min_eigenvalue_field(delta, c, s.g)
+    c = 0.9 * cy.positivity_amplitude(s, raw) if best["bounded"] else 1.0
     p0 = chart.index_to_point(best["p0_idx"])
     phi_vals = c * raw
+    margin = cy.taming_margin(s, phi_vals)
     if margin <= cy.TAMING_THRESHOLD:
         raise SeedSearchError(f"seed scaling failed to keep taming margin > 0 ({margin})")
 

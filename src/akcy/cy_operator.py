@@ -534,9 +534,8 @@ def analyze_potential(s, phi, compute_amplitude=True):
     """Full diagnostic sweep of a potential: F bounds, margin, amplitude.
 
     The report carries the F field itself as ``report.F``.  One d(J dphi)
-    feeds F and the margin; with an amplitude, it is released once the
-    direction delta = h_matrix(J, d(J dphi)) is built, and the margin is
-    read off the pencil g + delta.
+    feeds F, the margin and the amplitude direction; it is released before
+    the amplitude sweeps.
     """
     B = deformation_form(s, phi)
     direct, comps = _F_total(s, B, return_components=True)
@@ -545,18 +544,16 @@ def analyze_potential(s, phi, compute_amplitude=True):
         for j, c in enumerate(comps)
     ]
     del comps
+    margin = _margin_of(s, B)
     amplitude = None
     if compute_amplitude:
-        delta = h_matrix(s.J, B.comps)
-        del B
-        margin, _ = min_eigenvalue_field(delta, 1.0, s.g)
         try:
             _require_nonconstant(phi)
+            delta = h_matrix(s.J, B.comps)
+            del B
             amplitude = pencil_amplitude(s.g, delta)
         except (AmplitudeError, PreconditionError):
             amplitude = None
-    else:
-        margin = _margin_of(s, B)
     return PotentialReport(
         F_min=float(direct.min()),
         F_max=float(direct.max()),

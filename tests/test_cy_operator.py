@@ -260,16 +260,6 @@ def test_analyze_potential_report_schema(s_tw12, rng):
     assert [c["j"] for c in d["components"]] == [0, 1]
 
 
-def test_analyze_margin_with_and_without_amplitude_is_bitwise_the_same(s_tw12, rng):
-    """With an amplitude the margin is read off the pencil g + 1.0*delta,
-    without one slab by slab off h_matrix(J, B) + g: the same numbers."""
-    phi = sample_potential(s_tw12, rng, amp=0.05)
-    with_amplitude = cy.analyze_potential(s_tw12, phi)
-    without = cy.analyze_potential(s_tw12, phi, compute_amplitude=False)
-    assert with_amplitude.amplitude is not None and without.amplitude is None
-    assert with_amplitude.margin == without.margin == cy.taming_margin(s_tw12, phi)
-
-
 def test_amplitude_rejects_constant_direction(s_tw12):
     with pytest.raises(PreconditionError):
         cy.positivity_amplitude(s_tw12, np.zeros(s_tw12.chart.shape))
