@@ -38,7 +38,7 @@ print(f"tau12 lower bound on the disk: {d['tau12_bound']:.4f} "
       f"(epsilon1/2 = {d['epsilon1'] / 2:.4f})")
 
 # the witness density this potential realizes, as a solver target
-f = akcy.witness_density(s, seed, 8.0, d["amplitude"])
+f = akcy.witness_density(s, rep)
 print(f"witness density range: [{f.min():.4f}, {f.max():.4f}], "
       f"mass dev {abs(akcy.integrate(s, f) - 1.0):.2e}")
 print(f"total {time.time() - t0:.1f}s")

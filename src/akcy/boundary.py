@@ -7,14 +7,16 @@ through the pointwise analytic geometry (`LocalGeometry`), never finite
 differenced: the inner bump feature scale 1/R^2 sits far below any feasible
 uniform grid.  psi_R and all its derivatives vanish identically off its
 support, so only the grid points near the polydisk ever need the bump: one
-grid pass (`_grid_near`) finds them, and it feeds both `boundary_potential`
-(psi_R values, scan set, min F) and `witness_density` (F(phi_R), which equals
-the seed's F everywhere else).
+grid pass (`_grid_near`) finds them, and `boundary_potential` evaluates them
+with the scan set.  It evaluates F(phi_R) once: on the scan set and the near
+points from the seed-rotated geometry, and everywhere else as the seed's grid
+F.  The grid-shaped F(phi_R) rides on the report, and `witness_density` only
+normalizes it.
 
 Memory: every pointwise pass runs over batches of SCAN_CHUNK points in point
-order.  The scan set's LocalGeometry exists one batch at a time and is
-reduced at once to the per-point arrays the certification reads
-(`_ScanGeometry`); the grid's seed F and the witness density gather only the
+order.  The scan set's LocalGeometry, built in the seed-rotated frame, exists
+one batch at a time and is reduced at once to the per-point arrays the
+certification reads (`_ScanGeometry`); the seed's grid F gathers only the
 frame arrays of `PointFrame` from the broadcast-reduced lattice geometry.
 Point order is kept, so minima, first argmins and every output are bitwise
 those of one pass over all points.
@@ -65,10 +67,9 @@ __all__ = [
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
-# Points per pointwise batch (a LocalGeometry or a gathered PointFrame), and
-# per batch of plain grid-point sweeps.
+# Points per batch of every point pass: a LocalGeometry, a gathered
+# PointFrame or the near-set sweep of the grid.
 SCAN_CHUNK = 8_192
-GRID_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +263,6 @@ class BumpField:
             hess = np.einsum("ki,klm,lj->ijm", self.Minv, hess, self.Minv)
         return psi, grad, hess
 
-    def support_mask(self, w):
-        """psi_R support: some |zeta_i| <= 1/R^2 (i<2) and all |zeta_a| <= 1/R."""
-        r = _pair_radii(w)
-        inner = np.any(r[:, :2] <= 1.0 / self.spec.R**2, axis=1)
-        return inner & np.all(r <= 1.0 / self.spec.R, axis=1)
-
 
 def bump_psi(spec: BumpSpec) -> BumpField:
     """Construct psi_R with analytic first/second chart derivatives."""
@@ -420,25 +415,17 @@ def _batches(m):
     return [(a, min(a + SCAN_CHUNK, m)) for a in range(0, m, SCAN_CHUNK)]
 
 
-def _seed_and_bump(frame, seed, bump, points):
-    """(phi_a, Bphi, psi_a, Bpsi): covariant first derivatives of the seed
-    phi and the bump psi at points, and their d(J d.) in pair components,
-    on the frame (a PointFrame or LocalGeometry) at those points."""
-    pa_phi, _, pabar_phi = frame.covariant_of(
-        seed.analytic_grad(points), seed.analytic_hess(points)
-    )
-    _, gpsi, hpsi = bump.torus_eval(points, order=2)
-    pa_psi, _, pabar_psi = frame.covariant_of(gpsi, hpsi)
-    Bphi = frame.deformation_form(pa_phi, pabar_phi)
-    Bpsi = frame.deformation_form(pa_psi, pabar_psi)
-    return pa_phi, Bphi, pa_psi, Bpsi
-
-
 def _scan_batch(s, seed, bump, points):
     """The per-point arrays _ScanGeometry keeps, on one batch of points; the
     batch's seed-rotated LocalGeometry is dropped on return."""
-    lg = LocalGeometry(s, points).rotate(seed.U)
-    pa_phi, Bphi, pa_psi, Bpsi = _seed_and_bump(lg, seed, bump, points)
+    lg = LocalGeometry(s, points, seed.U)
+    pa_phi, _, pabar_phi = lg.covariant_of(
+        seed.analytic_grad(points), seed.analytic_hess(points)
+    )
+    _, gpsi, hpsi = bump.torus_eval(points, order=2)
+    pa_psi, _, pabar_psi = lg.covariant_of(gpsi, hpsi)
+    Bphi = lg.deformation_form(pa_phi, pabar_phi)
+    Bpsi = lg.deformation_form(pa_psi, pabar_psi)
     return {
         "pa_phi": pa_phi,
         "pa_psi": pa_psi,
@@ -482,7 +469,7 @@ class _ScanGeometry:
 def _seed_bump(s, seed, R):
     """psi_R in the polydisk chart at seed.p0, whose frame is rotated so that
     H(phi)(p0) is diagonal."""
-    frame = LocalGeometry(s, seed.p0[None, :]).rotate(seed.U).e[..., 0]
+    frame = LocalGeometry(s, seed.p0[None, :], seed.U).e[..., 0]
     return bump_psi(BumpSpec(R, seed.p0, frame, seed.lam, seed.chart_scale))
 
 
@@ -523,10 +510,10 @@ def _grid_near(s, bump):
     chart = s.chart
     pts = chart.grid_points().reshape(-1, chart.dim)
     idx, w = [], []
-    for start in range(0, pts.shape[0], GRID_CHUNK):
-        w_block = bump.torus_to_chart(pts[start : start + GRID_CHUNK])
+    for a, b in _batches(pts.shape[0]):
+        w_block = bump.torus_to_chart(pts[a:b])
         keep = np.flatnonzero(_pair_radii(w_block).max(axis=1) <= 1.5 / bump.spec.R)
-        idx.append(start + keep)
+        idx.append(a + keep)
         w.append(w_block[keep])
     idx = np.concatenate(idx)
     return idx, pts[idx], np.concatenate(w, axis=0)
@@ -594,6 +581,7 @@ class BoundaryReport:
     amplitude_in_range: bool = True
     tau12_bound: float = None
     diagnostics: dict = field(default_factory=dict)
+    F: np.ndarray = field(default=None, repr=False)   # F(phi_R) on the grid; not in as_dict
 
     def as_dict(self):
         return {
@@ -648,11 +636,12 @@ def boundary_potential(s, seed, R, rng_seed=7):
     psi.flat[near_idx] = bump.chart_eval(w_near, order=0)[0]
     phi_R = cy.project_zero_mean(s, seed.potential.values + a * psi)
 
-    # On grid points outside the support psi vanishes identically, so
-    # F(phi_R) = F(phi) there; inside, the scan geometry covers them.
-    outside = np.ones(psi.size, dtype=bool)
-    outside[near_idx[bump.support_mask(w_near)]] = False
-    minF = float(min(geo.F(a).min(), _seed_grid_F(s, seed)[outside].min()))
+    # Off the near set psi_R has zero value and derivatives, so F(phi_R) is
+    # the seed's F there; on it, the scan geometry evaluates it.
+    F_scan = geo.F(a)
+    F_R = _seed_grid_F(s, seed).copy()
+    F_R[near_idx] = F_scan[len(w_scan) :]
+    minF = float(min(F_scan.min(), F_R.min()))
     near = np.max(np.abs(w_scan), axis=1) <= 1.2 / R**2
     tau12_near = geo.tau12(a)[: len(w_scan)][near]
     minF1 = float(np.min(np.abs(tau12_near) ** 2))
@@ -680,6 +669,7 @@ def boundary_potential(s, seed, R, rng_seed=7):
         amplitude_in_range=a <= 1.0 + 1e-8,
         tau12_bound=tau12_bound,
         diagnostics={"scan_points": int(all_pts.shape[0])},
+        F=F_R.reshape(s.chart.shape),
     )
     return phi_R, report
 
@@ -692,21 +682,10 @@ def epsilon0_floor(seed, half_dim):
     return 0.5 * (seed.epsilon1 / 2.0) ** 2 * extra * 2.0 ** (-half_dim)
 
 
-def witness_density(s, seed, R, amplitude):
-    """Pointwise F(phi + a psi_R) at every grid point, normalized to unit
-    mass; the positive target density realized by a boundary potential."""
-    bump = _seed_bump(s, seed, R)
-    near_idx, near_pts, _ = _grid_near(s, bump)
-    lattice, idx = _lattice_geometry(s)
-    rotated = lattice.rotate(seed.U)
-    # Off the near set psi_R has zero value and derivatives: F is F(phi).
-    out = _seed_grid_F(s, seed).copy()
-    for a, b in _batches(near_idx.size):
-        frame = rotated.take(idx.flat[near_idx[a:b]])
-        _, Bphi, _, Bpsi = _seed_and_bump(frame, seed, bump, near_pts[a:b])
-        out[near_idx[a:b]] = cy._F_of(s, Bphi + amplitude * Bpsi)
-    f = out.reshape(s.chart.shape)
-    return f / forms.integrate(s, f)
+def witness_density(s, report):
+    """F(phi_R) of a boundary report at every grid point, normalized to unit
+    mass; the positive target density realized by the boundary potential."""
+    return report.F / forms.integrate(s, report.F)
 
 
 def search_R(s, seed, R_list):

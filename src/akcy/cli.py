@@ -297,7 +297,7 @@ def cmd_boundary(cfg, out, args):
         ],
     )
     if sec.get("dump_fields", False):
-        f = bd.witness_density(s, seed, R0, report.amplitude)
+        f = bd.witness_density(s, report)
         serialize.write_field(out / "witness_F.bin", f)
     d = report.as_dict()
     print(
@@ -321,8 +321,8 @@ def cmd_solve(cfg, out, args):
     elif target == "from-boundary-witness":
         seed = bd.select_seed(s)
         R_list = cfg.get("boundary", {}).get("R_list", [4.0, 6.0, 8.0, 12.0])
-        R0, _, breport = bd.search_R(s, seed, R_list)
-        f = bd.witness_density(s, seed, R0, breport.amplitude)
+        _, _, breport = bd.search_R(s, seed, R_list)
+        f = bd.witness_density(s, breport)
         serialize.write_report(out / "boundary_report.json", breport)
     elif target.startswith("file:"):
         f = _read_grid_field(target[5:], s, "target")

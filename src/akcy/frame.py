@@ -73,11 +73,6 @@ class UnitaryFrame:
     def half_dim(self):
         return self.e.shape[0]
 
-    def rotate(self, U):
-        """Constant unitary change of frame e'_a = sum_b U[b,a] e_b."""
-        e, theta = _rotate_frame(U, self.e, self.theta)
-        return UnitaryFrame(self.chart, e, theta, self.max_neighbor_jump)
-
     def defects(self, g, J):
         """Max violations of unitarity, J-alignment and duality."""
         n = self.half_dim
@@ -430,9 +425,13 @@ class LocalGeometry(PointFrame):
     Derivatives are small-step central differences of the closed-form fields,
     so accuracy (~1e-10) is independent of the grid.  Points have shape
     (m, 2n); all member arrays keep the point axis last.
+
+    With a constant unitary U the frame is e'_a = sum_b U[b,a] e_b: e, theta
+    and their differences are rotated right after differencing, and the
+    connection and torsion are built once, in the rotated frame.
     """
 
-    def __init__(self, s: CompatibleStructure, points):
+    def __init__(self, s: CompatibleStructure, points, U=None):
         self.s = s
         self.points = np.asarray(points, dtype=float)
         n = s.half_dim
@@ -447,39 +446,26 @@ class LocalGeometry(PointFrame):
 
         self.J, self.g, self.e, self.theta = frame_at(self.points)
 
-        dJ, dg, de, dtheta = [], [], [], []
+        # Each difference goes straight into its slice, so no per-axis copy is
+        # held while the connection and torsion are built.
+        fields = (self.J, self.g, self.e, self.theta)
+        diffs = [np.empty((dim,) + f.shape, f.dtype) for f in fields]
         h = FD_STEP
         for d in range(dim):
             dp = np.zeros(dim)
             dp[d] = h
-            Jp, gp, ep, tp = frame_at(self.points + dp)
-            Jm, gm, em, tm = frame_at(self.points - dp)
-            dJ.append((Jp - Jm) / (2 * h))
-            dg.append((gp - gm) / (2 * h))
-            de.append((ep - em) / (2 * h))
-            dtheta.append((tp - tm) / (2 * h))
-        self.dJ = np.stack(dJ)
-        self.dg = np.stack(dg)
-        self.de = np.stack(de)
-        self.dtheta = np.stack(dtheta)
+            for out, fp, fm in zip(diffs, frame_at(self.points + dp), frame_at(self.points - dp)):
+                out[d] = (fp - fm) / (2 * h)
+        self.dJ, self.dg, self.de, self.dtheta = diffs
+        if U is not None:
+            self.e, self.theta = _rotate_frame(U, self.e, self.theta)
+            self.de, self.dtheta = _rotate_frame(U, self.de, self.dtheta, lead="d")
 
         self.gamma1 = _gamma1(self.J, self.dJ, _levi_civita(self.g, self.dg))
         self.conn_omega = _connection_matrix(self.theta, self.e, self.de, self.gamma1)
         self.T, self.N, self.mixed = _torsion_components(
             self.dtheta, self.conn_omega, self.theta, self.e
         )
-
-    def rotate(self, U):
-        """Apply a constant unitary frame rotation in place-free fashion."""
-        new = object.__new__(LocalGeometry)
-        new.__dict__.update(self.__dict__)
-        new.e, new.theta = _rotate_frame(U, self.e, self.theta)
-        new.de, new.dtheta = _rotate_frame(U, self.de, self.dtheta, lead="d")
-        new.conn_omega = _connection_matrix(new.theta, new.e, new.de, new.gamma1)
-        new.T, new.N, new.mixed = _torsion_components(
-            new.dtheta, new.conn_omega, new.theta, new.e
-        )
-        return new
 
     def take(self, idx):
         """The PointFrame at points[idx] for a 1-D index array, gathered from

@@ -305,6 +305,9 @@ def _solve_linear(s, handle, rhs, precond, rtol):
 
 def _check_target(s, f):
     f = np.asarray(f, dtype=float) + np.zeros(s.chart.shape)
+    # NaN fails every comparison below, so it is rejected first.
+    if not np.isfinite(f).all():
+        raise PreconditionError("target density must be finite")
     mass = forms.integrate(s, f)
     if abs(mass - 1.0) > 1e-10:
         raise PreconditionError(

@@ -108,10 +108,10 @@ def test_bump_torus_chart_roundtrip():
 
 @pytest.mark.parametrize("chunk", [None, 1000])
 def test_grid_near_matches_brute_force_mask(monkeypatch, s_tw12, chunk):
-    """The chunked near-set pass finds exactly the grid points whose chart
-    image lies in the 1.5/R polydisk, also when chunks split the grid."""
+    """The batched near-set pass finds exactly the grid points whose chart
+    image lies in the 1.5/R polydisk, also when batches split the grid."""
     if chunk is not None:
-        monkeypatch.setattr(bd, "GRID_CHUNK", chunk)
+        monkeypatch.setattr(bd, "SCAN_CHUNK", chunk)
     bump = _toy_bump(R=4.0, scale=0.25)
     pts = s_tw12.chart.grid_points().reshape(-1, 4)
     w_all = bump.torus_to_chart(pts)
@@ -206,7 +206,7 @@ def _witness(s, seed, R=8.0):
     the seed so that its grid F is rebuilt too."""
     seed = dataclasses.replace(seed)
     phi_R, report = bd.boundary_potential(s, seed, R)
-    density = bd.witness_density(s, seed, R, report.amplitude)
+    density = bd.witness_density(s, report)
     return json.dumps(report.as_dict()), phi_R.values, density
 
 
@@ -260,9 +260,8 @@ def _flat_seed(s):
     [("sin_x1_cos_y2", 100), ("sin_x1", 10), ("standard", 1)],
 )
 def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
-    """_seed_grid_F and witness_density gather LocalGeometry from the
-    broadcast-reduced lattice; both match a LocalGeometry evaluated at every
-    grid point."""
+    """_seed_grid_F gathers LocalGeometry from the broadcast-reduced lattice;
+    it matches a LocalGeometry evaluated at every grid point."""
     if case == "standard":
         s = make_standard([10] * 4)
         seed = _flat_seed(s)
@@ -272,17 +271,27 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
     lattice, _ = bd._lattice_geometry(s)
     assert lattice.points.shape[0] == lattice_points
 
-    R, amplitude = 8.0, 0.6
     pts = s.chart.grid_points().reshape(-1, 4)
     lg = fr.LocalGeometry(s, pts)
     pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
     grid_F = cy._F_of(s, lg.deformation_form(pa, pabar))
-    geo = bd._ScanGeometry(s, seed, bd._seed_bump(s, seed, R), pts)
-    density = geo.F(amplitude).reshape(s.chart.shape)
-    density = density / forms.integrate(s, density)
-
     assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
-    assert np.abs(bd.witness_density(s, seed, R, amplitude) - density).max() < 1e-10
+
+
+@pytest.mark.parametrize("profile", ["sin_x1_cos_y2", "sin_x1"])
+def test_witness_density_is_the_scan_geometry_F(profile):
+    """The report's F(phi_R), the seed's grid F with the near set's scan
+    values written in, is F(phi + a psi_R) of the seed-rotated geometry at
+    every grid point, at the report's amplitude."""
+    s = make_twisted([10] * 4, profile=profile)
+    seed = bd.select_seed(s)
+    R = 8.0
+    _, report = bd.boundary_potential(s, seed, R)
+    pts = s.chart.grid_points().reshape(-1, 4)
+    geo = bd._ScanGeometry(s, seed, bd._seed_bump(s, seed, R), pts)
+    density = geo.F(report.amplitude).reshape(s.chart.shape)
+    density = density / forms.integrate(s, density)
+    assert np.abs(bd.witness_density(s, report) - density).max() < 1e-10
 
 
 def test_seed_grid_F_follows_each_new_seed():

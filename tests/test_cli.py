@@ -165,6 +165,22 @@ def test_solve_newton_out_of_iterations_exit_code(tmp_path):
     assert json.loads((tmp_path / "solve_report.json").read_text())["converged"] is False
 
 
+def test_solve_non_finite_target_exit_code(tmp_path, capsys):
+    """A file: target holding one NaN is a precondition failure (3), not a
+    converged solve."""
+    f = np.ones((8,) * 4)
+    f[1, 2, 3, 4] = np.nan
+    serialize.write_field(tmp_path / "f.bin", f)
+    doc = {
+        "structure": dict(BASE_STRUCTURE, resolution=[8] * 4),
+        "solve": {"target": f"file:{tmp_path / 'f.bin'}", "method": "newton"},
+    }
+    code = cli.main(["solve", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
 def test_boundary_writes_unit_mass_witness(tmp_path):
     doc = {
         "structure": BASE_STRUCTURE,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from akcy import forms
 from akcy import frame as fr
 from akcy.errors import FrameError
 
-from conftest import make_twisted
+from conftest import assert_same_bytes, make_twisted
 
 
 def _pipeline(s):
@@ -22,17 +24,6 @@ def test_frame_is_unitary(s_tw12):
     assert d["unitarity"] < 1e-13
     assert d["J_alignment"] < 1e-13
     assert d["duality"] < 1e-13
-
-
-def test_frame_rotation_preserves_defects(s_tw12, rng):
-    f = fr.build_frame(s_tw12)
-    # random unitary via QR
-    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    U, _ = np.linalg.qr(A)
-    g = f.rotate(U)
-    d = g.defects(s_tw12.g, s_tw12.J)
-    assert d["unitarity"] < 1e-12
-    assert d["duality"] < 1e-12
 
 
 def test_degenerate_seeds_raise():
@@ -142,6 +133,43 @@ def test_local_geometry_matches_grid_frame(s_tw12):
     e_full = np.broadcast_to(f.e, (2, 4) + chart.shape)
     e_grid = e_full[(slice(None), slice(None)) + idx]
     assert np.abs(lg.e[..., 0] - e_grid).max() < 1e-9
+
+
+@pytest.mark.parametrize("resolution", [[12] * 4, [8] * 6])
+def test_local_geometry_rotated_when_built(resolution, rng):
+    """With U, LocalGeometry rotates e, theta and their differences and then
+    builds the connection and torsion: bitwise that composition on the
+    unrotated geometry."""
+    s = make_twisted(resolution)
+    n = s.half_dim
+    pts = rng.uniform(0, 1, size=(64, 2 * n))
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    plain = fr.LocalGeometry(s, pts)
+    e, theta = fr._rotate_frame(U, plain.e, plain.theta)
+    de, dtheta = fr._rotate_frame(U, plain.de, plain.dtheta, lead="d")
+    conn_omega = fr._connection_matrix(theta, e, de, plain.gamma1)
+    N = fr._torsion_components(dtheta, conn_omega, theta, e)[1]
+    want = {"e": e, "de": de, "theta": theta, "conn_omega": conn_omega, "N": N}
+    got = fr.LocalGeometry(s, pts, U)
+    for key in fr.PointFrame.FIELDS:
+        assert_same_bytes(getattr(got, key), want[key])
+
+
+def test_local_geometry_peak_is_under_twice_what_it_holds(s_tw12, rng):
+    """The rotated geometry on 2,000 points peaks (tracemalloc) under 1.9
+    times the arrays it keeps, because each central difference is written
+    into its slice of the result (with per-axis lists it peaks at 2.14)."""
+    pts = rng.uniform(0, 1, size=(2000, 4))
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    fr.LocalGeometry(s_tw12, pts[:10], U)
+    tracemalloc.start()
+    try:
+        lg = fr.LocalGeometry(s_tw12, pts, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(v.nbytes for v in vars(lg).values() if isinstance(v, np.ndarray))
+    assert peak < 1.9 * held
 
 
 def test_local_geometry_mixed_torsion_defect(s_tw12, rng):

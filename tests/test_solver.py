@@ -67,6 +67,17 @@ def test_target_positivity_is_enforced(s_tw12):
         sv.newton_solve(s_tw12, f)
 
 
+@pytest.mark.parametrize("solve", [sv.newton_solve, sv.continuity_solve])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_target_is_rejected(s_tw12, solve, bad):
+    """NaN fails both the mass and the positivity comparison, so it needs
+    its own check; without it a Newton solve reports convergence at once."""
+    f = np.ones(s_tw12.chart.shape)
+    f.flat[5] = bad
+    with pytest.raises(PreconditionError, match="finite"):
+        solve(s_tw12, f)
+
+
 def _beyond_amplitude(s, rng):
     """A potential at 1.5 times its taming amplitude: h(phi) is indefinite."""
     phi = potentials.random_potential(2, rng).sample(s.chart)
