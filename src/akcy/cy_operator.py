@@ -9,15 +9,19 @@ trap for sign or normalization errors.
 
 Memory notes: all bidegree algebra and h run on increasing-pair component
 storage through forms.contract_pairs (never the full 2n x 2n matrix field of
-the form); its coefficients live on J's broadcast lattice and are built one
-at a time.  tau wedge tau-bar is evaluated via the real identity
-(Bm^Bm + JBm^JBm)/4, avoiding complex intermediates.  d(J dphi) is filled in
-slabs of grid axis 0 of about SLAB_POINTS points (_deformation_slabs), each
-row of J dphi built once and its last two rows handed on to the next slab,
-so its gradient and J-gradient are only slab-size.  The taming margin and F
-with its component check are reduced over the same row slabs of one
-d(J dphi) (_margin_of, _F_total): h, the F_j and their intermediates are
-slab-size, and only d(J dphi) itself and F are grid-size.  The taming matrix
+the form); its coefficients live on J's broadcast lattice, are summed there
+per (output, pair) and built one output at a time, and beside its output it
+holds one grid-size product buffer.  h_matrix fills only the upper triangle
+of its output and copies it to the lower one, with no second h-size array;
+min_eigenvalue_field forms each block's pencil in place (_pencil).  tau
+wedge tau-bar is evaluated via the real identity (Bm^Bm + JBm^JBm)/4,
+avoiding complex intermediates.  d(J dphi) is filled in slabs of grid axis
+0 of about SLAB_POINTS points (_deformation_slabs), each row of J dphi built
+once and its last two rows handed on to the next slab, so its gradient and
+J-gradient are only slab-size.  The taming margin and F with its component
+check are reduced over the same row slabs of one d(J dphi) (_margin_of,
+_F_total): h, the F_j and their intermediates are slab-size, and only
+d(J dphi) itself and F are grid-size.  The taming matrix
 is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil of it,
 g + h_matrix(J, B) + t*delta, block by block, never at grid size.
 """
@@ -167,16 +171,25 @@ def _min_eigenvalue(M):
     return np.linalg.eigvalsh(M)[:, 0]
 
 
+def _pencil(M, t, base):
+    """t*M + base, formed in place as P = t*M; P += base at the broadcast
+    shape of M and base."""
+    P = np.empty(np.broadcast_shapes(M.shape, base.shape), dtype=np.result_type(t, M, base))
+    np.multiply(t, M, out=P)
+    P += base
+    return P
+
+
 def min_eigenvalue_field(M, t=1.0, base=None, limit=np.inf):
     """(min eigenvalue, first flat argmin) over the points of base + t*M, or
     of M when base is None; fields have matrix axes first, and base may
-    broadcast (the metric).  _pruned_min forms the pencil t*M + base block by
+    broadcast (the metric).  _pruned_min forms the pencil (_pencil) block by
     block in its bound and kernel, so it is never grid-size.  Exact when the
     minimum is not above limit, a least value known from elsewhere."""
     if base is None:
         return _pruned_min((M,), _eigen_bound, _min_eigenvalue, limit)
-    return _pruned_min((M, base), lambda Mv, bv: _eigen_bound(t * Mv + bv),
-                       lambda Mp, bp: _min_eigenvalue(t * Mp + bp), limit)
+    return _pruned_min((M, base), lambda Mv, bv: _eigen_bound(_pencil(Mv, t, bv)),
+                       lambda Mp, bp: _min_eigenvalue(_pencil(Mp, t, bp)), limit)
 
 
 def deformation_form(s, phi):
@@ -305,13 +318,18 @@ def h_matrix(J, comps):
 
     J has its matrix axes first (2n, 2n, *b), comps its pair axis first; the
     trailing axes broadcast.  For B = omega and J = s.J this returns g exactly.
+    Only the upper triangle is contracted, h_il = (BJ)_il/2 + (BJ)_li/2 for
+    i <= l, and it is copied to the lower one, so h is exactly symmetric.
     """
     dim = J.shape[0]
-    h = forms.contract_pairs(J, comps, dim * dim, (   # h_il = (BJ)_il/2 + (BJ)_li/2
-        t for i in range(dim) for l in range(dim)
-        for t in forms.bj_terms(J, i, l, 0.5, 0.5, i * dim + l)
+    h = forms.contract_pairs(J, comps, (dim, dim), (
+        t for i in range(dim) for l in range(i, dim)
+        for t in forms.bj_terms(J, i, l, 0.5, 0.5, (i, l))
     ))
-    return h.reshape((dim, dim) + h.shape[1:])
+    for i in range(dim):
+        for l in range(i + 1, dim):
+            h[l, i] = h[i, l]
+    return h
 
 
 def taming_margin(s, phi):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -214,15 +215,33 @@ def signed_pairs(dim):
     return {**{(i, j): (p, 1) for p, (i, j) in pairs}, **{(j, i): (p, -1) for p, (i, j) in pairs}}
 
 
-def contract_pairs(J, comps, nout, terms):
-    """out[o] += c * comps[p] over the (o, p, c) terms, in their order; each c
-    lives on J's lattice and is skipped when zero on all of it, so only the
-    products with comps are grid-size and no 2n x 2n matrix field is built."""
+def contract_pairs(J, comps, lead, terms):
+    """out[o] = sum of c * comps[p] over the (o, p, c) terms, out of shape
+    lead + the broadcast point shape; o indexes the lead axes.
+
+    The terms of one output come together.  Each c lives on J's lattice, and
+    the c of equal (o, p) are summed there first, in the order they appear,
+    so there is one grid-size multiply-add per (output, pair): the first
+    product is written straight into out[o], the others go through one
+    grid-size product buffer.  A summed c that is zero on all of the lattice
+    is skipped (out[o] is zero if all are).  Outputs the terms never name
+    are left unset.  No 2n x 2n matrix field is built."""
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    out = np.zeros((nout,) + shape, dtype=np.result_type(J.dtype, comps.dtype))
-    for o, p, c in terms:
-        if np.any(c):
-            out[o] += c * comps[p]
+    out = np.empty(tuple(lead) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+    prod = np.empty(shape, dtype=out.dtype)
+    for o, group in groupby(terms, key=itemgetter(0)):
+        coeffs = {}
+        for _, p, c in group:
+            coeffs[p] = coeffs[p] + c if p in coeffs else c
+        live = [(p, c) for p, c in coeffs.items() if np.any(c)]
+        if not live:
+            out[o] = 0.0
+            continue
+        p, c = live[0]
+        np.multiply(c, comps[p], out=out[o])
+        for p, c in live[1:]:
+            np.multiply(c, comps[p], out=prod)
+            out[o] += prod
     return out
 
 
@@ -242,7 +261,7 @@ def bj_terms(J, a, b, wa, wb, o):
 def j_conjugate_comps(J, comps, dim):
     """Components of b(J., J.) for a 2-form given by increasing-pair comps."""
     pairs = multi_indices(dim, 2)
-    return contract_pairs(J, comps, len(pairs), (
+    return contract_pairs(J, comps, (len(pairs),), (
         (m, nn, J[j, i] * J[k, l] - J[k, i] * J[j, l])
         for m, (i, l) in enumerate(pairs) for nn, (j, k) in enumerate(pairs)
     ))
@@ -252,7 +271,7 @@ def j_anticommutator_comps(J, comps, dim):
     """Components of the antisymmetric matrix J^T B + B J from pair storage,
     (J^T B + B J)_il = -(BJ)_li + (BJ)_il."""
     pairs = multi_indices(dim, 2)
-    return contract_pairs(J, comps, len(pairs), (
+    return contract_pairs(J, comps, (len(pairs),), (
         t for m, (i, l) in enumerate(pairs) for t in bj_terms(J, l, i, -1, 1, m)
     ))
 

@@ -411,10 +411,13 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     """Continuation along f_t = c_t((1-t) + t f), multiplicative c_t keeping
     unit mass; Newton restarts from the previous solution.
 
-    A failed Newton step halves dt and retries; each accepted step doubles it
-    again, up to 1/steps.  A PreconditionError or ConsistencyError from a
-    Newton step ends the path with a failed report whose reason names the
-    error, like a stalled continuation.
+    A failed Newton step retries with half the step it tried, t_next - t,
+    or half of dt if that is less, so the retry's target lies below the
+    failed one even when that was clamped to t = 1 and no (phi, f_t) is
+    solved twice.  Each accepted step doubles dt again, up to 1/steps.  A
+    PreconditionError or ConsistencyError from a Newton step ends the path
+    with a failed report whose reason names the error, like a stalled
+    continuation.
     """
     f = _check_target(s, f)
     phi = np.zeros(s.chart.shape)
@@ -434,7 +437,7 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
             if failed is not None and failed.reason == "aliasing_floor":
                 reason = "aliasing_floor"
             else:
-                dt *= 0.5
+                dt = min(dt / 2, (t_next - t) / 2)
                 if dt >= 1e-4:
                     continue
                 reason = f"continuation stalled: {failed.reason if failed else ''}"

@@ -382,6 +382,26 @@ def test_pencil_amplitude_builds_no_pencil_size_temporary(monkeypatch, s_tw12, r
     assert peak < 0.5 * delta.nbytes
 
 
+def test_h_matrix_allocates_its_output_and_one_product():
+    """At twisted 16^4, h_matrix holds at most its output, one grid-size
+    product buffer and small change: lattice-size coefficients (J's lattice
+    is 16*1*1*16 points) and numpy's 64 KiB ufunc buffer for the broadcast
+    products.  A second h-size array or grid-size product does not fit."""
+    s = make_twisted([16] * 4)
+    comps = cy.deformation_form(s, sample_potential(s, np.random.default_rng(5))).comps
+    grid_bytes = comps[0].nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        h = cy.h_matrix(s.J, comps)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert h.nbytes == 16 * grid_bytes
+    assert peak <= h.nbytes + grid_bytes + 128 * 1024
+
+
 def _min_eigenvalue_reference(M):
     """(min, first flat argmin) of one eigvalsh over every point."""
     k = M.shape[0]

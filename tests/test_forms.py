@@ -156,17 +156,35 @@ def test_omega_is_closed(s_tw12):
     assert forms.exterior_derivative(w).max_abs() < 1e-14
 
 
-# --- The pair-storage J action: one contraction against the loops it replaced.
-# These three loops are the former implementations, kept verbatim as the
-# reference; the contraction adds the same products in the same order, so
-# its outputs must match them bit for bit.
+# --- The pair-storage J action: one contraction against reference loops.
+# The loops below spell out the contraction's summation entry by entry: per
+# output, the coefficient of each pair component is summed on J's lattice in
+# the order the matrix products first meet it, and a coefficient that is zero
+# everywhere is skipped; the first product is stored, the others added; h is
+# built on its upper triangle and mirrored.  The contraction performs the same
+# operations in the same order, so its outputs must match them bit for bit.
 
-def _reference_signed_entry(comps, pos, i, j):
-    if i == j:
-        return None
-    if i < j:
-        return comps[pos[(i, j)]]
-    return -comps[pos[(j, i)]]
+def _reference_pair(pos, a, b):
+    """(pair, sign) with B_ab = sign * comps[pair], for a != b."""
+    return (pos[(a, b)], 1) if a < b else (pos[(b, a)], -1)
+
+
+def _reference_add(coeffs, p, c):
+    coeffs[p] = coeffs[p] + c if p in coeffs else c
+
+
+def _reference_store(out, coeffs, comps):
+    """out (zeros) = sum of c * comps[p] over coeffs in order, the first
+    product stored and zero coefficients skipped."""
+    first = True
+    for p, c in coeffs.items():
+        if np.max(np.abs(c)) == 0.0:
+            continue
+        if first:
+            out[...] = c * comps[p]
+            first = False
+        else:
+            out += c * comps[p]
 
 
 def reference_j_conjugate(J, comps, dim):
@@ -174,45 +192,50 @@ def reference_j_conjugate(J, comps, dim):
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
     out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
     for m, (i, l) in enumerate(pairs):
+        coeffs = {}
         for nn, (j, k) in enumerate(pairs):
-            coeff = J[j, i] * J[k, l] - J[k, i] * J[j, l]
-            if np.max(np.abs(coeff)) == 0.0:
-                continue
-            out[m] += coeff * comps[nn]
+            _reference_add(coeffs, nn, J[j, i] * J[k, l] - J[k, i] * J[j, l])
+        _reference_store(out[m], coeffs, comps)
     return out
 
 
 def reference_j_anticommutator(J, comps, dim):
+    """(J^T B + B J)_il = sum over j of J_ji B_jl + B_ij J_jl."""
     pairs = forms.multi_indices(dim, 2)
     pos = forms.index_positions(dim, 2)
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
     out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
     for m, (i, l) in enumerate(pairs):
+        coeffs = {}
         for j in range(dim):
-            Bjl = _reference_signed_entry(comps, pos, j, l)
-            if Bjl is not None:
-                out[m] += J[j, i] * Bjl
-            Bij = _reference_signed_entry(comps, pos, i, j)
-            if Bij is not None:
-                out[m] += Bij * J[j, l]
+            if j != l:
+                p, sign = _reference_pair(pos, j, l)
+                _reference_add(coeffs, p, sign * J[j, i])
+            if j != i:
+                p, sign = _reference_pair(pos, i, j)
+                _reference_add(coeffs, p, sign * J[j, l])
+        _reference_store(out[m], coeffs, comps)
     return out
 
 
 def reference_h_matrix(J, comps):
+    """h_il = sum over j of B_ij J_jl / 2 + B_lj J_ji / 2 for i <= l."""
     dim = J.shape[0]
     pos = forms.index_positions(dim, 2)
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
     h = np.zeros((dim, dim) + shape)
     for i in range(dim):
-        for l in range(dim):
-            acc = h[i, l]
+        for l in range(i, dim):
+            coeffs = {}
             for j in range(dim):
-                Bij = _reference_signed_entry(comps, pos, i, j)
-                if Bij is not None:
-                    acc += 0.5 * (Bij * J[j, l])
-                Bjl = _reference_signed_entry(comps, pos, j, l)
-                if Bjl is not None:
-                    acc -= 0.5 * (J[j, i] * Bjl)
+                if j != i:
+                    p, sign = _reference_pair(pos, i, j)
+                    _reference_add(coeffs, p, 0.5 * sign * J[j, l])
+                if j != l:
+                    p, sign = _reference_pair(pos, l, j)
+                    _reference_add(coeffs, p, 0.5 * sign * J[j, i])
+            _reference_store(h[i, l], coeffs, comps)
+            h[l, i] = h[i, l]
     return h
 
 
@@ -223,11 +246,13 @@ def _assert_same(new, ref):
     assert new.tobytes() == ref.tobytes()   # signed zeros included
 
 
-@pytest.mark.parametrize("case", ["twisted", "standard", "local", "n3"])
-def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
-    """Byte-identity on a broadcast J, the sparse standard J (where zero
-    coefficients are skipped), a per-point LocalGeometry J and an n = 3 J."""
-    rng = np.random.default_rng(11)
+J_CASES = ["twisted", "standard", "local", "n3"]
+
+
+def _j_case(case, s_tw12, s_std12, rng):
+    """(J, grid, real pair components on grid) for one of J_CASES; the
+    components vanish on the first row of grid axis 0, so products of
+    either sign are exact zeros there."""
     if case == "twisted":
         J, grid = s_tw12.J, s_tw12.chart.shape
     elif case == "standard":
@@ -238,10 +263,20 @@ def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
     else:
         J = make_twisted([8] * 6, profile="sin_x1").J
         grid = (8, 8, 1, 3, 1, 1)
-    dim = J.shape[0]
-    npairs = len(forms.multi_indices(dim, 2))
+    npairs = len(forms.multi_indices(J.shape[0], 2))
     real = rng.standard_normal((npairs,) + grid)
-    cplx = real + 1j * rng.standard_normal((npairs,) + grid)
+    real[:, 0] = 0.0
+    return J, grid, real
+
+
+@pytest.mark.parametrize("case", J_CASES)
+def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
+    """Byte-identity on a broadcast J, the sparse standard J (where zero
+    coefficients are skipped), a per-point LocalGeometry J and an n = 3 J."""
+    rng = np.random.default_rng(11)
+    J, grid, real = _j_case(case, s_tw12, s_std12, rng)
+    dim = J.shape[0]
+    cplx = real + 1j * rng.standard_normal(real.shape)
     for comps in (real, cplx):
         _assert_same(forms.j_conjugate_comps(J, comps, dim),
                      reference_j_conjugate(J, comps, dim))
@@ -249,6 +284,13 @@ def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
                      reference_j_anticommutator(J, comps, dim))
     # h_matrix is a real symmetric form; the reference accumulates in floats.
     _assert_same(cy.h_matrix(J, real), reference_h_matrix(J, real))
+
+
+@pytest.mark.parametrize("case", J_CASES)
+def test_h_matrix_is_exactly_symmetric(case, s_tw12, s_std12):
+    J, _, real = _j_case(case, s_tw12, s_std12, np.random.default_rng(12))
+    h = cy.h_matrix(J, real)
+    _assert_same(h, np.ascontiguousarray(np.swapaxes(h, 0, 1)))
 
 
 def test_signed_pairs_reads_antisymmetric_storage(s_std12, rng):
@@ -262,8 +304,10 @@ def test_signed_pairs_reads_antisymmetric_storage(s_std12, rng):
 @st_hyp.composite
 def symplectic_structures(draw):
     """A twisted structure whose generator S = Omega^-1 M has a random
-    symmetric M, at n = 2 or 3, with random 2-form components on J's lattice."""
+    symmetric M, at n = 2 or 3 and an even or odd resolution, with random
+    2-form components on J's lattice."""
     n = draw(st_hyp.sampled_from([2, 3]))
+    resolution = draw(st_hyp.sampled_from([8, 9]))
     dim = 2 * n
     entries = draw(st_hyp.lists(st_hyp.floats(-1.0, 1.0), min_size=dim * dim,
                                 max_size=dim * dim))
@@ -273,7 +317,7 @@ def symplectic_structures(draw):
         kind="twisted", generator=S, amplitude=draw(st_hyp.floats(0.0, 0.4)),
         profile=draw(st_hyp.sampled_from(["sin_x1", "sin_x1_cos_y2"])),
     )
-    s = structure.twisted_structure(structure.build_grid(n, [8] * dim), recipe)
+    s = structure.twisted_structure(structure.build_grid(n, [resolution] * dim), recipe)
     seed = draw(st_hyp.integers(0, 2**32 - 1))
     npairs = len(forms.multi_indices(dim, 2))
     comps = np.random.default_rng(seed).standard_normal((npairs,) + s.J.shape[2:])

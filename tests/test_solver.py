@@ -491,3 +491,30 @@ def test_continuity_dt_grows_back_after_a_halving(monkeypatch, s_tw12):
     assert rep.converged
     assert [row[0] for row in rep.trace] == pytest.approx([0.2, 0.3, 0.5, 0.7, 0.9, 1.0])
     assert len(calls) == 7
+
+
+def test_continuity_never_solves_a_failed_target_again(monkeypatch, s_tw12):
+    """Every target above t = 0.95 fails.  After an accepted step the next
+    target is clamped to t = 1.0; the retry after its failure must lie
+    below it, so no (phi_init, f_t) pair is solved twice."""
+    X = s_tw12.chart.grid_points()
+    f = 1.0 + 0.5 * np.sin(2 * np.pi * X[..., 0])
+    peak = float(f.max()) - 1.0
+    seen = []
+
+    def stub(s, ft, phi_init=None, tol=None, max_iter=None):
+        key = (phi_init.tobytes(), ft.tobytes())
+        assert key not in seen, "the same (phi_init, f_t) was solved twice"
+        seen.append(key)
+        t = (float(ft.max()) - 1.0) / peak
+        if t > 0.95 + 1e-9:
+            report = sv.SolveReport(False, max_iter, 1e-3, 0.5, reason="max_iter")
+            raise SolverFailure("injected max_iter", report=report)
+        return cy.Potential(s.chart, phi_init + 1e-3 * t), sv.SolveReport(True, 1, 0.0, 0.5)
+
+    monkeypatch.setattr(sv, "newton_solve", stub)
+    _, rep = sv.continuity_solve(s_tw12, f, steps=5)
+    assert not rep.converged
+    assert rep.reason == "continuation stalled: max_iter"
+    assert 0.95 - 1e-4 <= rep.t_reached <= 0.95 + 1e-9
+    assert len(seen) > 5
