@@ -21,9 +21,15 @@ once and its last two rows handed on to the next slab, so its gradient and
 J-gradient are only slab-size.  The taming margin and F with its component
 check are reduced over the same row slabs of one d(J dphi) (_margin_of,
 _F_total): h, the F_j and their intermediates are slab-size, and only
-d(J dphi) itself and F are grid-size.  The taming matrix
-is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil of it,
-g + h_matrix(J, B) + t*delta, block by block, never at grid size.
+d(J dphi) itself and F are grid-size.  The one exception is
+analyze_potential with the amplitude, which needs the grid-size
+Delta = h_matrix(J, d(J dphi)) as the amplitude direction anyway: it
+builds Delta once, releases d(J dphi), and reads the margin off Delta
+(g + 1*Delta) instead of contracting h a second time over the slabs.  The
+taming matrix is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil
+of it, g + h_matrix(J, B) + t*delta, block by block, never at grid size.
+pencil_amplitude certifies its closed-form scale with one full sweep just
+below it and, just above it, one point: the argmin of the sweep below.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ __all__ = [
 TAMING_THRESHOLD = 1e-8
 F_CONSISTENCY_RTOL = 1e-10
 # Amplitudes above AMPLITUDE_MAX count as unbounded; AMPLITUDE_RTOL is the
-# relative offset of the two sweeps that certify the closed-form amplitude.
+# relative offset of the two scales that certify the closed-form amplitude.
 AMPLITUDE_MAX = 1e6
 AMPLITUDE_RTOL = 1e-9
 SLAB_POINTS = 1 << 16    # points per slab along grid axis 0 (_row_slabs)
@@ -508,16 +514,26 @@ def pencil_amplitude(base, delta):
 
     The pencil is affine in s per point, so a is the closed-form critical
     scale of the symmetric-definite pencil (Cholesky reduction, Golub & Van
-    Loan 8.7).  Two eigenvalue sweeps certify it: the margin must be positive
-    at a*(1 - 1e-9) and non-positive at a*(1 + 1e-9).
+    Loan 8.7).  A certificate checks it: the margin must be positive at
+    a*(1 - 1e-9) and non-positive at a*(1 + 1e-9).  The first is a full
+    eigenvalue sweep; the second is read at that sweep's argmin with the
+    sweep's own kernel, since a value there bounds the minimum from above.
+    Only when that point does not decide does a full sweep run, also before
+    ConsistencyError, so its message gives the two sweep minima.
     """
     a = _pencil_critical_scale(base, delta)
     if not np.isfinite(a) or a > AMPLITUDE_MAX:
         raise AmplitudeError(
             f"no taming sign change up to {AMPLITUDE_MAX:.1e}; amplitude unbounded"
         )
-    below, _ = min_eigenvalue_field(delta, a * (1.0 - AMPLITUDE_RTOL), base)
-    above, _ = min_eigenvalue_field(delta, a * (1.0 + AMPLITUDE_RTOL), base)
+    t_above = a * (1.0 + AMPLITUDE_RTOL)
+    below, at = min_eigenvalue_field(delta, a * (1.0 - AMPLITUDE_RTOL), base)
+    grid = np.broadcast_shapes(delta.shape, base.shape)[2:]
+    idx = np.unravel_index([at], grid)
+    above = float(_min_eigenvalue(_pencil(_take(delta, idx, grid), t_above,
+                                          _take(base, idx, grid)))[0])
+    if not (below > 0.0 and above <= 0.0):
+        above, _ = min_eigenvalue_field(delta, t_above, base)
     if not (below > 0.0 and above <= 0.0):
         raise ConsistencyError(
             f"pencil critical scale {a!r} is not a taming sign change: margin "
@@ -535,8 +551,12 @@ def positivity_amplitude(s, phi):
     return pencil_amplitude(s.g, h_matrix(s.J, deformation_form(s, phi).comps))
 
 
+def _is_constant(phi):
+    return float(np.ptp(_values(phi))) == 0.0
+
+
 def _require_nonconstant(phi):
-    if float(np.ptp(_values(phi))) == 0.0:
+    if _is_constant(phi):
         raise PreconditionError("positivity amplitude requires a non-constant potential")
 
 
@@ -552,8 +572,13 @@ def analyze_potential(s, phi, compute_amplitude=True):
     """Full diagnostic sweep of a potential: F bounds, margin, amplitude.
 
     The report carries the F field itself as ``report.F``.  One d(J dphi)
-    feeds F, the margin and the amplitude direction; it is released before
-    the amplitude sweeps.
+    feeds F, the margin and the amplitude direction.  With the amplitude of
+    a non-constant potential, Delta = h_matrix(J, d(J dphi)) is built once
+    and d(J dphi) released: the margin is the sweep of the pencil g + 1*Delta,
+    bitwise the slab margin (1*Delta + g is h + g), and Delta is the
+    amplitude direction.  Otherwise (no amplitude, or a constant potential,
+    which has none) the margin is taken slab by slab (_margin_of) and no
+    grid-size h is built.
     """
     B = deformation_form(s, phi)
     direct, comps = _F_total(s, B, return_components=True)
@@ -562,16 +587,17 @@ def analyze_potential(s, phi, compute_amplitude=True):
         for j, c in enumerate(comps)
     ]
     del comps
-    margin = _margin_of(s, B)
     amplitude = None
-    if compute_amplitude:
+    if compute_amplitude and not _is_constant(phi):
+        delta = h_matrix(s.J, B.comps)
+        del B
+        margin = min_eigenvalue_field(delta, 1.0, s.g)[0]
         try:
-            _require_nonconstant(phi)
-            delta = h_matrix(s.J, B.comps)
-            del B
             amplitude = pencil_amplitude(s.g, delta)
-        except (AmplitudeError, PreconditionError):
-            amplitude = None
+        except AmplitudeError:
+            pass
+    else:
+        margin = _margin_of(s, B)
     return PotentialReport(
         F_min=float(direct.min()),
         F_max=float(direct.max()),

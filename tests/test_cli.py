@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from akcy import cli, forms, serialize
+from akcy import cy_operator as cy
 from akcy.errors import ConfigurationError
 
 
@@ -112,6 +113,25 @@ def test_analyze_writes_fields_and_report(tmp_path):
     assert deg == 0 and F.shape == (12, 12, 12, 12)
     assert (tmp_path / "F_field.csv").exists()
     assert (tmp_path / "phi_field.bin").exists()
+
+
+def test_analyze_margin_is_the_same_with_and_without_amplitude(tmp_path, monkeypatch):
+    """The margin read off the amplitude direction and the slab margin (here
+    over three slabs) write the same number."""
+    monkeypatch.setattr(cy, "SLAB_POINTS", 5 * 12**3)
+    reports = {}
+    for amplitude in (False, True):
+        out = tmp_path / str(amplitude)
+        doc = {"structure": BASE_STRUCTURE,
+               "analyze": {"potential": "builtin:mix_y1_x2", "scale": 0.05,
+                           "amplitude": amplitude}}
+        code = cli.main(["analyze", "--config", write_cfg(tmp_path, doc),
+                         "--out", str(out)])
+        assert code == 0
+        reports[amplitude] = json.loads((out / "potential_report.json").read_text())
+    assert reports[False]["amplitude"] is None
+    assert reports[True]["amplitude"] > 0.0
+    assert reports[True]["margin"] == reports[False]["margin"]
 
 
 def test_analyze_rejects_a_cut_potential_file(tmp_path, capsys):

@@ -12,12 +12,26 @@ from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, Precon
 from akcy.frame import LocalGeometry, hermitian_coefficients, tau_coefficients
 
 from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
-                      make_twisted, set_slab_rows, slab_structure, unblocked_deformation_form)
+                      make_standard, make_twisted, set_slab_rows, slab_structure,
+                      unblocked_deformation_form)
 
 
 def sample_potential(s, rng, amp=0.01):
     pot = potentials.random_potential(s.half_dim, rng)
     return amp * pot.sample(s.chart)
+
+
+def _count_calls(monkeypatch, name, record=lambda *args: None):
+    """Wrap a function of cy_operator; returns the list of record(*args)."""
+    calls = []
+    fn = getattr(cy, name)
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cy, name, counted)
+    return calls
 
 
 def test_F_of_zero_is_one(s_std12, s_tw12):
@@ -260,6 +274,49 @@ def test_analyze_potential_report_schema(s_tw12, rng):
     assert [c["j"] for c in d["components"]] == [0, 1]
 
 
+AMPLITUDE_STRUCTURES = {
+    "tw12": lambda: make_twisted([12] * 4),
+    "tw13": lambda: make_twisted([13] * 4),
+    "std12": lambda: make_standard([12] * 4),
+    "tw8_n3": lambda: make_twisted([8] * 6),
+}
+
+
+@pytest.mark.parametrize("kind", ["candidate", "noise"])
+@pytest.mark.parametrize("name", list(AMPLITUDE_STRUCTURES))
+def test_analyze_amplitude_is_bitwise_the_standalone_functions(monkeypatch, name, kind):
+    """With the amplitude, analyze_potential reads the margin off the one
+    Delta it builds, and margin and amplitude are bitwise those of
+    taming_margin and positivity_amplitude; h is contracted once on the
+    grid and the slab margin never runs."""
+    s = AMPLITUDE_STRUCTURES[name]()
+    if kind == "candidate":
+        phi = 0.5 * potentials.default_candidates(s.half_dim)[0].value(s.chart.grid_points())
+    else:
+        phi = 1e-2 * np.random.default_rng(11).standard_normal(s.chart.shape)
+    margin, amplitude = cy.taming_margin(s, phi), cy.positivity_amplitude(s, phi)
+    contractions = _count_calls(monkeypatch, "h_matrix")
+    slab_margins = _count_calls(monkeypatch, "_margin_of")
+    report = cy.analyze_potential(s, phi)
+    assert report.margin == margin
+    assert report.amplitude == amplitude
+    assert len(contractions) == 1 and slab_margins == []
+
+
+@pytest.mark.parametrize("value", [0.0, 0.37])
+def test_analyze_constant_potential_takes_the_slab_margin(monkeypatch, s_tw12, value):
+    """A constant potential has no amplitude: analyze_potential checks that
+    first and takes the slab margin, never building a grid-size h."""
+    phi = np.full(s_tw12.chart.shape, value)
+    set_slab_rows(monkeypatch, s_tw12.chart.shape, 5)
+    shapes = _count_calls(monkeypatch, "h_matrix", lambda J, comps: comps.shape[1:])
+    report = cy.analyze_potential(s_tw12, phi)
+    monkeypatch.undo()
+    assert report.amplitude is None
+    assert report.margin == cy.taming_margin(s_tw12, phi)
+    assert len(shapes) == 3 and s_tw12.chart.shape not in shapes
+
+
 def test_amplitude_rejects_constant_direction(s_tw12):
     with pytest.raises(PreconditionError):
         cy.positivity_amplitude(s_tw12, np.zeros(s_tw12.chart.shape))
@@ -295,6 +352,50 @@ def test_pencil_amplitude_certificate_catches_wrong_scale(monkeypatch, factor):
     monkeypatch.setattr(cy, "_pencil_critical_scale", lambda g, D: factor * exact(g, D))
     with pytest.raises(ConsistencyError):
         cy.pencil_amplitude(base, delta)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_failed_certificate_reports_both_sweep_minima(monkeypatch, factor):
+    """A wrong scale fails the certificate only after the full sweep above
+    has run, so the message gives the minima of the full sweeps on both
+    sides, not the value at the one point read first."""
+    _, _, base, delta = _diagonal_pencil()
+    a = factor * cy._pencil_critical_scale(base, delta)
+    t_below, t_above = a * (1.0 - cy.AMPLITUDE_RTOL), a * (1.0 + cy.AMPLITUDE_RTOL)
+    below = cy.min_eigenvalue_field(delta, t_below, base)[0]
+    above = cy.min_eigenvalue_field(delta, t_above, base)[0]
+    monkeypatch.setattr(cy, "_pencil_critical_scale", lambda g, D: a)
+    sweeps = _count_calls(monkeypatch, "min_eigenvalue_field", lambda M, t, base: t)
+    with pytest.raises(ConsistencyError, match=f"{below:.3e} just below, {above:.3e} just above"):
+        cy.pencil_amplitude(base, delta)
+    assert sweeps == [t_below, t_above]
+
+
+def test_pencil_amplitude_certifies_above_at_one_point(monkeypatch):
+    """On an ordinary pencil the only full sweep is the one just below the
+    critical scale; the one just above is read at that sweep's argmin."""
+    _, _, base, delta = _diagonal_pencil()
+    expected = cy.pencil_amplitude(base, delta)
+    sweeps = _count_calls(monkeypatch, "min_eigenvalue_field")
+    assert cy.pencil_amplitude(base, delta) == expected
+    assert len(sweeps) == 1
+
+
+def test_pencil_amplitude_falls_back_to_the_full_sweep(monkeypatch):
+    """Two points whose critical scales differ by 2e-9: p (b = 1, d = -1)
+    sets the amplitude 1, but q, with the least margin just below it, is
+    still positive just above it.  The point read does not decide, so the
+    full sweep above runs and finds p."""
+    b = np.array([1.0, 0.1])
+    d = np.array([-1.0, -0.1 / (1.0 + 2e-9)])
+    eye = np.eye(2)[:, :, None]
+    base, delta = eye * b, eye * d
+    t_below, t_above = 1.0 - cy.AMPLITUDE_RTOL, 1.0 + cy.AMPLITUDE_RTOL
+    assert cy.min_eigenvalue_field(delta, t_below, base)[1] == 1
+    assert (b + t_above * d)[1] > 0.0
+    sweeps = _count_calls(monkeypatch, "min_eigenvalue_field", lambda M, t, base: t)
+    assert cy.pencil_amplitude(base, delta) == 1.0
+    assert sweeps == [t_below, t_above]
 
 
 def _pencil_scale_full_copy(g, delta, chunk):
@@ -415,19 +516,6 @@ def _symmetric_field(rng, k, grid, diag=3.0):
     return 0.5 * (A + np.swapaxes(A, 0, 1)) + diag * np.eye(k).reshape((k, k) + (1,) * len(grid))
 
 
-def _count_kernel_points(monkeypatch, name):
-    """Wrap a per-matrix kernel of cy_operator; returns the running count."""
-    seen = [0]
-    kernel = getattr(cy, name)
-
-    def counted(*blocks):
-        seen[0] += blocks[0].shape[0]
-        return kernel(*blocks)
-
-    monkeypatch.setattr(cy, name, counted)
-    return seen
-
-
 def test_min_eigenvalue_of_constant_field_ties_at_index_zero(monkeypatch):
     """Every point ties, so every point stays a candidate and the first wins."""
     monkeypatch.setattr(cy, "SLAB_POINTS", 7)
@@ -454,9 +542,9 @@ def test_min_eigenvalue_dense_off_diagonals_prune_nothing(monkeypatch):
     monkeypatch.setattr(cy, "SLAB_POINTS", 7)
     c = np.random.default_rng(3).uniform(0.2, 0.3, size=(3, 100))
     M = (1.0 - c) * np.eye(4)[:, :, None, None] + c * np.ones((4, 4, 1, 1))
-    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    seen = _count_calls(monkeypatch, "_min_eigenvalue", len)
     assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
-    assert seen[0] >= M[0, 0].size
+    assert sum(seen) >= M[0, 0].size
 
 
 def test_min_eigenvalue_limit_is_exact_at_or_above_the_minimum(monkeypatch):
@@ -469,17 +557,17 @@ def test_min_eigenvalue_limit_is_exact_at_or_above_the_minimum(monkeypatch):
     want = _min_eigenvalue_reference(M)
     for limit in (np.inf, want[0] + 0.01, want[0]):
         assert cy.min_eigenvalue_field(M, limit=limit) == want
-    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    seen = _count_calls(monkeypatch, "_min_eigenvalue", len)
     assert cy.min_eigenvalue_field(M, limit=want[0] - 1e-6) == (np.inf, 0)
-    assert seen[0] == 0
+    assert sum(seen) == 0
 
 
 def test_min_eigenvalue_six_by_six_field(monkeypatch):
     monkeypatch.setattr(cy, "SLAB_POINTS", 200)
     M = _symmetric_field(np.random.default_rng(4), 6, (4, 6, 50), diag=6.0)
-    seen = _count_kernel_points(monkeypatch, "_min_eigenvalue")
+    seen = _count_calls(monkeypatch, "_min_eigenvalue", len)
     assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
-    assert seen[0] < M[0, 0].size
+    assert sum(seen) < M[0, 0].size
 
 
 def test_pencil_scale_non_broadcast_base(monkeypatch):
