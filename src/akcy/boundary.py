@@ -2,24 +2,24 @@
 phi_R = phi + a*psi_R whose deformed form degenerates exactly on the
 boundary of the taming cone while F(phi_R) stays positive.
 
-All bump derivatives are closed-form in chart coordinates and transported
-through the pointwise analytic geometry (`LocalGeometry`), never finite
-differenced: the inner bump feature scale 1/R^2 sits far below any feasible
-uniform grid.  psi_R and all its derivatives vanish identically off its
-support, so only the grid points near the polydisk ever need the bump: one
-grid pass (`_grid_near`) finds them, and `boundary_potential` evaluates them
-with the scan set.  It evaluates F(phi_R) once: on the scan set and the near
+All bump derivatives are closed-form in chart coordinates and enter
+d(J dphi) through the pointwise analytic geometry (`LocalGeometry`,
+`deformation_at`), never finite differenced: the inner bump feature scale
+1/R^2 sits far below any feasible uniform grid.  psi_R and all its
+derivatives vanish identically off its support, so only the grid points near
+the polydisk ever need the bump: one grid pass (`_grid_near`) finds them, and
+`boundary_potential` evaluates them with the scan set.  It evaluates F(phi_R) once: on the scan set and the near
 points from the seed-rotated geometry, and everywhere else as the seed's grid
 F.  The grid-shaped F(phi_R) rides on the report, and `witness_density` only
 normalizes it.
 
 Memory: every pointwise pass runs over batches of SCAN_CHUNK points in point
-order.  The scan set's LocalGeometry, built in the seed-rotated frame, exists
-one batch at a time and is reduced at once to the per-point arrays the
-certification reads (`_ScanGeometry`); the seed's grid F gathers only the
-frame arrays of `PointFrame` from the broadcast-reduced lattice geometry.
-Point order is kept, so minima, first argmins and every output are bitwise
-those of one pass over all points.
+order.  The scan set's LocalGeometry (J, g, the seed-rotated frame and dJ)
+exists one batch at a time and is reduced at once to the per-point arrays the
+certification reads (`_ScanGeometry`); the seed's grid F gathers only J and
+dJ from the broadcast-reduced lattice geometry.  Point order is kept, so
+minima, first argmins and every output are bitwise those of one pass over all
+points.
 
 Chart convention: the polydisk chart around the basepoint p0 is
 x(zeta) = p0 + rho * sum_a (zeta_a e_a + conj), with e_a the p0-frame rotated
@@ -45,10 +45,11 @@ from .errors import (
 from .frame import (
     LocalGeometry,
     build_frame,
+    deformation_at,
     frame_tau_components,
-    hermitian_coefficients,
+    hermitian_at,
     nijenhuis_max_norm,
-    tau_coefficients,
+    tau_at,
 )
 from .potentials import AnalyticPotential, default_candidates
 
@@ -67,8 +68,8 @@ __all__ = [
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
-# Points per batch of every point pass: a LocalGeometry, a gathered
-# PointFrame or the near-set sweep of the grid.
+# Points per batch of every point pass: a LocalGeometry, a gather from the
+# lattice geometry or the near-set sweep of the grid.
 SCAN_CHUNK = 8_192
 
 
@@ -385,8 +386,8 @@ def select_seed(s):
 
     # H(phi)(p0) in the frame basis, via the exact pointwise path.
     lg = LocalGeometry(s, p0[None, :])
-    _, _, pabar = lg.covariant_of(c * cand.grad(p0[None, :]), c * cand.hess(p0[None, :]))
-    M0 = hermitian_coefficients(pabar)[..., 0]
+    B0 = deformation_at(lg.J, lg.dJ, c * cand.grad(p0[None, :]), c * cand.hess(p0[None, :]))
+    M0 = hermitian_at(B0, lg.e)[..., 0]
     lamvals, U = np.linalg.eigh(0.5 * (M0 + M0.conj().T))
     if lamvals.min() <= 0:
         raise SeedSearchError(f"H(phi)(p0) not positive definite: eigenvalues {lamvals}")
@@ -419,17 +420,12 @@ def _scan_batch(s, seed, bump, points):
     """The per-point arrays _ScanGeometry keeps, on one batch of points; the
     batch's seed-rotated LocalGeometry is dropped on return."""
     lg = LocalGeometry(s, points, seed.U)
-    pa_phi, _, pabar_phi = lg.covariant_of(
-        seed.analytic_grad(points), seed.analytic_hess(points)
-    )
+    Bphi = deformation_at(lg.J, lg.dJ, seed.analytic_grad(points), seed.analytic_hess(points))
     _, gpsi, hpsi = bump.torus_eval(points, order=2)
-    pa_psi, _, pabar_psi = lg.covariant_of(gpsi, hpsi)
-    Bphi = lg.deformation_form(pa_phi, pabar_phi)
-    Bpsi = lg.deformation_form(pa_psi, pabar_psi)
+    Bpsi = deformation_at(lg.J, lg.dJ, gpsi, hpsi)
     return {
-        "pa_phi": pa_phi,
-        "pa_psi": pa_psi,
-        "N12": lg.N[:, 0:1, 1:2],
+        "tau_phi": tau_at(Bphi, lg.e)[0, 1],
+        "tau_psi": tau_at(Bpsi, lg.e)[0, 1],
         "Bphi": Bphi,
         "Bpsi": Bpsi,
         "base": lg.g + cy.h_matrix(lg.J, Bphi),
@@ -439,13 +435,13 @@ def _scan_batch(s, seed, bump, points):
 
 class _ScanGeometry:
     """Seed phi and bump psi at the scan points, as the per-point arrays the
-    witness reads: phi_a, psi_a and the torsion entries N^a_{12} for tau_12;
-    Bphi and Bpsi, their d(J d.) in pair components, for F; and the taming
+    witness reads: Bphi and Bpsi, their d(J d.) in pair components, for F;
+    their tau_12 = B(e_1, e_2) in the seed-rotated frame; and the taming
     pencil h(phi + s psi) = base + s * delta.
 
     The seed-rotated LocalGeometry is built one SCAN_CHUNK batch at a time,
     in point order, reduced to these arrays and dropped: memory grows with
-    the scan set only through them (448 bytes per point at n = 2, 960 at
+    the scan set only through them (384 bytes per point at n = 2, 848 at
     n = 3), and they are bitwise those of one geometry on all the points.
     """
 
@@ -459,7 +455,7 @@ class _ScanGeometry:
                 getattr(self, key)[..., a:b] = value
 
     def tau12(self, amp):
-        return 2.0 * tau_coefficients(self.pa_phi + amp * self.pa_psi, self.N12)[0, 0]
+        return self.tau_phi + amp * self.tau_psi
 
     def F(self, amp):
         """F(phi + amp psi) at the scan points, by the grid's top power."""
@@ -554,11 +550,12 @@ def _seed_grid_F(s, seed):
         lattice, idx = _lattice_geometry(s)
         out = np.empty(pts.shape[0])
         for a, b in _batches(pts.shape[0]):
-            frame = lattice.take(idx.flat[a:b])
-            pa, _, pabar = frame.covariant_of(
-                seed.analytic_grad(pts[a:b]), seed.analytic_hess(pts[a:b])
-            )
-            out[a:b] = cy._F_of(s, frame.deformation_form(pa, pabar))
+            # np.take keeps the point axis last in memory too (value[..., at]
+            # would put it first and slow every einsum over the points).
+            at = idx.flat[a:b]
+            J, dJ = (np.take(v, at, axis=-1) for v in (lattice.J, lattice.dJ))
+            B = deformation_at(J, dJ, seed.analytic_grad(pts[a:b]), seed.analytic_hess(pts[a:b]))
+            out[a:b] = cy._F_of(s, B)
         return out
 
     entry = s.cache("seed_grid_F", lambda: [None, None])

@@ -200,11 +200,16 @@ def form_to_matrix(a):
     """2-form as an antisymmetric (2n, 2n, *grid) coefficient matrix field."""
     if a.degree != 2:
         raise DegreeError("matrix view only defined for 2-forms")
-    dim = a.chart.dim
-    B = np.zeros((dim, dim) + a.comps.shape[1:], dtype=a.comps.dtype)
-    for idx, (i, j) in enumerate(a.indices):
-        B[i, j] = a.comps[idx]
-        B[j, i] = -a.comps[idx]
+    return pair_matrix(a.comps, a.chart.dim)
+
+
+def pair_matrix(comps, dim):
+    """Antisymmetric (dim, dim, *p) matrix of increasing-pair components
+    comps (pair axis first)."""
+    B = np.zeros((dim, dim) + comps.shape[1:], dtype=comps.dtype)
+    for idx, (i, j) in enumerate(multi_indices(dim, 2)):
+        B[i, j] = comps[idx]
+        B[j, i] = -comps[idx]
     return B
 
 

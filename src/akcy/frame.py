@@ -1,15 +1,18 @@
 """Unitary frames, the second canonical connection, torsion, and covariant
 derivatives of potentials.
 
-Two evaluation paths share the same algebraic kernels (Gram-Schmidt frame,
-connection, torsion split, and the tau and H frame coefficients):
+Two evaluation paths share only the Gram-Schmidt frame:
 
 * the grid path differentiates the structure's fields with the chart's
-  centered differences (production validation path, O(h^2) accurate);
+  centered differences and builds the connection, the torsion and the
+  covariant Hessian; it is the O(h^2) validation reference of the
+  frame-coefficient formulas (tau_coefficients, hermitian_coefficients);
 * the pointwise path (`LocalGeometry`) evaluates the analytic structure at
-  arbitrary points and takes small-step central differences of the closed
-  forms, which the boundary module uses to scan polydisks far below the
-  grid scale.
+  arbitrary points and keeps J, g, the frame and dJ, a small-step central
+  difference of the closed form.  d(J dphi) is taken there in coordinates
+  (`deformation_at`), and tau and H are read off it on the frame
+  (`tau_at`, `hermitian_at`); the boundary module uses it to scan
+  polydisks far below the grid scale.
 
 The connection is realized as Levi-Civita corrected by -J(grad J)/2, the
 closed form of the unique almost-Hermitian connection with vanishing (1,1)
@@ -46,7 +49,9 @@ __all__ = [
     "hermitian_coefficients",
     "frame_tau_components",
     "frame_hermitian_components",
-    "PointFrame",
+    "deformation_at",
+    "tau_at",
+    "hermitian_at",
     "LocalGeometry",
     "TORSION_NIJENHUIS_RATIO",
 ]
@@ -89,14 +94,6 @@ class UnitaryFrame:
             "J_alignment": float(d_align),
             "duality": float(max(d_dual, d_dual0)),
         }
-
-
-def _rotate_frame(U, e, theta, lead=""):
-    """(e', theta') under the constant unitary change e'_a = sum_b U[b,a] e_b;
-    lead names axes in front of the frame index (e.g. "d" for derivatives)."""
-    U = np.asarray(U, dtype=complex)
-    spec = f"ba,{lead}bk...->{lead}ak..."
-    return np.einsum(spec, U, e), np.einsum(spec, np.conj(U), theta)
 
 
 def _gram_schmidt(J, g, seeds):
@@ -165,7 +162,7 @@ def build_frame(s):
 
 
 # ---------------------------------------------------------------------------
-# Connection kernels shared by grid and pointwise paths.
+# Grid-path connection kernels.
 
 def _lc_bracket(dg):
     """B[i,l,j] = dg[i,l,j] + dg[j,l,i] - dg[l,i,j]."""
@@ -333,21 +330,14 @@ def covariant_hessian(s, f, c, phi):
     dphi = chart.gradient(phi)
     phi_a = np.einsum("ak...,k...->a...", f.e, dphi)
     dpa = chart.gradient(phi_a)
-    return CovariantHessian(chart, phi_a, *_second_covariant(phi_a, dpa, c.omega, f.e))
-
-
-def _second_covariant(phi_a, dpa, conn_omega, e):
-    """(phi_ab, phi_abar) from phi_a, its coordinate derivatives
-    dpa[d,a] = partial_d phi_a and the connection 1-forms."""
-    u = np.einsum("da...->ad...", dpa) - np.einsum("b...,abd...->ad...", phi_a, conn_omega)
-    phi_ab = np.einsum("ad...,bd...->ab...", u, e)
-    phi_abar = np.einsum("ad...,bd...->ab...", u, np.conj(e))
-    return phi_ab, phi_abar
+    u = np.einsum("da...->ad...", dpa) - np.einsum("b...,abd...->ad...", phi_a, c.omega)
+    phi_ab = np.einsum("ad...,bd...->ab...", u, f.e)
+    phi_abar = np.einsum("ad...,bd...->ab...", u, np.conj(f.e))
+    return CovariantHessian(chart, phi_a, phi_ab, phi_abar)
 
 
 # ---------------------------------------------------------------------------
-# Frame-path operators (validation mirrors of the coordinate path), shared by
-# the grid path and LocalGeometry.
+# Frame-path operators (validation mirrors of the coordinate path).
 
 def tau_coefficients(phi_a, N):
     """tau coefficients c[b,c] = -2i sum_a conj(phi_a) conj(N^a_{bc}).
@@ -364,115 +354,84 @@ def hermitian_coefficients(phi_abar):
     return eye - 2.0 * phi_abar
 
 
+def _frame_values(B, u, v):
+    """[a, b] -> B(u_a, v_b) for the antisymmetric matrix B (2n, 2n, *p) of a
+    2-form and vectors u_a, v_b given as (k, 2n, *p)."""
+    return np.einsum("ij...,ai...,bj...->ab...", B, u, v)
+
+
 def frame_tau_components(f, cff):
     """Coefficients c[b,c] of a coordinate (2,0)-field in the frame basis."""
-    T = forms.form_to_matrix(cff)
-    return 0.5 * np.einsum("ij...,bi...,cj...->bc...", T, f.e, f.e)
+    return 0.5 * _frame_values(forms.form_to_matrix(cff), f.e, f.e)
 
 
 def frame_hermitian_components(f, cff):
     """Hermitian matrix M[a,b] with H = i M_ab theta^a wedge conj-theta^b."""
-    B = forms.form_to_matrix(cff)
-    return -1j * np.einsum("ij...,ai...,bj...->ab...", B, f.e, np.conj(f.e))
+    return -1j * _frame_values(forms.form_to_matrix(cff), f.e, np.conj(f.e))
 
 
 # ---------------------------------------------------------------------------
 # Pointwise analytic path.
 
-class PointFrame:
-    """A unitary frame e with its coordinate derivative de and dual coframe
-    theta, the connection 1-forms and the (0,2) torsion N at a batch of
-    points (point axis last): all that covariant_of and deformation_form
-    read."""
+def deformation_at(J, dJ, grad, hess):
+    """Pair components (pair axis first) of d(J dphi) at points, in
+    coordinates: d(J dphi)_ij = D_ij - D_ji with
+    D_ij = d_i(J^k_j phi_k) = dJ[i,k,j] phi_k + J^k_j phi_ik.
 
-    FIELDS = ("e", "de", "theta", "conn_omega", "N")
-
-    def __init__(self, e, de, theta, conn_omega, N):
-        self.e, self.de, self.theta, self.conn_omega, self.N = e, de, theta, conn_omega, N
-
-    def covariant_of(self, grad, hess):
-        """Covariant phi_a, phi_abar, phi_ab of a potential from its analytic
-        coordinate gradient (2n, m) and Hessian (2n, 2n, m)."""
-        phi_a = np.einsum("ak...,k...->a...", self.e, grad)
-        # d(phi_a)_d = (de[d,a,k]) grad_k + e[a,k] hess[d,k]
-        dpa = np.einsum("dak...,k...->da...", self.de, grad) + np.einsum(
-            "ak...,dk...->da...", self.e, hess
-        )
-        return (phi_a,) + _second_covariant(phi_a, dpa, self.conn_omega, self.e)
-
-    def deformation_form(self, phi_a, phi_abar):
-        """Increasing-pair components (pair axis first) of the real 2-form
-        d(Jd phi) from the frame expansion
-        -2i( conj(phi_a) conj(N) theta^b theta^c + phi_abar theta^a conj-theta^b
-             - phi_a N conj-theta^b conj-theta^c )."""
-        c20 = tau_coefficients(phi_a, self.N)
-        th = self.theta
-        thb = np.conj(self.theta)
-        B20 = np.einsum("bc...,bi...,cj...->ij...", c20, th, th)
-        B20 = B20 - np.swapaxes(B20, 0, 1)
-        B11 = -2j * np.einsum("ab...,ai...,bj...->ij...", phi_abar, th, thb)
-        B11 = B11 - np.swapaxes(B11, 0, 1)
-        c02 = 2j * np.einsum("a...,abc...->bc...", phi_a, self.N)
-        B02 = np.einsum("bc...,bi...,cj...->ij...", c02, thb, thb)
-        B02 = B02 - np.swapaxes(B02, 0, 1)
-        total = (B20 + B11 + B02).real
-        return np.stack([total[i, j] for i, j in forms.multi_indices(total.shape[0], 2)])
+    J is (2n, 2n, *p) and dJ[d,k,l] = partial_d J^k_l; grad (2n, *p) and
+    hess (2n, 2n, *p) are the potential's coordinate derivatives.
+    """
+    D = np.einsum("ikj...,k...->ij...", dJ, grad) + np.einsum("kj...,ik...->ij...", J, hess)
+    return np.stack([D[i, j] - D[j, i] for i, j in forms.multi_indices(D.shape[0], 2)])
 
 
-class LocalGeometry(PointFrame):
-    """Frame/connection/torsion of an analytic structure at arbitrary points.
+def tau_at(B, e):
+    """tau_ab = B(e_a, e_b) for a 2-form B in pair components: the (1,1)
+    and (0,2) parts of B vanish on two (1,0)-vectors, so this is B's (2,0)
+    part, tau = sum_{a<b} tau_ab theta^a wedge theta^b, with no projection."""
+    return _frame_values(forms.pair_matrix(B, e.shape[1]), e, e)
 
-    Derivatives are small-step central differences of the closed-form fields,
-    so accuracy (~1e-10) is independent of the grid.  Points have shape
-    (m, 2n); all member arrays keep the point axis last.
 
-    With a constant unitary U the frame is e'_a = sum_b U[b,a] e_b: e, theta
-    and their differences are rotated right after differencing, and the
-    connection and torsion are built once, in the rotated frame.
+def hermitian_at(B, e):
+    """M_ab = -i (omega + B)(e_a, conj e_b) for a real 2-form B in pair
+    components, with H(phi) = i M_ab theta^a wedge conj-theta^b: the (2,0)
+    and (0,2) parts vanish on (e_a, conj e_b), so no projection is needed;
+    M = identity at B = 0."""
+    dim = e.shape[1]
+    pos = forms.index_positions(dim, 2)
+    w = B.copy()
+    for a in range(dim // 2):
+        w[pos[(2 * a, 2 * a + 1)]] += 1.0
+    return -1j * _frame_values(forms.pair_matrix(w, dim), e, np.conj(e))
+
+
+class LocalGeometry:
+    """J, g, the unitary frame e and dJ of an analytic structure at
+    arbitrary points: all that deformation_at, tau_at, hermitian_at and the
+    taming matrix read there.
+
+    dJ[d] is the central difference of J_at with step FD_STEP, so its
+    accuracy does not depend on the grid.  Points have shape
+    (m, 2n); the member arrays keep the point axis last.  With a constant
+    unitary U the frame is e'_a = sum_b U[b,a] e_b.
     """
 
     def __init__(self, s: CompatibleStructure, points, U=None):
         self.s = s
         self.points = np.asarray(points, dtype=float)
-        n = s.half_dim
-        dim = 2 * n
-        seeds = [2 * a for a in range(n)]
+        dim = 2 * s.half_dim
 
-        def frame_at(pts):
-            J = np.moveaxis(s.J_at(pts), (-2, -1), (0, 1))
-            g = np.einsum("ij,jk...->ik...", s.omega, J)
-            e, theta = _gram_schmidt(J, g, seeds)
-            return J, g, e, theta
+        def J_at(pts):
+            return np.moveaxis(s.J_at(pts), (-2, -1), (0, 1))
 
-        self.J, self.g, self.e, self.theta = frame_at(self.points)
-
-        # Each difference goes straight into its slice, so no per-axis copy is
-        # held while the connection and torsion are built.
-        fields = (self.J, self.g, self.e, self.theta)
-        diffs = [np.empty((dim,) + f.shape, f.dtype) for f in fields]
-        h = FD_STEP
+        self.J = J_at(self.points)
+        self.g = np.einsum("ij,jk...->ik...", s.omega, self.J)
+        self.e = _gram_schmidt(self.J, self.g, list(range(0, dim, 2)))[0]
+        if U is not None:
+            self.e = np.einsum("ba,bk...->ak...", np.asarray(U, dtype=complex), self.e)
+        self.dJ = np.empty((dim,) + self.J.shape)
         for d in range(dim):
             dp = np.zeros(dim)
-            dp[d] = h
-            for out, fp, fm in zip(diffs, frame_at(self.points + dp), frame_at(self.points - dp)):
-                out[d] = (fp - fm) / (2 * h)
-        self.dJ, self.dg, self.de, self.dtheta = diffs
-        if U is not None:
-            self.e, self.theta = _rotate_frame(U, self.e, self.theta)
-            self.de, self.dtheta = _rotate_frame(U, self.de, self.dtheta, lead="d")
-
-        self.gamma1 = _gamma1(self.J, self.dJ, _levi_civita(self.g, self.dg))
-        self.conn_omega = _connection_matrix(self.theta, self.e, self.de, self.gamma1)
-        self.T, self.N, self.mixed = _torsion_components(
-            self.dtheta, self.conn_omega, self.theta, self.e
-        )
-
-    def take(self, idx):
-        """The PointFrame at points[idx] for a 1-D index array, gathered from
-        this geometry without evaluating the structure again; only the five
-        arrays of PointFrame.FIELDS are gathered.  np.take keeps the point
-        axis last in memory too (value[..., idx] would put it first, which
-        slows every later einsum over the points two- to threefold)."""
-        return PointFrame(
-            *(np.take(getattr(self, key), idx, axis=-1) for key in PointFrame.FIELDS)
-        )
+            dp[d] = FD_STEP
+            np.subtract(J_at(self.points + dp), J_at(self.points - dp), out=self.dJ[d])
+            self.dJ[d] /= 2 * FD_STEP

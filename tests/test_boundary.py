@@ -224,16 +224,18 @@ def test_boundary_witness_is_bitwise_the_same_in_any_batches(monkeypatch, s_tw12
 
 
 def test_scan_geometry_holds_no_geometry_and_under_1kb_per_point(monkeypatch, s_tw12, tw12_seed):
-    """The scan geometry keeps only per-point arrays, under 1 KB per point at
-    n = 2, and no LocalGeometry or PointFrame, also across batches."""
+    """The scan geometry keeps only per-point arrays, 384 bytes per point at
+    n = 2 (tau_12 of phi and psi, complex; B_phi and B_psi, 6 reals each;
+    base and delta, 16 reals each), and no LocalGeometry, also across
+    batches."""
     bump = bd._seed_bump(s_tw12, tw12_seed, 8.0)
     w = bd._scan_lattice(bump, 8.0, np.random.default_rng(7))[:2500]
     monkeypatch.setattr(bd, "SCAN_CHUNK", 1000)
     geo = bd._ScanGeometry(s_tw12, tw12_seed, bump, bump.chart_to_torus(w))
     held = [v for v in vars(geo).values() if isinstance(v, np.ndarray)]
-    assert not any(isinstance(v, fr.PointFrame) for v in vars(geo).values())
+    assert not any(isinstance(v, fr.LocalGeometry) for v in vars(geo).values())
     assert held and all(v.shape[-1] == len(w) for v in held)
-    assert sum(v.nbytes for v in held) < 1024 * len(w)
+    assert sum(v.nbytes for v in held) == 384 * len(w)
 
 
 def _flat_seed(s):
@@ -260,8 +262,8 @@ def _flat_seed(s):
     [("sin_x1_cos_y2", 100), ("sin_x1", 10), ("standard", 1)],
 )
 def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
-    """_seed_grid_F gathers LocalGeometry from the broadcast-reduced lattice;
-    it matches a LocalGeometry evaluated at every grid point."""
+    """_seed_grid_F gathers J and dJ from the broadcast-reduced lattice
+    geometry; it matches a LocalGeometry evaluated at every grid point."""
     if case == "standard":
         s = make_standard([10] * 4)
         seed = _flat_seed(s)
@@ -273,9 +275,8 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
 
     pts = s.chart.grid_points().reshape(-1, 4)
     lg = fr.LocalGeometry(s, pts)
-    pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
-    grid_F = cy._F_of(s, lg.deformation_form(pa, pabar))
-    assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
+    B = fr.deformation_at(lg.J, lg.dJ, seed.analytic_grad(pts), seed.analytic_hess(pts))
+    assert np.abs(bd._seed_grid_F(s, seed) - cy._F_of(s, B)).max() < 1e-10
 
 
 @pytest.mark.parametrize("profile", ["sin_x1_cos_y2", "sin_x1"])
@@ -303,7 +304,6 @@ def test_seed_grid_F_follows_each_new_seed():
     base = _flat_seed(s)
     for scale in np.linspace(0.01, 0.1, 20):
         seed = dataclasses.replace(base, scale_c=scale)
-        pa, _, pabar = lg.covariant_of(seed.analytic_grad(pts), seed.analytic_hess(pts))
-        grid_F = cy._F_of(s, lg.deformation_form(pa, pabar))
-        assert np.abs(bd._seed_grid_F(s, seed) - grid_F).max() < 1e-10
+        B = fr.deformation_at(lg.J, lg.dJ, seed.analytic_grad(pts), seed.analytic_hess(pts))
+        assert np.abs(bd._seed_grid_F(s, seed) - cy._F_of(s, B)).max() < 1e-10
         del seed

@@ -9,7 +9,7 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
-from akcy.frame import LocalGeometry, hermitian_coefficients, tau_coefficients
+from akcy.frame import LocalGeometry, deformation_at, hermitian_at, tau_at
 
 from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
                       make_standard, make_twisted, set_slab_rows, slab_structure,
@@ -174,22 +174,21 @@ def test_decomposition_sums_to_top_ratio(s_tw12, rng):
 
 
 def _pointwise_deformation(s, rng, m=200, amp=1e-3):
-    """(LocalGeometry at m random points, covariant phi_a and phi_abar of a
-    random potential there, pair components of its d(J dphi))."""
+    """(LocalGeometry at m random points, pair components of d(J dphi) of a
+    random potential there)."""
     pts = rng.uniform(size=(m, s.chart.dim))
     pot = potentials.random_potential(s.half_dim, rng)
     lg = LocalGeometry(s, pts)
-    pa, _, pabar = lg.covariant_of(amp * pot.grad(pts), amp * pot.hess(pts))
-    return lg, pa, pabar, lg.deformation_form(pa, pabar)
+    return lg, deformation_at(lg.J, lg.dJ, amp * pot.grad(pts), amp * pot.hess(pts))
 
 
 def test_top_power_F_at_points_is_the_n2_frame_identity(s_tw12, rng):
     """At n = 2 the top power of omega + B at off-grid points equals
     det(M) + |tau_12|^2, M the Hermitian frame matrix of the (1,1) part.
     A batch of another shape gives F of that shape, bitwise the same."""
-    lg, pa, pabar, B = _pointwise_deformation(s_tw12, rng)
-    M = hermitian_coefficients(pabar)
-    tau12 = 2.0 * tau_coefficients(pa, lg.N)[0, 1]
+    lg, B = _pointwise_deformation(s_tw12, rng)
+    M = hermitian_at(B, lg.e)
+    tau12 = tau_at(B, lg.e)[0, 1]
     expected = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real + np.abs(tau12) ** 2
     F = cy._F_of(s_tw12, B)
     assert F.shape == (200,)
@@ -201,7 +200,7 @@ def test_top_power_F_at_points_is_the_pfaffian_at_n3(rng):
     """At n = 3 the top power of omega + B at off-grid points equals the
     Pfaffian of the matrix Omega + B, here sqrt(det) since F > 0."""
     s = make_twisted([8] * 6)
-    _, _, _, B = _pointwise_deformation(s, rng, amp=2e-4)
+    _, B = _pointwise_deformation(s, rng, amp=2e-4)
     A = np.zeros((6, 6) + B.shape[1:])
     for p, (i, j) in enumerate(forms.multi_indices(6, 2)):
         A[i, j], A[j, i] = B[p], -B[p]

@@ -47,7 +47,10 @@ REPO = SRC.parents[1]
 # connection_forms, torsion and covariant_hessian are the grid path that
 # criterion 05 and test_frame hold the pointwise path to; kernel_check is
 # the dense audit of the linearized operator; tau is the bidegree-projection
-# reference of the (2,0) part of d(J dphi); and TORSION_NIJENHUIS_RATIO is
+# reference of the (2,0) part of d(J dphi); tau_coefficients and
+# hermitian_coefficients are the grid frame path's tau and H, the references
+# that criterion 05 and test_frame hold the coordinate and pointwise tau and
+# H to; and TORSION_NIJENHUIS_RATIO is
 # the desk-derived ratio of frame (0,2) torsion to the bracket Nijenhuis
 # tensor that test_frame asserts.
 TEST_REFERENCES = {
@@ -58,6 +61,8 @@ TEST_REFERENCES = {
     "covariant_hessian",
     "kernel_check",
     "tau",
+    "tau_coefficients",
+    "hermitian_coefficients",
 }
 
 

@@ -7,6 +7,7 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import frame as fr
 from akcy.errors import FrameError
+from akcy.potentials import default_candidates
 
 from conftest import assert_same_bytes, make_twisted
 
@@ -137,22 +138,40 @@ def test_local_geometry_matches_grid_frame(s_tw12):
 
 @pytest.mark.parametrize("resolution", [[12] * 4, [8] * 6])
 def test_local_geometry_rotated_when_built(resolution, rng):
-    """With U, LocalGeometry rotates e, theta and their differences and then
-    builds the connection and torsion: bitwise that composition on the
-    unrotated geometry."""
+    """With U, LocalGeometry's frame is bitwise e'_a = sum_b U[b,a] e_b of
+    the unrotated one, and J, g and dJ do not depend on U."""
     s = make_twisted(resolution)
     n = s.half_dim
     pts = rng.uniform(0, 1, size=(64, 2 * n))
     U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     plain = fr.LocalGeometry(s, pts)
-    e, theta = fr._rotate_frame(U, plain.e, plain.theta)
-    de, dtheta = fr._rotate_frame(U, plain.de, plain.dtheta, lead="d")
-    conn_omega = fr._connection_matrix(theta, e, de, plain.gamma1)
-    N = fr._torsion_components(dtheta, conn_omega, theta, e)[1]
-    want = {"e": e, "de": de, "theta": theta, "conn_omega": conn_omega, "N": N}
     got = fr.LocalGeometry(s, pts, U)
-    for key in fr.PointFrame.FIELDS:
-        assert_same_bytes(getattr(got, key), want[key])
+    assert_same_bytes(got.e, np.einsum("ba,bk...->ak...", U, plain.e))
+    for key in ("J", "g", "dJ"):
+        assert_same_bytes(getattr(got, key), getattr(plain, key))
+
+
+@pytest.mark.parametrize("resolution", [[12] * 4, [8] * 6])
+def test_local_geometry_holds_only_J_g_e_and_dJ(resolution, rng):
+    """After the build LocalGeometry holds (tracemalloc) no more than its
+    four arrays: J and g, 4n^2 reals each, the frame e, 2n^2 complex, and
+    dJ, 8n^3 reals, per point (896 B at n = 2, 2,592 B at n = 3), plus
+    4 KiB of object overhead."""
+    s = make_twisted(resolution)
+    n = s.half_dim
+    m = 2000
+    pts = rng.uniform(0, 1, size=(m, 2 * n))
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    fr.LocalGeometry(s, pts[:10], U)
+    per_point = 8 * (4 * n**2 + 4 * n**2 + 8 * n**3) + 16 * 2 * n**2
+    tracemalloc.start()
+    try:
+        lg = fr.LocalGeometry(s, pts, U)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(v.nbytes for v in (lg.J, lg.g, lg.e, lg.dJ)) == per_point * m
+    assert held <= per_point * m + 4096
 
 
 def test_local_geometry_peak_is_under_twice_what_it_holds(s_tw12, rng):
@@ -172,7 +191,37 @@ def test_local_geometry_peak_is_under_twice_what_it_holds(s_tw12, rng):
     assert peak < 1.9 * held
 
 
-def test_local_geometry_mixed_torsion_defect(s_tw12, rng):
-    pts = rng.uniform(0, 1, size=(64, 4))
-    lg = fr.LocalGeometry(s_tw12, pts)
-    assert float(np.abs(lg.mixed).max()) < 1e-7
+
+def _pointwise_vs_grid(res):
+    """Largest differences at the grid points of twisted res^4 between the
+    pointwise path (deformation_at, tau_12 = tau_at[0, 1], hermitian_at) of
+    an analytic candidate and its grid references: cy.deformation_form of
+    the sampled potential, and the frame path's 2 tau_coefficients[0, 1]
+    and hermitian_coefficients."""
+    s = make_twisted([res] * 4)
+    cand = next(c for c in default_candidates(2) if c.name == "prod_x1_y2")
+    chart = s.chart
+    pts = chart.grid_points().reshape(-1, 4)
+    lg = fr.LocalGeometry(s, pts)
+    c = 0.05
+    B = fr.deformation_at(lg.J, lg.dJ, c * cand.grad(pts), c * cand.hess(pts))
+    phi = c * cand.value(chart.grid_points())
+    f, conn, t = _pipeline(s)
+    h = fr.covariant_hessian(s, f, conn, phi)
+    grid_B = cy.deformation_form(s, phi).comps.reshape(6, -1)
+    grid_tau = np.broadcast_to(2.0 * fr.tau_coefficients(h.phi_a, t.N)[0, 1], chart.shape)
+    grid_M = np.broadcast_to(fr.hermitian_coefficients(h.phi_abar), (2, 2) + chart.shape)
+    return (
+        float(np.abs(B - grid_B).max()),
+        float(np.abs(fr.tau_at(B, lg.e)[0, 1] - grid_tau.ravel()).max()),
+        float(np.abs(fr.hermitian_at(B, lg.e) - grid_M.reshape(2, 2, -1)).max()),
+    )
+
+
+def test_pointwise_path_converges_to_the_grid_path():
+    """d(J dphi), tau_12 and M of the pointwise path at grid points agree
+    with the grid's at second order: halving h cuts each difference by at
+    least 2.5."""
+    coarse, fine = _pointwise_vs_grid(12), _pointwise_vs_grid(24)
+    for e12, e24 in zip(coarse, fine):
+        assert 0.0 < e24 and e12 / e24 >= 2.5, (coarse, fine)
