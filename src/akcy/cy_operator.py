@@ -232,30 +232,65 @@ def _wrapped_rows(f, axis, lo, hi):
     return np.take(f, np.arange(lo, hi), axis=axis, mode="wrap")
 
 
-def _diff_rows(chart, f, out):
-    """Centred differences along grid axis 0 (leading) of f's interior rows,
-    into out, by Chart.diff's operations; zero if f has one (broadcast) row."""
+def _delta_rows(f, out):
+    """Unscaled centred differences f[i+1] - f[i-1] along grid axis 0
+    (leading) of f's interior rows, into out; zero if f has one (broadcast)
+    row."""
     if f.shape[0] == 1:
         out[...] = 0
     else:
         np.subtract(f[2:], f[:-2], out=out)
-        out /= 2.0 * chart.spacing[0]
     return out
 
 
-def _j_gradient_rows(s, u, lo, hi, out):
-    """J du on rows [lo, hi) of grid axis 0, wrapped, into out.  It reads u's
-    rows [lo-1, hi+1); the axis-0 differences are interior slice
-    differences, the others Chart.diff."""
-    chart = s.chart
+def _diff_rows(chart, f, out):
+    """_delta_rows divided by 2h, by Chart.diff's operations."""
+    _delta_rows(f, out)
+    out /= 2.0 * chart.spacing[0]
+    return out
+
+
+def _j_gradient_rows(chart, J, u, lo, hi, out, scaled=True):
+    """sum_k J[k, i] g_k on rows [lo, hi) of grid axis 0, wrapped, into out,
+    with g = du, or with the unscaled differences g_k = u(x + h e_k) -
+    u(x - h e_k) when not scaled.  It reads u's rows [lo-1, hi+1); the
+    axis-0 differences are interior slice differences, the others
+    Chart.delta, divided by 2h as Chart.diff divides them."""
     ue = _wrapped_rows(u, 0, lo - 1, hi + 1)
     mid = ue[1:-1] if ue.shape[0] > 1 else ue
     g = np.empty((chart.dim,) + mid.shape, dtype=np.result_type(u, 1.0))
-    _diff_rows(chart, ue, g[0])
+    _delta_rows(ue, g[0])
     for d in range(1, chart.dim):
-        chart.diff(mid, d, out=g[d])
+        chart.delta(mid, d, out=g[d])
+    if scaled:
+        for d in range(chart.dim):
+            g[d] /= 2.0 * chart.spacing[d]
     del ue, mid
-    out[...] = forms.j_oneform_comps(_wrapped_rows(s.J, 2, lo, hi), g)
+    forms.j_oneform_comps(_wrapped_rows(J, 2, lo, hi), g, out=out)
+
+
+def _halo_slabs(grid, ncomp, dtype, build):
+    """Yield (a, b, rows) over _row_slabs(grid): rows holds ncomp fields on
+    rows [a-1, b+1) of grid axis 0, wrapped (the one row of a broadcast
+    axis), and build(lo, hi, out) fills rows [lo, hi) of them.
+
+    Each row is built once, in one buffer of slab size: the first slab
+    builds all of its rows, every later one takes rows [a-1, a+1) from the
+    slab before (the halo) and builds only [a+1, b+1).
+    """
+    slabs = _row_slabs(grid)
+    halo = 2 if grid[0] > 1 else 0     # one broadcast row has no neighbours
+    rows = slabs[0][1] - slabs[0][0]
+    buf = np.empty((ncomp, rows + halo) + grid[1:], dtype=dtype)
+    built = 0                          # rows of buf the slab before holds
+    for a, b in slabs:
+        if built:
+            buf[:, :halo] = buf[:, built - halo:built]
+            build(a + 1, b + 1, buf[:, halo:b - a + halo])
+        else:
+            build(a - 1, b + 1, buf[:, :b - a + halo])
+        built = b - a + halo
+        yield a, b, buf[:, :built]
 
 
 def _deformation_slabs(s, u, out=None):
@@ -263,35 +298,23 @@ def _deformation_slabs(s, u, out=None):
     over _row_slabs of the broadcast grid of u and J.  The rows are added
     into out[:, a:b] (zeros) when out is given, else into a new zero slab.
 
-    The slab [a, b) differences J du on rows [a-1, b+1).  Each row of J du
-    is built once, in one buffer of slab size: the first slab builds all of
-    its rows, every later one takes rows [a-1, a+1) from the slab before
-    (the halo) and builds only [a+1, b+1).  d is taken with axis-0
-    differences as interior slice differences, the others Chart.diff, and
-    the terms added in exterior_derivative's order, so every value is
-    bitwise that of d_scalar -> apply_J_oneform -> exterior_derivative on
-    the whole grid.
+    The slab [a, b) differences J du on rows [a-1, b+1), each row built once
+    (_halo_slabs).  d is taken with axis-0 differences as interior slice
+    differences, the others Chart.diff, and the terms added in
+    exterior_derivative's order, so every value is bitwise that of d_scalar
+    -> apply_J_oneform -> exterior_derivative on the whole grid.
     """
     chart = s.chart
     grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
     npairs = len(forms.multi_indices(chart.dim, 2))
     dtype = np.result_type(s.J, u, 1.0)
-    slabs = _row_slabs(grid)
-    halo = 2 if grid[0] > 1 else 0     # one broadcast row has no neighbours
-    rows = slabs[0][1] - slabs[0][0]
-    Jg = np.empty((chart.dim, rows + halo) + grid[1:], dtype=dtype)
-    diff = np.empty((rows,) + grid[1:], dtype=dtype)
-    built = 0                          # rows of Jg the slab before holds
-    for a, b in slabs:
-        if built:
-            Jg[:, :halo] = Jg[:, built - halo:built]
-            _j_gradient_rows(s, u, a + 1, b + 1, Jg[:, halo:b - a + halo])
-        else:
-            _j_gradient_rows(s, u, a - 1, b + 1, Jg[:, :b - a + halo])
-        built = b - a + halo
-        Jg_rows = Jg[:, :built]
-        Jg_mid = Jg_rows[:, 1:-1] if halo else Jg_rows
+    diff = None
+    for a, b, Jg_rows in _halo_slabs(grid, chart.dim, dtype, lambda lo, hi, Jg: (
+            _j_gradient_rows(chart, s.J, u, lo, hi, Jg))):
+        Jg_mid = Jg_rows[:, 1:-1] if Jg_rows.shape[1] > b - a else Jg_rows
         B = np.zeros((npairs, b - a) + grid[1:], dtype=dtype) if out is None else out[:, a:b]
+        if diff is None:               # the first slab is the largest
+            diff = np.empty((b - a,) + grid[1:], dtype=dtype)
         d_rows = diff[:b - a]
         forms.add_d_terms(B, chart.dim, 1, lambda i, d: (
             _diff_rows(chart, Jg_rows[i], d_rows) if d == 0
@@ -480,9 +503,16 @@ def _F_total(s, B, return_components):
 
 def _whitened_bound(G, D):
     """Lower bound of lambda_min(L^-1 D L^-T), G = L L^T: the Rayleigh
-    quotient x'Dx / x'Gx is at least min(lb(D), 0) / lb(G) when lb(G) > 0."""
+    quotient x'Dx / x'Gx is at least min(lb(D), 0) / lb(G) when lb(G) > 0.
+    lb(D) is D's Gershgorin bound.  When G broadcasts to fewer points than D
+    (the metric on J's lattice), lb(G) is G's smallest eigenvalue, taken on
+    G's own points at almost no cost; otherwise (a base on the scan set, as
+    large as D) it is G's Gershgorin bound.  Both are lowered by the
+    rounding allowance."""
     low_g, norm_g = _gershgorin(G)
     low_d, norm_d = _gershgorin(D)
+    if G[0, 0].size < D[0, 0].size:
+        low_g = np.linalg.eigvalsh(np.moveaxis(G, (0, 1), (-2, -1)))[..., 0]
     den = low_g - GERSHGORIN_ROUNDING * norm_g
     with np.errstate(divide="ignore", invalid="ignore"):
         lb = (np.minimum(low_d, 0.0) - GERSHGORIN_ROUNDING * norm_d) / den

@@ -172,10 +172,11 @@ def apply_J_oneform(s, a):
     return FormField(s.chart, 1, j_oneform_comps(s.J, a.comps))
 
 
-def j_oneform_comps(J, comps):
-    """Components of (J a)(X) = a(JX) for a 1-form's components; J has its
-    matrix axes first, and the trailing axes broadcast."""
-    return np.einsum("ki...,k...->i...", J, comps)
+def j_oneform_comps(J, comps, out=None):
+    """Components of (J a)(X) = a(JX) for a 1-form's components, into out
+    when given; J has its matrix axes first, and the trailing axes
+    broadcast."""
+    return np.einsum("ki...,k...->i...", J, comps, out=out)
 
 
 def wedge(a, b):

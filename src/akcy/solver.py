@@ -1,8 +1,10 @@
 """Linearization of F, damped Newton iteration, and the continuity method.
 
-L(phi)u = n omega(phi)^{n-1} ^ d(J du) / omega^n is the exact Frechet
-derivative of the discrete F (both are built from the same discrete wedge and
-d), so Newton converges quadratically without any consistency gap.  Linear
+L(phi)u = n omega(phi)^{n-1} ^ d(J du) / omega^n is the Frechet derivative
+of the discrete F to rounding: it is the same discrete d and wedge, regrouped
+into one sum of pair coefficients times unscaled differences
+(LinearOperatorHandle), so Newton converges quadratically without any
+consistency gap.  Linear
 systems are solved matrix-free by GMRES on the complement of the flat kernel
 with a real-FFT constant-coefficient preconditioner from the flat phi=0
 operator, each only as accurately as its Newton step needs (inexact Newton
@@ -71,28 +73,76 @@ class SolveReport:
 
 
 class LinearOperatorHandle:
-    """Matrix-free application of L(phi) with cached omega(phi)^{n-1}, from
-    B = d(J dphi) (a FormField); the solvers, not the handle, check that phi
-    is taming (L elliptic)."""
+    """Matrix-free application of L(phi) from B = d(J dphi) (a FormField),
+    which the handle takes over: omega(phi) = omega + B is formed in B's own
+    storage, so at n = 2 the coefficients are B's array and no second
+    form-size array is built.  The solvers, not the handle, check that phi
+    is taming (L elliptic).
+
+    L(phi)u = n omega(phi)^{n-1} ^ d(J du) / omega^n is one sum over the
+    pairs P = (a, b) of the wedge table, each P with its complement I and
+    sign eps: (n/n!) eps (omega(phi)^{n-1})_I (D_a v_b - D_b v_a), v = J du.
+    With the unscaled differences Delta_k = 2h_k D_k the handle keeps
+    coef[I] = (n/n!) eps (omega(phi)^{n-1})_I / (2h_a), scaled in place, and
+    Jt[k, i] = J[k, i] / (2h_k) on J's lattice, so an apply is
+    sum_P coef_P (Delta_a v_b - (h_a/h_b) Delta_b v_a) with v = Jt Delta u.
+    Pairs whose coefficient vanishes everywhere (the flat base) are left out.
+    """
 
     def __init__(self, s, B):
         self.s = s
-        self.n = s.half_dim
-        self.wn1 = cy._wedge_power(forms.omega_form(s) + B, self.n - 1)
+        chart = s.chart
+        n = s.half_dim
+        h = chart.spacing
+        B.comps += forms.omega_form(s).comps
+        self.coef = cy._wedge_power(B, n - 1).comps
+        pairs = forms.multi_indices(chart.dim, 2)
+        self.terms = []
+        for I, P, _, sign in forms.wedge_table(chart.dim, chart.dim - 2, 2):
+            a, b = pairs[P]
+            self.coef[I] *= n * sign / (math.factorial(n) * 2.0 * h[a])
+            if np.any(self.coef[I]):
+                self.terms.append((I, a, b, h[a] / h[b]))
+        self.Jt = s.J / (2.0 * np.array(h)).reshape((-1, 1) + (1,) * chart.dim)
 
     def apply(self, u):
-        """L(phi)u as a grid scalar field, slab by slab along grid axis 0: no
-        grid-size du, J du or d(J du) is built."""
-        s = self.s
-        shape = s.chart.shape
+        """L(phi)u as a grid scalar field, slab by slab along grid axis 0
+        (cy._halo_slabs): no grid-size du, J du or d(J du) is built."""
+        chart = self.s.chart
+        shape = chart.shape
         u = np.asarray(u, dtype=float).reshape(shape)
-        w = self.wn1.comps
+        if not self.terms:
+            return np.zeros(shape)
         out = np.empty(shape)
-        for a, b, B in cy._deformation_slabs(s, u):
-            dJdu = forms.FormField(s.chart, 2, B)
-            wn1 = forms.FormField(s.chart, self.wn1.degree, cy._rows(w, 1, a, b))
-            out[a:b] = self.n * forms.top_ratio(s, forms.wedge(wn1, dJdu))
+        t = p = None
+
+        def build(r0, r1, rows):
+            cy._j_gradient_rows(chart, self.Jt, u, r0, r1, rows, scaled=False)
+
+        for lo, hi, v in cy._halo_slabs(shape, chart.dim, float, build):
+            if t is None:              # the first slab is the largest
+                t, p = np.empty_like(v[0, 1:-1]), np.empty_like(v[0, 1:-1])
+            ts, ps, rows = t[:hi - lo], p[:hi - lo], out[lo:hi]
+            for k, (I, a, b, ratio) in enumerate(self.terms):
+                _slab_delta(chart, v, b, a, ts)        # Delta_a v_b
+                _slab_delta(chart, v, a, b, ps)        # Delta_b v_a
+                if ratio != 1.0:
+                    ps *= ratio
+                ts -= ps
+                if k == 0:
+                    np.multiply(ts, cy._rows(self.coef[I], 0, lo, hi), out=rows)
+                else:
+                    ts *= cy._rows(self.coef[I], 0, lo, hi)
+                    rows += ts
         return out
+
+
+def _slab_delta(chart, v, i, d, out):
+    """Unscaled axis-d difference of v_i on a slab's rows into out; v holds
+    the rows with one halo row on each side."""
+    if d == 0:
+        return cy._delta_rows(v[i], out)
+    return chart.delta(v[i, 1:-1], d, out=out)
 
 
 def make_handle(s, phi):
@@ -204,6 +254,9 @@ def gmres(A, b, M, rtol, restart, maxiter):
     the first cycle.  maxiter caps the Krylov iterations; each cycle adds
     one A-apply for its true residual.  Returns (x, r, info): r = b - A x
     from the last test, info 0 if it passed, else the iterations run.
+    Beside the basis v it keeps only x and b: M b and each cycle's r and
+    M r are dropped once used, and each new Krylov vector is
+    orthogonalised in its own row of v.
     """
     n = b.size
     bnrm2 = np.linalg.norm(b)
@@ -222,13 +275,15 @@ def gmres(A, b, M, rtol, restart, maxiter):
     iters = 0
     while True:
         v[0] = z
+        del z
         tmp = np.linalg.norm(v[0])
         v[0] *= 1 / tmp
         S = np.zeros(restart + 1)
         S[0] = tmp
         breakdown = False
         for col in range(restart):
-            w = M(A(v[col]))
+            w = v[col + 1]
+            w[...] = M(A(v[col]))
             h0 = np.linalg.norm(w)
             for k in range(col + 1):   # modified Gram-Schmidt
                 tmp = np.dot(v[k], w)
@@ -236,7 +291,6 @@ def gmres(A, b, M, rtol, restart, maxiter):
                 w -= tmp * v[k]
             h1 = np.linalg.norm(w)
             h[col, col + 1] = h1
-            v[col + 1] = w
             if h1 <= eps * h0:   # exact solution in the Krylov space
                 h[col, col + 1] = 0.0
                 breakdown = True
@@ -275,6 +329,7 @@ def gmres(A, b, M, rtol, restart, maxiter):
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
         z = M(r)
+        del r
     return x, r, 0 if rnorm <= atol else iters
 
 

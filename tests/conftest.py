@@ -47,7 +47,8 @@ def rng():
 @functools.lru_cache(maxsize=None)
 def slab_structure(name):
     """Grids for the slab checks: even, odd, one with J constant along axis
-    0, the standard structure, and n = 3."""
+    0, the standard structure, n = 3, and one with a different resolution
+    on each axis."""
     return {
         "tw12": lambda: make_twisted([12] * 4),
         "tw8": lambda: make_twisted([8] * 4),
@@ -55,6 +56,7 @@ def slab_structure(name):
         "tw10_sin_x2": lambda: make_twisted([10] * 4, profile="sin_x2"),
         "std10": lambda: make_standard([10] * 4),
         "tw8_n3": lambda: make_twisted([8] * 6, profile="sin_x1"),
+        "tw_mixed": lambda: make_twisted([8, 10, 9, 12]),
     }[name]()
 
 
@@ -77,6 +79,8 @@ def assert_same_bytes(a, b):
 SLAB_GRIDS = ["tw12", "tw9", "tw10_sin_x2", "std10", "tw8_n3"]
 # One row per slab, a row count dividing no grid here, one slab for the axis.
 SLAB_ROWS = [None, 1, 5, 10**6]
+# The L-apply checks add unequal spacings, where h_a/h_b is not 1.
+L_GRIDS = SLAB_GRIDS + ["tw_mixed"]
 # Grids and slab sizes of the slab margin and F checks.
 REDUCTION_GRIDS = ["tw8", "tw9", "tw8_n3"]
 REDUCTION_ROWS = [1, 2, 10**6]

@@ -429,6 +429,27 @@ def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw
     assert np.isfinite(expected)
 
 
+def test_pencil_bound_reads_the_lattice_metric_exactly(monkeypatch, s_tw12, rng):
+    """With the metric on J's lattice the pencil bound's denominator is g's
+    exact smallest eigenvalue, so fewer points reach the Cholesky kernel
+    than with the same metric copied to grid size, where the Gershgorin
+    bound of g is kept; the critical scale is the same."""
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
+    points = []
+    kernel = cy._whitened_min_eigenvalue
+
+    def counted(G, D):
+        points.append(D.shape[0])
+        return kernel(G, D)
+
+    monkeypatch.setattr(cy, "_whitened_min_eigenvalue", counted)
+    lattice = cy._pencil_critical_scale(s_tw12.g, delta)
+    on_lattice, points[:] = sum(points), []
+    full = cy._pencil_critical_scale(np.broadcast_to(s_tw12.g, delta.shape).copy(), delta)
+    assert lattice == full
+    assert 0 < on_lattice < sum(points)
+
+
 @pytest.mark.parametrize("chunk", [1000, 7])
 def test_min_eigenvalue_blocks_leave_min_and_argmin_unchanged(monkeypatch, s_tw12, rng, chunk):
     """Small point blocks give the minimum and flat argmin of one unblocked

@@ -147,7 +147,9 @@ def _roll_diff(chart, f, d):
 def test_diff_matches_roll_reference_bytewise(dtype):
     """Slices into one output give the np.roll differences bit for bit: even
     and odd axes, two leading component axes, a size-1 broadcast axis, real
-    and complex fields, with and without out=."""
+    and complex fields, with and without out=, C-contiguous (one flat
+    interior subtraction) or not (strided slices); Chart.delta gives the
+    unscaled differences the same way."""
     chart = st.build_grid(2, [8, 9, 10, 11])
     rng = np.random.default_rng(7)
     shape = (2, 3, 8, 1, 10, 11)
@@ -162,6 +164,13 @@ def test_diff_matches_roll_reference_bytewise(dtype):
         assert chart.diff(f, d, out=out) is out
         assert out.tobytes() == ref[d].tobytes()
         assert chart.diff(f, d).tobytes() == ref[d].tobytes()
+        assert chart.diff(np.asfortranarray(f), d).tobytes() == ref[d].tobytes()
+        out = np.full(shape, np.nan, dtype=dtype, order="F")
+        assert chart.diff(f, d, out=out) is out and out.tobytes() == ref[d].tobytes()
+        delta = _roll_diff(chart, f, d) if shape[2 + d] == 1 else (
+            np.roll(f, -1, axis=2 + d) - np.roll(f, 1, axis=2 + d))
+        assert chart.delta(f, d).tobytes() == delta.tobytes()
+        assert chart.delta(np.asfortranarray(f), d).tobytes() == delta.tobytes()
 
 
 def test_integrate_scalar_handles_broadcast_axes(s_std12):
