@@ -30,11 +30,21 @@ taming matrix is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil
 of it, g + h_matrix(J, B) + t*delta, block by block, never at grid size.
 pencil_amplitude certifies its closed-form scale with one full sweep just
 below it and, just above it, one point: the argmin of the sweep below.
+
+Threads: these row-slab loops (d(J dphi), the margin, F, h on a grid and
+both passes of the eigenvalue sweeps) run in contiguous row groups, one
+per CPU of the process's affinity mask (_in_groups), each cut in slabs of
+SLAB_POINTS / groups points, so the slab points in flight are those of one
+serial sweep.  A grid of fewer than two full slabs runs the serial loop,
+and a sweep inside a group runs serially.  Every value is bitwise the same
+on any number of CPUs.  The L apply (solver) stays serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,14 +107,14 @@ def _values(phi):
     return np.asarray(phi, dtype=float)
 
 
-def _point_blocks(*fields):
+def _point_blocks(fields, lo, hi):
     """(flat index of the first point, grid shape of the block, one view per
-    field) over the _row_slabs of matrix fields (matrix axes first, grid axes
-    broadcast).  A view keeps its field's size-1 axes, so a broadcast field
-    (the metric) is never copied to grid size."""
+    field) over the _row_slabs in rows [lo, hi) of matrix fields (matrix
+    axes first, grid axes broadcast).  A view keeps its field's size-1 axes,
+    so a broadcast field (the metric) is never copied to grid size."""
     grid = np.broadcast_shapes(*(M.shape for M in fields))[2:]
     per_row = math.prod(grid[1:])
-    for a, b in _row_slabs(grid):
+    for a, b in _row_slabs(grid, lo, hi):
         yield a * per_row, (b - a,) + grid[1:], [_rows(M, 2, a, b) for M in fields]
 
 
@@ -143,28 +153,49 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     point whenever the minimum is not above limit (a value the caller
     already holds); otherwise the result is some value above limit, or
     (inf, 0) if no point can reach it.
+
+    Both passes run in row groups (_in_groups): each group bounds and probes
+    its blocks, and every group's kernel pass starts from the least probe
+    value of all of them.  A group's own minimum is then exact whenever it
+    can be the grid's, and ties go to the earliest group.
     """
-    blocks = [
-        (first, grid, views, np.broadcast_to(bound(*views), grid).ravel())
-        for first, grid, views in _point_blocks(*fields)
-    ]
-    for _, grid, views, lb in blocks:
-        if np.count_nonzero(lb <= limit) <= PROBE:
-            continue
-        probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
-        idx = np.unravel_index(probe, grid)
-        limit = min(limit, float(kernel(*(_take(V, idx, grid) for V in views)).min()))
+    grid = np.broadcast_shapes(*(M.shape for M in fields))[2:]
+
+    def bound_pass(lo, hi):
+        blocks = [
+            (first, shape, views, np.broadcast_to(bound(*views), shape).ravel())
+            for first, shape, views in _point_blocks(fields, lo, hi)
+        ]
+        probed = limit
+        for _, shape, views, lb in blocks:
+            if np.count_nonzero(lb <= probed) <= PROBE:
+                continue
+            probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
+            idx = np.unravel_index(probe, shape)
+            probed = min(probed, float(kernel(*(_take(V, idx, shape) for V in views)).min()))
+        return lo, (blocks, probed)
+
+    groups = dict(_in_groups(grid, bound_pass))
+    start = min(probed for _, probed in groups.values())
+
+    def kernel_pass(lo, hi):
+        best, best_idx = np.inf, 0
+        for first, shape, views, lb in groups[lo][0]:
+            keep = np.flatnonzero(lb <= min(start, best))
+            if keep.size == 0:
+                continue
+            idx = np.unravel_index(keep, shape)
+            val = kernel(*(_take(V, idx, shape) for V in views))
+            i = int(np.argmin(val))
+            if val[i] < best:
+                best = float(val[i])
+                best_idx = first + int(keep[i])
+        return best, best_idx
+
     best, best_idx = np.inf, 0
-    for first, grid, views, lb in blocks:
-        keep = np.flatnonzero(lb <= min(limit, best))
-        if keep.size == 0:
-            continue
-        idx = np.unravel_index(keep, grid)
-        val = kernel(*(_take(V, idx, grid) for V in views))
-        i = int(np.argmin(val))
-        if val[i] < best:
-            best = float(val[i])
-            best_idx = first + int(keep[i])
+    for value, idx in _in_groups(grid, kernel_pass):
+        if value < best:
+            best, best_idx = value, idx
     return best, best_idx
 
 
@@ -205,23 +236,84 @@ def deformation_form(s, phi):
     grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
     npairs = len(forms.multi_indices(s.chart.dim, 2))
     comps = np.zeros((npairs,) + grid, dtype=np.result_type(s.J, u, 1.0))
-    for _ in _deformation_slabs(s, u, comps):
-        pass
+
+    def fill(lo, hi):
+        for _ in _deformation_slabs(s, u, comps, lo, hi):
+            pass
+
+    _in_groups(grid, fill)
     return forms.FormField(s.chart, 2, comps)
 
 
-def _row_slabs(grid):
-    """Row ranges [a, b) of grid axis 0 holding about SLAB_POINTS points each."""
-    rows = max(1, SLAB_POINTS // math.prod(grid[1:]))
-    return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+def _cpus():
+    """CPUs this process may run on: its affinity mask, else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def _rows(f, axis, a, b):
-    """Rows [a, b) of f along axis, as a view; a size-1 (broadcast) axis is
-    returned whole."""
-    if f.shape[axis] == 1:
-        return f
-    return f[(slice(None),) * axis + (slice(a, b),)]
+_GROUP = threading.local()    # .slab_points while a thread runs a row group
+_POOL = None                  # (workers, executor), made at the first fan-out
+
+
+def _row_groups(grid):
+    """Row ranges [lo, hi) of grid axis 0, one per CPU: min(_cpus(), full
+    SLAB_POINTS slabs of grid) of them, and at most one per row.  One
+    range, the whole axis, inside a row group or for a grid of fewer than
+    two full slabs."""
+    if hasattr(_GROUP, "slab_points"):
+        return [(0, grid[0])]
+    k = max(1, min(_cpus(), math.prod(grid) // SLAB_POINTS, grid[0]))
+    return [(i * grid[0] // k, (i + 1) * grid[0] // k) for i in range(k)]
+
+
+def _run_group(slab, work, lo, hi):
+    _GROUP.slab_points = slab
+    try:
+        return work(lo, hi)
+    finally:
+        del _GROUP.slab_points
+
+
+def _in_groups(grid, work):
+    """[work(lo, hi) for each of the _row_groups of grid], in group order.
+
+    With one group this is the serial sweep.  Otherwise the calling thread
+    runs the first group and a pool of one thread per further CPU the
+    others, each group cut in slabs of SLAB_POINTS / groups points
+    (_row_slabs), so the slab points in flight are those of one serial
+    sweep; a sweep called inside a group runs serially in it.  Every group
+    finishes before an error of any of them is raised, the earliest
+    group's first."""
+    global _POOL
+    groups = _row_groups(grid)
+    if len(groups) == 1:
+        return [work(*groups[0])]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _POOL is None or _POOL[0] < len(groups) - 1:
+        if _POOL is not None:
+            _POOL[1].shutdown(wait=False)
+        _POOL = (len(groups) - 1, ThreadPoolExecutor(len(groups) - 1, "akcy-rows"))
+    slab = SLAB_POINTS // len(groups)
+    futures = [_POOL[1].submit(_run_group, slab, work, lo, hi) for lo, hi in groups[1:]]
+    try:
+        first = _run_group(slab, work, *groups[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _row_slabs(grid, lo=0, hi=None):
+    """Row ranges [a, b) of grid axis 0 inside [lo, hi) (default: all rows)
+    holding about SLAB_POINTS points each, or the slab points of the row
+    group this thread runs (_row_groups)."""
+    hi = grid[0] if hi is None else hi
+    rows = max(1, getattr(_GROUP, "slab_points", SLAB_POINTS) // math.prod(grid[1:]))
+    return [(a, min(a + rows, hi)) for a in range(lo, hi, rows)]
+
+
+_rows = forms.axis_rows
 
 
 def _wrapped_rows(f, axis, lo, hi):
@@ -269,16 +361,18 @@ def _j_gradient_rows(chart, J, u, lo, hi, out, scaled=True):
     forms.j_oneform_comps(_wrapped_rows(J, 2, lo, hi), g, out=out)
 
 
-def _halo_slabs(grid, ncomp, dtype, build):
-    """Yield (a, b, rows) over _row_slabs(grid): rows holds ncomp fields on
-    rows [a-1, b+1) of grid axis 0, wrapped (the one row of a broadcast
-    axis), and build(lo, hi, out) fills rows [lo, hi) of them.
+def _halo_slabs(grid, ncomp, dtype, build, lo=0, hi=None):
+    """Yield (a, b, rows) over _row_slabs(grid, lo, hi): rows holds ncomp
+    fields on rows [a-1, b+1) of grid axis 0, wrapped (the one row of a
+    broadcast axis), and build(lo, hi, out) fills rows [lo, hi) of them.
 
     Each row is built once, in one buffer of slab size: the first slab
     builds all of its rows, every later one takes rows [a-1, a+1) from the
-    slab before (the halo) and builds only [a+1, b+1).
+    slab before (the halo) and builds only [a+1, b+1).  A chain over part
+    of the axis (a row group) builds its two edge rows once more than the
+    chains beside it, with the same values.
     """
-    slabs = _row_slabs(grid)
+    slabs = _row_slabs(grid, lo, hi)
     halo = 2 if grid[0] > 1 else 0     # one broadcast row has no neighbours
     rows = slabs[0][1] - slabs[0][0]
     buf = np.empty((ncomp, rows + halo) + grid[1:], dtype=dtype)
@@ -293,10 +387,10 @@ def _halo_slabs(grid, ncomp, dtype, build):
         yield a, b, buf[:, :built]
 
 
-def _deformation_slabs(s, u, out=None):
+def _deformation_slabs(s, u, out, lo, hi):
     """Yield (a, b, d(J du) on rows [a, b) of grid axis 0, pair axis first)
-    over _row_slabs of the broadcast grid of u and J.  The rows are added
-    into out[:, a:b] (zeros) when out is given, else into a new zero slab.
+    over _row_slabs in rows [lo, hi) of the broadcast grid of u and J,
+    added into out[:, a:b] (zeros).
 
     The slab [a, b) differences J du on rows [a-1, b+1), each row built once
     (_halo_slabs).  d is taken with axis-0 differences as interior slice
@@ -306,13 +400,12 @@ def _deformation_slabs(s, u, out=None):
     """
     chart = s.chart
     grid = np.broadcast_shapes(s.J.shape[2:], u.shape)
-    npairs = len(forms.multi_indices(chart.dim, 2))
     dtype = np.result_type(s.J, u, 1.0)
     diff = None
-    for a, b, Jg_rows in _halo_slabs(grid, chart.dim, dtype, lambda lo, hi, Jg: (
-            _j_gradient_rows(chart, s.J, u, lo, hi, Jg))):
+    for a, b, Jg_rows in _halo_slabs(grid, chart.dim, dtype, lambda r0, r1, Jg: (
+            _j_gradient_rows(chart, s.J, u, r0, r1, Jg)), lo, hi):
         Jg_mid = Jg_rows[:, 1:-1] if Jg_rows.shape[1] > b - a else Jg_rows
-        B = np.zeros((npairs, b - a) + grid[1:], dtype=dtype) if out is None else out[:, a:b]
+        B = out[:, a:b]
         if diff is None:               # the first slab is the largest
             diff = np.empty((b - a,) + grid[1:], dtype=dtype)
         d_rows = diff[:b - a]
@@ -349,15 +442,22 @@ def h_matrix(J, comps):
     trailing axes broadcast.  For B = omega and J = s.J this returns g exactly.
     Only the upper triangle is contracted, h_il = (BJ)_il/2 + (BJ)_li/2 for
     i <= l, and it is copied to the lower one, so h is exactly symmetric.
+    Each row group (_in_groups) contracts its rows straight into h.
     """
     dim = J.shape[0]
-    h = forms.contract_pairs(J, comps, (dim, dim), (
-        t for i in range(dim) for l in range(i, dim)
-        for t in forms.bj_terms(J, i, l, 0.5, 0.5, (i, l))
-    ))
-    for i in range(dim):
-        for l in range(i + 1, dim):
-            h[l, i] = h[i, l]
+    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
+    h = np.empty((dim, dim) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+
+    def fill(lo, hi):
+        forms.contract_pairs(J, comps, (dim, dim), (
+            t for i in range(dim) for l in range(i, dim)
+            for t in forms.bj_terms(J, i, l, 0.5, 0.5, (i, l))
+        ), out=h, rows=(lo, hi))
+        for i in range(dim):
+            for l in range(i + 1, dim):
+                h[l, i, lo:hi] = h[i, l, lo:hi]
+
+    _in_groups(shape, fill)
     return h
 
 
@@ -371,15 +471,21 @@ def taming_margin(s, phi):
 def _margin_of(s, B):
     """taming_margin from B = d(J dphi): the least min_eigenvalue_field over
     _row_slabs of h = h_matrix(J, B) + g, so h is only ever slab-size.  Each
-    slab's sweep is limited by the least margin of the slabs before it, so a
-    slab that cannot hold the minimum runs no eigenvalue kernel."""
-    margin = np.inf
-    for a, b in _row_slabs(B.comps.shape[1:]):
-        h = h_matrix(_rows(s.J, 2, a, b), B.comps[:, a:b])
-        h += _rows(s.g, 2, a, b)
-        margin = min(margin, min_eigenvalue_field(h, limit=margin)[0])
-        del h
-    return margin
+    slab's sweep is limited by the least margin of the slabs before it in
+    its row group (_in_groups), so a slab that cannot hold the minimum runs
+    no eigenvalue kernel."""
+    grid = B.comps.shape[1:]
+
+    def sweep(lo, hi):
+        margin = np.inf
+        for a, b in _row_slabs(grid, lo, hi):
+            h = h_matrix(_rows(s.J, 2, a, b), B.comps[:, a:b])
+            h += _rows(s.g, 2, a, b)
+            margin = min(margin, min_eigenvalue_field(h, limit=margin)[0])
+            del h
+        return margin
+
+    return min(_in_groups(grid, sweep))
 
 
 @dataclass
@@ -474,22 +580,29 @@ def _F_of(s, B):
 def _F_total(s, B, return_components):
     """F_total from B = d(J dphi), over _row_slabs of B: each slab's F
     (_F_of) and F_j (_F_components) are slab-size, and the two paths must
-    agree to F_CONSISTENCY_RTOL relative to max(1, max |F|) over the grid.
+    agree to F_CONSISTENCY_RTOL relative to max(1, max |F|) over the grid,
+    both maxima taken per row group (_in_groups) and then over the groups.
     The F_j fields are kept only when returned."""
     grid = B.comps.shape[1:]
     direct = np.empty(grid)
     comps = [np.empty(grid) for _ in range(s.half_dim // 2 + 1)] if return_components else []
-    peak = defect = 0.0
-    for a, b in _row_slabs(grid):
-        Bs = B.comps[:, a:b]
-        F = direct[a:b]
-        F[...] = _F_of(s, Bs)
-        parts = _F_components(s, _rows(s.J, 2, a, b), Bs)
-        total = sum(parts[1:], parts[0])
-        peak = max(peak, float(np.abs(F).max()))
-        defect = max(defect, float(np.abs(F - total).max()))
-        for Fj, part in zip(comps, parts):
-            Fj[a:b] = part
+
+    def sweep(lo, hi):
+        peak = defect = 0.0
+        for a, b in _row_slabs(grid, lo, hi):
+            Bs = B.comps[:, a:b]
+            F = direct[a:b]
+            F[...] = _F_of(s, Bs)
+            parts = _F_components(s, _rows(s.J, 2, a, b), Bs)
+            total = sum(parts[1:], parts[0])
+            peak = max(peak, float(np.abs(F).max()))
+            defect = max(defect, float(np.abs(F - total).max()))
+            for Fj, part in zip(comps, parts):
+                Fj[a:b] = part
+        return peak, defect
+
+    peaks, defects = zip(*_in_groups(grid, sweep))
+    peak, defect = max(peaks), max(defects)
     scale = max(1.0, peak)
     if defect > F_CONSISTENCY_RTOL * scale:
         raise ConsistencyError(

@@ -221,9 +221,10 @@ def signed_pairs(dim):
     return {**{(i, j): (p, 1) for p, (i, j) in pairs}, **{(j, i): (p, -1) for p, (i, j) in pairs}}
 
 
-def contract_pairs(J, comps, lead, terms):
+def contract_pairs(J, comps, lead, terms, out=None, rows=None):
     """out[o] = sum of c * comps[p] over the (o, p, c) terms, out of shape
-    lead + the broadcast point shape; o indexes the lead axes.
+    lead + the broadcast point shape; o indexes the lead axes.  out is a
+    new array unless given.
 
     The terms of one output come together.  Each c lives on J's lattice, and
     the c of equal (o, p) are summed there first, in the order they appear,
@@ -231,24 +232,42 @@ def contract_pairs(J, comps, lead, terms):
     product is written straight into out[o], the others go through one
     grid-size product buffer.  A summed c that is zero on all of the lattice
     is skipped (out[o] is zero if all are).  Outputs the terms never name
-    are left unset.  No 2n x 2n matrix field is built."""
+    are left unset.  No 2n x 2n matrix field is built.
+
+    With rows = (a, b) only rows [a, b) of the first point axis are
+    written, and the product buffer is their size; the zero test still
+    reads all of the lattice, so the rows are bitwise those of one call."""
     shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    out = np.empty(tuple(lead) + shape, dtype=np.result_type(J.dtype, comps.dtype))
-    prod = np.empty(shape, dtype=out.dtype)
+    if out is None:
+        out = np.empty(tuple(lead) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+
+    def cut(f, axis):
+        return f if rows is None else axis_rows(f, axis, *rows)
+
+    comps, rows_out = cut(comps, 1), cut(out, len(lead))
+    prod = np.empty(rows_out.shape[len(lead):], dtype=out.dtype)
     for o, group in groupby(terms, key=itemgetter(0)):
         coeffs = {}
         for _, p, c in group:
             coeffs[p] = coeffs[p] + c if p in coeffs else c
-        live = [(p, c) for p, c in coeffs.items() if np.any(c)]
+        live = [(p, cut(c, 0)) for p, c in coeffs.items() if np.any(c)]
         if not live:
-            out[o] = 0.0
+            rows_out[o] = 0.0
             continue
         p, c = live[0]
-        np.multiply(c, comps[p], out=out[o])
+        np.multiply(c, comps[p], out=rows_out[o])
         for p, c in live[1:]:
             np.multiply(c, comps[p], out=prod)
-            out[o] += prod
+            rows_out[o] += prod
     return out
+
+
+def axis_rows(f, axis, a, b):
+    """Rows [a, b) of f along axis, as a view; a size-1 (broadcast) axis is
+    returned whole."""
+    if f.shape[axis] == 1:
+        return f
+    return f[(slice(None),) * axis + (slice(a, b),)]
 
 
 def bj_terms(J, a, b, wa, wb, o):

@@ -191,14 +191,14 @@ class _Preconditioner:
 
     def __init__(self, chart):
         self.shape = tuple(chart.shape)
-        self.axes = tuple(range(len(self.shape)))
         # Parity classes per axis: 2 on an even axis, 1 on an odd one.
         classes = [2 - N % 2 for N in self.shape]
         self.kernel_dim = int(np.prod(classes))
-        # project() views axis d as (N / classes, classes) and averages over
-        # the first factor.
+        # project() views axis d as (N / classes, classes), averages over
+        # the first factor and tiles the class means back over it.
         self.split = [m for N, c in zip(self.shape, classes) for m in (N // c, c)]
         self.class_axes = tuple(range(0, 2 * len(self.shape), 2))
+        self.reps = [N // c for N, c in zip(self.shape, classes)]
         sym = _fft_symbol(chart)[..., : self.shape[-1] // 2 + 1]
         # The kernel wavenumbers are the multiples of N / classes per axis.
         sym[np.ix_(*(np.arange(M) % (N // c) == 0
@@ -212,12 +212,25 @@ class _Preconditioner:
         mean = v
         for axis in self.class_axes:
             mean = mean.mean(axis=axis, keepdims=True)
-        return (v - mean).reshape(self.shape)
+        # The tiled means are subtracted as one contiguous field: a
+        # broadcast over the length-2 class axes is about twice as slow.
+        mean = np.tile(mean.reshape(self.split[1::2]), self.reps)
+        return v.reshape(self.shape) - mean
 
     def __call__(self, r):
-        rhat = np.fft.rfftn(r.reshape(self.shape), axes=self.axes)
+        """rfftn, a multiply by the inverse symbol, and irfftn, spelled as
+        numpy spells them (a real transform of the last axis, complex ones
+        over the others in reverse order, and back in forward order) but
+        in place in one spectrum, which is allocated per call."""
+        last = len(self.shape) - 1
+        rhat = np.empty(self.inv_sym.shape, dtype=complex)
+        np.fft.rfft(r.reshape(self.shape), axis=last, out=rhat)
+        for axis in reversed(range(last)):
+            np.fft.fft(rhat, axis=axis, out=rhat)
         rhat *= self.inv_sym
-        return np.fft.irfftn(rhat, s=self.shape, axes=self.axes)
+        for axis in range(last):
+            np.fft.ifft(rhat, axis=axis, out=rhat)
+        return np.fft.irfft(rhat, n=self.shape[-1], axis=last, out=np.empty(self.shape))
 
     def kernel_modes(self):
         """The flat kernel's basis, shape (kernel_dim, *shape): the indicator

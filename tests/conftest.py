@@ -66,6 +66,17 @@ def set_slab_rows(monkeypatch, shape, rows):
         monkeypatch.setattr(cy, "SLAB_POINTS", rows * int(np.prod(shape[1:])))
 
 
+def grouped_slabs(shape, workers):
+    """Row slabs [a, b) of one grid sweep on `workers` CPUs, by the rule
+    cy_operator documents: min(workers, full SLAB_POINTS slabs) contiguous
+    row groups, each cut in slabs of SLAB_POINTS / groups points (at least
+    one row)."""
+    k = max(1, min(workers, int(np.prod(shape)) // cy.SLAB_POINTS, shape[0]))
+    rows = max(1, cy.SLAB_POINTS // k // int(np.prod(shape[1:])))
+    groups = [(i * shape[0] // k, (i + 1) * shape[0] // k) for i in range(k)]
+    return [(a, min(a + rows, hi)) for lo, hi in groups for a in range(lo, hi, rows)]
+
+
 def unblocked_deformation_form(s, phi):
     """d(J dphi) on the whole grid: the reference of the slab kernel."""
     return forms.exterior_derivative(forms.apply_J_oneform(s, forms.d_scalar(s.chart, phi)))

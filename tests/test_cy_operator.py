@@ -12,8 +12,12 @@ from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, Precon
 from akcy.frame import LocalGeometry, deformation_at, hermitian_at, tau_at
 
 from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
-                      make_standard, make_twisted, set_slab_rows, slab_structure,
-                      unblocked_deformation_form)
+                      grouped_slabs, make_standard, make_twisted, set_slab_rows,
+                      slab_structure, unblocked_deformation_form)
+
+# CPU counts the slab-structure checks run under: the serial loop and two
+# row groups.
+CPU_COUNTS = (1, 2)
 
 
 def sample_potential(s, rng, amp=0.01):
@@ -73,7 +77,8 @@ def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, g
     """taming_margin and F_total with its F_j, reduced slab by slab, equal
     the whole-grid h, its eigenvalue sweep, the top power and the component
     path on the unblocked d(J dphi) byte for byte; the eigenvalue sweeps
-    still see every grid point once."""
+    still see every grid point once, one sweep per slab, on one CPU and in
+    two row groups."""
     s = slab_structure(grid)
     shape = s.chart.shape
     set_slab_rows(monkeypatch, shape, rows)
@@ -91,49 +96,60 @@ def test_slab_margin_and_F_are_bitwise_the_whole_grid_composition(monkeypatch, g
         return sweep(M, **kwargs)
 
     monkeypatch.setattr(cy, "min_eigenvalue_field", counted)
-    assert cy.taming_margin(s, phi) == margin
-    assert sum(points) == int(np.prod(shape))
-    assert len(points) == -(-shape[0] // min(rows, shape[0]))
-    F, Fj = cy.F_total(s, phi, return_components=True)
-    assert_same_bytes(F, direct)
-    assert len(Fj) == len(comps)
-    for got, want in zip(Fj, comps):
-        assert_same_bytes(got, want)
-    report = cy.analyze_potential(s, phi, compute_amplitude=False)
-    assert report.margin == margin
-    assert_same_bytes(report.F, direct)
+    for workers in CPU_COUNTS:
+        monkeypatch.setattr(cy, "_cpus", lambda: workers)
+        points.clear()
+        assert cy.taming_margin(s, phi) == margin
+        assert sum(points) == int(np.prod(shape))
+        slabs = grouped_slabs(shape, workers)
+        assert len(points) == len(slabs)
+        assert sorted(points) == sorted((b - a) * int(np.prod(shape[1:])) for a, b in slabs)
+        if workers == 1:
+            assert len(slabs) == -(-shape[0] // min(rows, shape[0]))
+        F, Fj = cy.F_total(s, phi, return_components=True)
+        assert_same_bytes(F, direct)
+        assert len(Fj) == len(comps)
+        for got, want in zip(Fj, comps):
+            assert_same_bytes(got, want)
+        report = cy.analyze_potential(s, phi, compute_amplitude=False)
+        assert report.margin == margin
+        assert_same_bytes(report.F, direct)
 
 
 @pytest.mark.parametrize("rows", REDUCTION_ROWS)
 @pytest.mark.parametrize("grid", REDUCTION_GRIDS)
 def test_running_minimum_margin_needs_no_more_eigvalsh_calls(monkeypatch, grid, rows):
-    """The taming margin, each slab's sweep limited by the slabs before it,
-    equals the whole-grid sweep bitwise and makes no more eigvalsh calls
-    than independent sweeps of the same slabs; the noise whose size grows
-    along axis 0 puts the least margins in the later slabs."""
+    """The taming margin, each slab's sweep limited by the slabs before it
+    in its row group, equals the whole-grid sweep bitwise and makes no more
+    eigvalsh calls than independent sweeps of the same slabs, on one CPU
+    and in two row groups; the noise whose size grows along axis 0 puts
+    the least margins in the later slabs."""
     s = slab_structure(grid)
     shape = s.chart.shape
     set_slab_rows(monkeypatch, shape, rows)
     noise = 1e-3 * np.random.default_rng(3).standard_normal(shape)
     ramp = np.linspace(1.0, 3.0, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
     smooth = 0.02 * potentials.default_candidates(s.half_dim)[0].value(s.chart.grid_points())
-    for phi in (noise, ramp * noise, smooth):
-        B = unblocked_deformation_form(s, phi)
-        whole, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, B.comps) + s.g)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(len(M)) or eigvalsh(M))
-        independent = min(
-            cy.min_eigenvalue_field(cy.h_matrix(cy._rows(s.J, 2, a, b), B.comps[:, a:b])
-                                    + cy._rows(s.g, 2, a, b))[0]
-            for a, b in cy._row_slabs(shape)
-        )
-        before = len(calls)
-        calls.clear()
-        margin = cy._margin_of(s, B)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        assert margin == whole == independent
-        assert len(calls) <= before
+    for workers in CPU_COUNTS:
+        monkeypatch.setattr(cy, "_cpus", lambda: workers)
+        for phi in (noise, ramp * noise, smooth):
+            B = unblocked_deformation_form(s, phi)
+            whole, _ = cy.min_eigenvalue_field(cy.h_matrix(s.J, B.comps) + s.g)
+            calls = []
+            eigvalsh = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh",
+                                lambda M: calls.append(len(M)) or eigvalsh(M))
+            independent = min(
+                cy.min_eigenvalue_field(cy.h_matrix(cy._rows(s.J, 2, a, b), B.comps[:, a:b])
+                                        + cy._rows(s.g, 2, a, b))[0]
+                for a, b in grouped_slabs(shape, workers)
+            )
+            before = len(calls)
+            calls.clear()
+            margin = cy._margin_of(s, B)
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert margin == whole == independent
+            assert len(calls) <= before
 
 
 def test_one_slabs_component_defect_raises(monkeypatch):
@@ -305,15 +321,21 @@ def test_analyze_amplitude_is_bitwise_the_standalone_functions(monkeypatch, name
 @pytest.mark.parametrize("value", [0.0, 0.37])
 def test_analyze_constant_potential_takes_the_slab_margin(monkeypatch, s_tw12, value):
     """A constant potential has no amplitude: analyze_potential checks that
-    first and takes the slab margin, never building a grid-size h."""
-    phi = np.full(s_tw12.chart.shape, value)
-    set_slab_rows(monkeypatch, s_tw12.chart.shape, 5)
-    shapes = _count_calls(monkeypatch, "h_matrix", lambda J, comps: comps.shape[1:])
-    report = cy.analyze_potential(s_tw12, phi)
-    monkeypatch.undo()
-    assert report.amplitude is None
-    assert report.margin == cy.taming_margin(s_tw12, phi)
-    assert len(shapes) == 3 and s_tw12.chart.shape not in shapes
+    first and takes the slab margin, never building a grid-size h, on one
+    CPU (three slabs) and in two row groups."""
+    shape = s_tw12.chart.shape
+    phi = np.full(shape, value)
+    for workers in CPU_COUNTS:
+        set_slab_rows(monkeypatch, shape, 5)
+        monkeypatch.setattr(cy, "_cpus", lambda: workers)
+        shapes = _count_calls(monkeypatch, "h_matrix", lambda J, comps: comps.shape[1:])
+        report = cy.analyze_potential(s_tw12, phi)
+        slabs = grouped_slabs(shape, workers)
+        monkeypatch.undo()
+        assert report.amplitude is None
+        assert report.margin == cy.taming_margin(s_tw12, phi)
+        assert len(shapes) == len(slabs) and shape not in shapes
+        assert len(slabs) == (3 if workers == 1 else 6)
 
 
 def test_amplitude_rejects_constant_direction(s_tw12):

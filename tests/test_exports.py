@@ -124,6 +124,15 @@ def test_import_defers_sparse_solvers():
     assert _run_python(code) == "False"
 
 
+def test_import_starts_no_thread():
+    """The row-group pool is made at the first sweep that fans out: import
+    starts no thread and does not load concurrent.futures."""
+    code = ("import sys, threading, akcy.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules, "
+            "akcy.cy_operator._POOL)")
+    assert _run_python(code) == "1 False None"
+
+
 def test_newton_solve_never_imports_scipy():
     """akcy's GMRES is its own: a whole manufactured Newton solve at 8^4
     runs without scipy."""

@@ -278,10 +278,12 @@ def test_flat_kernel_modes_are_exact_zeros_of_P_and_L(resolution, kernel_dim):
 
 
 def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_tw12):
-    """A GMRES iteration transforms only in the preconditioner: one rfftn
-    and one irfftn per application, and no complex FFT anywhere in the
-    solve.  Each trace row carries the step's linear residual."""
-    counts = {"rfftn": 0, "irfftn": 0, "precond": 0, "complex": 0}
+    """A GMRES iteration transforms only in the preconditioner: one rfft
+    and one irfft per application, complex passes (fft, ifft) only inside
+    it, and no n-dimensional transform anywhere in the solve.  Each trace
+    row carries the step's linear residual."""
+    counts = {"rfft": 0, "irfft": 0, "precond": 0, "complex_outside": 0, "nd": 0}
+    inside = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -289,12 +291,28 @@ def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_t
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("rfftn", "irfftn"):
+    def complex_pass(fn):
+        def wrapper(*args, **kwargs):
+            counts["complex_outside"] += not inside
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def precond(self, r):
+        counts["precond"] += 1
+        inside.append(1)
+        try:
+            return call(self, r)
+        finally:
+            inside.pop()
+
+    for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, counted("complex", getattr(np.fft, name)))
-    monkeypatch.setattr(sv._Preconditioner, "__call__",
-                        counted("precond", sv._Preconditioner.__call__))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, complex_pass(getattr(np.fft, name)))
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted("nd", getattr(np.fft, name)))
+    call = sv._Preconditioner.__call__
+    monkeypatch.setattr(sv._Preconditioner, "__call__", precond)
 
     X = s_tw12.chart.grid_points()
     phi_star = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
@@ -302,8 +320,8 @@ def test_newton_makes_one_real_fft_pair_per_preconditioner_call(monkeypatch, s_t
     _, rep = sv.newton_solve(s_tw12, f, tol=1e-10)
     assert rep.converged and rep.iters >= 2
     assert counts["precond"] > 0
-    assert counts["rfftn"] == counts["irfftn"] == counts["precond"]
-    assert counts["complex"] == 0
+    assert counts["rfft"] == counts["irfft"] == counts["precond"]
+    assert counts["complex_outside"] == counts["nd"] == 0
     # GMRES guarantees ||lin||_2 <= eta ||P r||_2 <= eta sqrt(npts) |r|_inf
     # for the residual r the step started from; only the last step must be
     # accurate to the Newton tolerance.
