@@ -37,7 +37,8 @@ per CPU of the process's affinity mask (_in_groups), each cut in slabs of
 SLAB_POINTS / groups points, so the slab points in flight are those of one
 serial sweep.  A grid of fewer than two full slabs runs the serial loop,
 and a sweep inside a group runs serially.  Every value is bitwise the same
-on any number of CPUs.  The L apply (solver) stays serial.
+on any number of CPUs.  The L apply and the FFT preconditioner (solver)
+run in the same row groups.
 """
 
 from __future__ import annotations
@@ -317,10 +318,10 @@ _rows = forms.axis_rows
 
 
 def _wrapped_rows(f, axis, lo, hi):
-    """Rows [lo, hi) of f along axis, wrapped periodically; a size-1
-    (broadcast) axis is returned whole."""
-    if f.shape[axis] == 1:
-        return f
+    """Rows [lo, hi) of f along axis, wrapped periodically: a view unless
+    the range wraps; a size-1 (broadcast) axis is returned whole."""
+    if f.shape[axis] == 1 or (0 <= lo and hi <= f.shape[axis]):
+        return _rows(f, axis, lo, hi)
     return np.take(f, np.arange(lo, hi), axis=axis, mode="wrap")
 
 
@@ -364,27 +365,53 @@ def _j_gradient_rows(chart, J, u, lo, hi, out, scaled=True):
 def _halo_slabs(grid, ncomp, dtype, build, lo=0, hi=None):
     """Yield (a, b, rows) over _row_slabs(grid, lo, hi): rows holds ncomp
     fields on rows [a-1, b+1) of grid axis 0, wrapped (the one row of a
-    broadcast axis), and build(lo, hi, out) fills rows [lo, hi) of them.
+    broadcast axis), and build(lo, hi, out) fills rows [lo, hi) of them,
+    reading the rows beside them too.
 
     Each row is built once, in one buffer of slab size: the first slab
     builds all of its rows, every later one takes rows [a-1, a+1) from the
     slab before (the halo) and builds only [a+1, b+1).  A chain over part
     of the axis (a row group) builds its two edge rows once more than the
-    chains beside it, with the same values.
+    chains beside it, with the same values.  A chain of more than one slab
+    keeps build's transients below its slab's: the first slab builds its
+    halo rows apart from its body, and the rows whose neighbours wrap
+    round the axis are built one at a time (_edge_rows_apart).  A chain of
+    one slab builds its rows in one call.
     """
     slabs = _row_slabs(grid, lo, hi)
     halo = 2 if grid[0] > 1 else 0     # one broadcast row has no neighbours
     rows = slabs[0][1] - slabs[0][0]
     buf = np.empty((ncomp, rows + halo) + grid[1:], dtype=dtype)
+    if len(slabs) > 1:
+        build = _edge_rows_apart(grid[0], build)
     built = 0                          # rows of buf the slab before holds
     for a, b in slabs:
+        body = buf[:, halo:b - a + halo]
         if built:
             buf[:, :halo] = buf[:, built - halo:built]
-            build(a + 1, b + 1, buf[:, halo:b - a + halo])
+            build(a + 1, b + 1, body)
+        elif len(slabs) > 1:
+            build(a - 1, a + 1, buf[:, :halo])
+            build(a + 1, b + 1, body)
         else:
             build(a - 1, b + 1, buf[:, :b - a + halo])
         built = b - a + halo
         yield a, b, buf[:, :built]
+
+
+def _edge_rows_apart(n, build):
+    """build over rows [r0, r1) of an axis of n rows, with each row whose
+    neighbours wrap (the first and last row and any beyond) built alone, so
+    that only those rows' reads are wrapped copies (_wrapped_rows)."""
+    def split(r0, r1, out):
+        m0, m1 = max(r0, 1), min(r1, n - 1)
+        pieces = [(r, r + 1) for r in range(r0, min(m0, r1))]
+        if m0 < m1:
+            pieces.append((m0, m1))
+        pieces += [(r, r + 1) for r in range(max(m0, m1), r1)]
+        for a, b in pieces:
+            build(a, b, out[:, a - r0:b - r0])
+    return split
 
 
 def _deformation_slabs(s, u, out, lo, hi):

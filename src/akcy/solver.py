@@ -106,20 +106,29 @@ class LinearOperatorHandle:
         self.Jt = s.J / (2.0 * np.array(h)).reshape((-1, 1) + (1,) * chart.dim)
 
     def apply(self, u):
-        """L(phi)u as a grid scalar field, slab by slab along grid axis 0
-        (cy._halo_slabs): no grid-size du, J du or d(J du) is built."""
-        chart = self.s.chart
-        shape = chart.shape
+        """L(phi)u as a grid scalar field, in the row groups of grid axis 0
+        (cy._in_groups): each group runs its own slab chain over its rows
+        (cy._halo_slabs), with its own slab buffers, and writes its rows of
+        the output in place, so no grid-size du, J du or d(J du) is built.
+        Every value is bitwise the same on any number of CPUs."""
+        shape = self.s.chart.shape
         u = np.asarray(u, dtype=float).reshape(shape)
         if not self.terms:
             return np.zeros(shape)
         out = np.empty(shape)
+        cy._in_groups(shape, lambda lo, hi: self._apply_rows(u, out, lo, hi))
+        return out
+
+    def _apply_rows(self, u, out, first, last):
+        """Rows [first, last) of L(phi)u into out, slab by slab."""
+        chart = self.s.chart
         t = p = None
 
         def build(r0, r1, rows):
             cy._j_gradient_rows(chart, self.Jt, u, r0, r1, rows, scaled=False)
 
-        for lo, hi, v in cy._halo_slabs(shape, chart.dim, float, build):
+        for lo, hi, v in cy._halo_slabs(chart.shape, chart.dim, float, build,
+                                        first, last):
             if t is None:              # the first slab is the largest
                 t, p = np.empty_like(v[0, 1:-1]), np.empty_like(v[0, 1:-1])
             ts, ps, rows = t[:hi - lo], p[:hi - lo], out[lo:hi]
@@ -134,7 +143,6 @@ class LinearOperatorHandle:
                 else:
                     ts *= cy._rows(self.coef[I], 0, lo, hi)
                     rows += ts
-        return out
 
 
 def _slab_delta(chart, v, i, d, out):
@@ -221,16 +229,42 @@ class _Preconditioner:
         """rfftn, a multiply by the inverse symbol, and irfftn, spelled as
         numpy spells them (a real transform of the last axis, complex ones
         over the others in reverse order, and back in forward order) but
-        in place in one spectrum, which is allocated per call."""
-        last = len(self.shape) - 1
+        in place in one spectrum, which is allocated per call.
+
+        The passes run in the row groups of the grid (cy._in_groups): the
+        real transform and the complex ones over axes 1 ... d-1 split over
+        axis 0, the axis-0 transforms and the multiply over axis 1, and the
+        inverse passes, the real one into the output's rows, over axis 0.
+        Each group transforms whole lines, so every value is bitwise that
+        of the serial passes on any number of CPUs."""
+        shape = self.shape
+        last = len(shape) - 1
+        r = r.reshape(shape)
         rhat = np.empty(self.inv_sym.shape, dtype=complex)
-        np.fft.rfft(r.reshape(self.shape), axis=last, out=rhat)
-        for axis in reversed(range(last)):
-            np.fft.fft(rhat, axis=axis, out=rhat)
-        rhat *= self.inv_sym
-        for axis in range(last):
-            np.fft.ifft(rhat, axis=axis, out=rhat)
-        return np.fft.irfft(rhat, n=self.shape[-1], axis=last, out=np.empty(self.shape))
+        out = np.empty(shape)
+
+        def forward(lo, hi):
+            rows = rhat[lo:hi]
+            np.fft.rfft(r[lo:hi], axis=last, out=rows)
+            for axis in reversed(range(1, last)):
+                np.fft.fft(rows, axis=axis, out=rows)
+
+        def along_axis0(lo, hi):
+            cols = rhat[:, lo:hi]
+            np.fft.fft(cols, axis=0, out=cols)
+            cols *= self.inv_sym[:, lo:hi]
+            np.fft.ifft(cols, axis=0, out=cols)
+
+        def inverse(lo, hi):
+            rows = rhat[lo:hi]
+            for axis in range(1, last):
+                np.fft.ifft(rows, axis=axis, out=rows)
+            np.fft.irfft(rows, n=shape[-1], axis=last, out=out[lo:hi])
+
+        cy._in_groups(shape, forward)
+        cy._in_groups((shape[1], shape[0]) + shape[2:], along_axis0)
+        cy._in_groups(shape, inverse)
+        return out
 
     def kernel_modes(self):
         """The flat kernel's basis, shape (kernel_dim, *shape): the indicator

@@ -511,31 +511,38 @@ def test_L_apply_matches_the_wedge_composition(grid):
             assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
-def test_L_handle_holds_one_form_and_apply_stays_lean():
+def test_L_handle_holds_one_form_and_apply_stays_lean(monkeypatch):
     """At twisted 24^4 the handle holds C(4, 2) = 6 grid fields (the scaled
     omega(phi)^{n-1}) and the lattice-size J / 2h.  One apply allocates at
-    most 3.5 grid fields, its output included (3.37 measured: the output,
-    the slab buffer of J Delta u with its halo, and the first slab's
-    differences); the wedge composition took 4.54."""
+    most 3.5 grid fields, its output included, on one row group and on two
+    (3.03 and 3.37 measured: the output, each group's slab buffer of
+    J Delta u with its halo, and the differences of the rows it builds);
+    the wedge composition took 4.54.  The row-group pool is made before
+    memory is traced, so its threads count in neither bound."""
     s = make_twisted([24] * 4)
     shape = s.chart.shape
     rng = np.random.default_rng(5)
     phi = 0.01 * potentials.random_potential(2, rng).sample(s.chart)
     u = rng.standard_normal(shape)
     grid_bytes = u.nbytes
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        handle = sv.make_handle(s, phi)
-        held = tracemalloc.get_traced_memory()[0] - before
-        tracemalloc.reset_peak()
-        Lu = handle.apply(u)
-        peak = tracemalloc.get_traced_memory()[1] - before - held
-    finally:
-        tracemalloc.stop()
-    assert Lu.shape == shape
-    assert 6 * grid_bytes <= held <= 6 * grid_bytes + s.J.nbytes + 64 * 1024
-    assert peak <= 3.5 * grid_bytes
+    for cpus in (1, 2):
+        monkeypatch.setattr(cy, "_cpus", lambda: cpus)
+        assert len(cy._row_groups(shape)) == cpus
+        cy.deformation_form(s, phi)          # makes the pool on two groups
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            handle = sv.make_handle(s, phi)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            Lu = handle.apply(u)
+            peak = tracemalloc.get_traced_memory()[1] - before - held
+        finally:
+            tracemalloc.stop()
+        assert Lu.shape == shape
+        assert 6 * grid_bytes <= held <= 6 * grid_bytes + s.J.nbytes + 64 * 1024, cpus
+        assert peak <= 3.5 * grid_bytes, cpus
+        del handle, Lu
 
 
 def test_kernel_check_small_grid():

@@ -1,5 +1,6 @@
-"""Row groups: the grid sweeps give the same bits on any number of CPUs, a
-sweep inside a group stays serial, and errors wait for every group."""
+"""Row groups: the grid sweeps and Newton's Krylov loop give the same bits
+on any number of CPUs, a sweep inside a group stays serial, and errors wait
+for every group."""
 
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from akcy import cy_operator as cy
 from akcy import potentials
+from akcy import solver as sv
 from akcy.errors import ConsistencyError, NumericalError
 
 from conftest import make_twisted, set_slab_rows
@@ -22,13 +24,21 @@ THREAD_GRIDS = {
 
 
 def _sweeps(s, phi):
-    """Every grid sweep of cy_operator on phi, as bytes and exact floats."""
+    """Every grid sweep of cy_operator on phi, L(phi) and the preconditioner
+    on phi, and a Newton solve toward F(phi / 250), as bytes and exact
+    floats."""
     B = cy.deformation_form(s, phi)
     direct, comps = cy.F_total(s, phi, return_components=True)
     delta = cy.h_matrix(s.J, B.comps)
     h = delta + s.g
     report = cy.analyze_potential(s, phi)
+    target = cy.F_total(s, cy.project_zero_mean(s, phi / 250).values)
+    pot, newton = sv.newton_solve(s, target, tol=1e-9)
     return {
+        "L_apply": sv.make_handle(s, phi).apply(phi).tobytes(),
+        "preconditioner": sv._Preconditioner(s.chart)(phi).tobytes(),
+        "newton_iterate": pot.values.tobytes(),
+        "newton_report": (newton.as_dict(), newton.trace),
         "deformation_form": B.comps.tobytes(),
         "margin": cy._margin_of(s, B),
         "F": direct.tobytes(),
@@ -44,8 +54,9 @@ def _sweeps(s, phi):
 @pytest.mark.parametrize("grid", THREAD_GRIDS)
 def test_sweeps_are_bitwise_the_same_on_any_number_of_cpus(monkeypatch, grid):
     """One, two and three row groups, with two-row slabs, give the bytes of
-    d(J dphi), F with its components, h and the analyze report, and the
-    exact margin, minima, argmins and amplitude."""
+    d(J dphi), F with its components, h, the analyze report, L(phi)phi, the
+    preconditioned phi and a Newton iterate, and the exact margin, minima,
+    argmins, amplitude and Newton trace."""
     s = THREAD_GRIDS[grid]()
     shape = s.chart.shape
     set_slab_rows(monkeypatch, shape, 2)
