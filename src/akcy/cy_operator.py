@@ -404,13 +404,11 @@ def _edge_rows_apart(n, build):
     neighbours wrap (the first and last row and any beyond) built alone, so
     that only those rows' reads are wrapped copies (_wrapped_rows)."""
     def split(r0, r1, out):
-        m0, m1 = max(r0, 1), min(r1, n - 1)
-        pieces = [(r, r + 1) for r in range(r0, min(m0, r1))]
-        if m0 < m1:
-            pieces.append((m0, m1))
-        pieces += [(r, r + 1) for r in range(max(m0, m1), r1)]
-        for a, b in pieces:
+        a = r0
+        while a < r1:
+            b = a + 1 if a < 1 or a >= n - 1 else min(r1, n - 1)
             build(a, b, out[:, a - r0:b - r0])
+            a = b
     return split
 
 

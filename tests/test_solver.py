@@ -515,7 +515,7 @@ def test_L_handle_holds_one_form_and_apply_stays_lean(monkeypatch):
     """At twisted 24^4 the handle holds C(4, 2) = 6 grid fields (the scaled
     omega(phi)^{n-1}) and the lattice-size J / 2h.  One apply allocates at
     most 3.5 grid fields, its output included, on one row group and on two
-    (3.03 and 3.37 measured: the output, each group's slab buffer of
+    (3.03 and 3.36-3.39 measured: the output, each group's slab buffer of
     J Delta u with its halo, and the differences of the rows it builds);
     the wedge composition took 4.54.  The row-group pool is made before
     memory is traced, so its threads count in neither bound."""
