@@ -39,21 +39,20 @@ from .forms import (  # noqa: F401
 from .frame import (  # noqa: F401
     LocalGeometry,
     build_frame,
-    connection_forms,
-    covariant_hessian,
+    deformation_at,
+    hermitian_at,
     nijenhuis_max_norm,
-    torsion,
+    tau_at,
 )
 from .cy_operator import (  # noqa: F401
     F_components,
     F_total,
     Potential,
     analyze_potential,
-    deformed_form,
+    deformation_form,
     positivity_amplitude,
     project_zero_mean,
     taming_margin,
-    tau,
 )
 from .boundary import (  # noqa: F401
     BoundaryReport,

@@ -46,7 +46,6 @@ from .frame import (
     LocalGeometry,
     build_frame,
     deformation_at,
-    frame_tau_components,
     hermitian_at,
     nijenhuis_max_norm,
     tau_at,
@@ -315,8 +314,10 @@ def _box_indices(chart, p0_idx, halfwidth):
 
 
 def select_seed(s):
-    """Pick the default candidate, scaling, basepoint and polydisk maximizing
-    the certified lower bound epsilon1 of |tau_12| near the basepoint."""
+    """Pick the default candidate, scaling, frame pair (a, b), basepoint and
+    polydisk maximizing the certified lower bound epsilon1 of |tau_ab| near
+    the basepoint; tau is read off d(J dphi) on build_frame's lattice frame
+    (tau_at)."""
     if nijenhuis_max_norm(s) <= NONINTEGRABILITY_THRESHOLD:
         raise NoSeedError(
             "structure is integrable (Nijenhuis tensor vanishes): tau is "
@@ -336,12 +337,14 @@ def select_seed(s):
         amp = cy._pencil_critical_scale(s.g, cy.h_matrix(s.J, B.comps))
         bounded = np.isfinite(amp) and amp <= cy.AMPLITUDE_MAX
         c = 0.9 * amp if bounded else 1.0
-        tc = frame_tau_components(f, forms.bidegree_project(s, forms.omega_form(s) + B, 2, 0))
+        tau = tau_at(B.comps, f.e)
         for a in range(n):
             for b in range(a + 1, n):
-                mag = 2.0 * np.abs(c) * np.abs(tc[a, b])   # |tau_ab(c*vals)|
+                mag = np.abs(c) * np.abs(tau[a, b])   # |tau_ab(c*vals)|
                 mag = np.broadcast_to(mag, chart.shape)
-                flat = int(np.argmax(mag))
+                # Symmetric twins tie up to rounding: take the lowest flat
+                # index within a relative 64 eps of the maximum.
+                flat = int(np.argmax(mag >= mag.max() * (1.0 - 64 * np.finfo(float).eps)))
                 p0_idx = np.unravel_index(flat, chart.shape)
                 peak = float(mag[p0_idx])
                 if peak <= 1e-12:
@@ -424,8 +427,8 @@ def _scan_batch(s, seed, bump, points):
     _, gpsi, hpsi = bump.torus_eval(points, order=2)
     Bpsi = deformation_at(lg.J, lg.dJ, gpsi, hpsi)
     return {
-        "tau_phi": tau_at(Bphi, lg.e)[0, 1],
-        "tau_psi": tau_at(Bpsi, lg.e)[0, 1],
+        "tau_phi": tau_at(Bphi, lg.e)[seed.pair],
+        "tau_psi": tau_at(Bpsi, lg.e)[seed.pair],
         "Bphi": Bphi,
         "Bpsi": Bpsi,
         "base": lg.g + cy.h_matrix(lg.J, Bphi),
@@ -436,8 +439,9 @@ def _scan_batch(s, seed, bump, points):
 class _ScanGeometry:
     """Seed phi and bump psi at the scan points, as the per-point arrays the
     witness reads: Bphi and Bpsi, their d(J d.) in pair components, for F;
-    their tau_12 = B(e_1, e_2) in the seed-rotated frame; and the taming
-    pencil h(phi + s psi) = base + s * delta.
+    their tau_ab = B(e_a, e_b) on the seed's pair (a, b) in the seed-rotated
+    frame (tau_12 at n = 2); and the taming pencil
+    h(phi + s psi) = base + s * delta.
 
     The seed-rotated LocalGeometry is built one SCAN_CHUNK batch at a time,
     in point order, reduced to these arrays and dropped: memory grows with

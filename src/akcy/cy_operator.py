@@ -1,11 +1,12 @@
 """The deformed form omega(phi), its bidegree parts, the operators F_j and F,
 taming margins, and the positivity amplitude.
 
-The coordinate path computed here is authoritative; the frame module provides
-an independent validation path.  F is always computed along two paths from
-one evaluation of d(J dphi) (direct top wedge power versus the component sum
-over F_j) and any disagreement raises, since that identity is the sharpest
-trap for sign or normalization errors.
+Everything here is computed in coordinates on the grid; the frame module
+reads tau and H of d(J dphi) on a unitary frame (tau_at, hermitian_at).  F
+is always computed along two paths from one evaluation of d(J dphi) (direct
+top wedge power versus the component sum over F_j) and any disagreement
+raises, since that identity is the sharpest trap for sign or normalization
+errors.
 
 Memory notes: all bidegree algebra and h run on increasing-pair component
 storage through forms.contract_pairs (never the full 2n x 2n matrix field of
@@ -52,15 +53,11 @@ import numpy as np
 
 from . import forms
 from .errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
-from .frame import build_frame, frame_hermitian_components
 
 __all__ = [
     "Potential",
     "PotentialReport",
     "deformation_form",
-    "deformed_form",
-    "tau",
-    "H_part",
     "h_matrix",
     "min_eigenvalue_field",
     "F_components",
@@ -438,25 +435,6 @@ def _deformation_slabs(s, u, out, lo, hi):
             _diff_rows(chart, Jg_rows[i], d_rows) if d == 0
             else chart.diff(Jg_mid[i], d, out=d_rows)))
         yield a, b, B
-
-
-def deformed_form(s, phi):
-    """omega(phi) = omega + d(J d phi)."""
-    return forms.omega_form(s) + deformation_form(s, phi)
-
-
-def tau(s, phi):
-    """(2,0)-part of omega(phi) (equals the (2,0)-part of dJdphi)."""
-    return forms.bidegree_project(s, deformed_form(s, phi), 2, 0)
-
-
-def H_part(s, phi, f=None):
-    """(1,1)-part of omega(phi) as the Hermitian frame coefficient matrix
-    M[a,b] with H = i M_ab theta^a wedge conj-theta^b; M(0) = identity."""
-    if f is None:
-        f = build_frame(s)
-    H11 = forms.bidegree_project(s, deformed_form(s, phi), 1, 1)
-    return frame_hermitian_components(f, H11)
 
 
 def h_matrix(J, comps):

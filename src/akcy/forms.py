@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegreeError, ShapeMismatchError, ConfigurationError
+from .errors import DegreeError, ShapeMismatchError
 
 __all__ = [
     "FormField",
@@ -27,11 +27,9 @@ __all__ = [
     "apply_J_oneform",
     "wedge",
     "bidegree_parts",
-    "bidegree_project",
     "top_ratio",
     "integrate",
     "omega_form",
-    "form_to_matrix",
 ]
 
 
@@ -197,13 +195,6 @@ def wedge(a, b):
     return FormField(chart, k, comps)
 
 
-def form_to_matrix(a):
-    """2-form as an antisymmetric (2n, 2n, *grid) coefficient matrix field."""
-    if a.degree != 2:
-        raise DegreeError("matrix view only defined for 2-forms")
-    return pair_matrix(a.comps, a.chart.dim)
-
-
 def pair_matrix(comps, dim):
     """Antisymmetric (dim, dim, *p) matrix of increasing-pair components
     comps (pair axis first)."""
@@ -314,28 +305,6 @@ def bidegree_parts(J, comps, dim):
     P11 *= 0.5
     mixed = 0.5 * j_anticommutator_comps(J, Bm, dim)
     return P11, Bm, mixed
-
-
-def bidegree_project(s, b, p, q):
-    """Projection of a 2-form onto bidegree (p,q) for the structure's J, as
-    a 2-form with complex coordinate components.
-
-    P_{1,1} b (X,Y) = (b(X,Y) + b(JX,JY))/2; the (2,0)/(0,2) split of the
-    remainder uses tau(X,Y) = (beta(X,Y) - i*beta(JX,Y))/2, the -i eigenspace
-    of the complexified J-action.
-    """
-    if (p, q) not in ((2, 0), (1, 1), (0, 2)):
-        raise ConfigurationError(f"invalid bidegree ({p},{q}) for a 2-form")
-    if b.degree != 2:
-        raise DegreeError("bidegree projection defined for 2-forms")
-    P11, Bm, mixed = bidegree_parts(s.J, b.comps, s.chart.dim)
-    if (p, q) == (1, 1):
-        T = P11
-    elif (p, q) == (2, 0):
-        T = 0.5 * (Bm - 1j * mixed)
-    else:
-        T = 0.5 * (Bm + 1j * mixed)
-    return FormField(s.chart, 2, np.asarray(T, dtype=complex))
 
 
 def omega_form(s):

@@ -19,6 +19,7 @@ from akcy import potentials
 from akcy import serialize
 from akcy import solver as sv
 
+import grid_frame as gf
 from conftest import make_standard, make_twisted
 
 def _line(num, name, ok):
@@ -110,14 +111,15 @@ def test_criterion_05_frame_coordinate_crossval():
         X = s.chart.grid_points()
         phi = 0.03 * np.sin(2 * np.pi * X[..., 1]) * np.cos(2 * np.pi * X[..., 2])
         f = fr.build_frame(s)
-        c = fr.connection_forms(s, f)
-        t = fr.torsion(s, f, c)
-        h = fr.covariant_hessian(s, f, c, phi)
-        tau_frame = fr.tau_coefficients(h.phi_a, t.N)
-        tau_coord = fr.frame_tau_components(f, cy.tau(s, phi))
+        c = gf.connection_forms(s, f)
+        t = gf.torsion(s, f, c)
+        h = gf.covariant_hessian(s, f, c, phi)
+        B = cy.deformation_form(s, phi).comps
+        tau_frame = gf.tau_coefficients(h.phi_a, t.N)
+        tau_coord = 0.5 * fr.tau_at(B, f.e)
         errs_tau.append(float(np.abs(tau_frame - tau_coord).max()))
-        M_frame = fr.hermitian_coefficients(h.phi_abar)
-        M_coord = cy.H_part(s, phi, f=f)
+        M_frame = gf.hermitian_coefficients(h.phi_abar)
+        M_coord = fr.hermitian_at(B, f.e)
         errs_H.append(float(np.abs(M_frame - M_coord).max()))
         hs.append(1.0 / res)
     slope_tau = float(np.polyfit(np.log(hs), np.log(errs_tau), 1)[0])
@@ -130,8 +132,9 @@ def test_criterion_05_frame_coordinate_crossval():
 
 def test_criterion_06_integrable_degeneration(s_std12, rng):
     max_N = fr.nijenhuis_max_norm(s_std12)
+    e = fr.build_frame(s_std12).e
     max_tau = max(
-        float(np.abs(cy.tau(s_std12, phi).comps).max())
+        float(np.abs(fr.tau_at(cy.deformation_form(s_std12, phi).comps, e)).max())
         for phi in _random_phis(s_std12, rng, 5)
     )
     # discrete d(J dphi) vs the analytic two-form H J0 - (H J0)^T
@@ -140,7 +143,7 @@ def test_criterion_06_integrable_degeneration(s_std12, rng):
     for res in (12, 24):
         s = make_standard([res] * 4)
         phi = 0.02 * pot.sample(s.chart)
-        B_disc = forms.form_to_matrix(cy.deformation_form(s, phi))
+        B_disc = forms.pair_matrix(cy.deformation_form(s, phi).comps, 4)
         H = 0.02 * pot.hess(s.chart.grid_points())
         J0 = np.asarray(s.J).reshape(4, 4, *([1] * 4))[:, :, 0, 0, 0, 0]
         HJ = np.einsum("km...,ml->kl...", H, J0)
@@ -160,8 +163,8 @@ def test_criterion_07_torsion_structure():
     for res in (12, 24):
         s = make_twisted([res] * 4)
         f = fr.build_frame(s)
-        c = fr.connection_forms(s, f)
-        t = fr.torsion(s, f, c)
+        c = gf.connection_forms(s, f)
+        t = gf.torsion(s, f, c)
         maxes.append((t.max_T(), t.max_mixed()))
         cyc = (
             t.N

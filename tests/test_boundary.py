@@ -10,7 +10,7 @@ from akcy import forms
 from akcy import frame as fr
 from akcy.errors import ConfigurationError, NoSeedError, PreconditionError
 from akcy.potentials import default_candidates
-from conftest import assert_same_bytes, make_standard, make_twisted
+from conftest import assert_same_bytes, make_standard, make_twisted, slab_structure
 
 
 def test_cutoff_plateau_and_tail():
@@ -175,6 +175,42 @@ def test_select_seed_certifies_only_the_winner(monkeypatch, s_tw12):
     assert seed.margin == cy.taming_margin(s_tw12, seed.potential.values)
 
 
+def _tau_peaks(s, seed):
+    """|tau_ab| on the seed's pair of its unscaled candidate, read on
+    build_frame's lattice frame, and the flat indices of the grid points
+    within a relative 64 eps of its maximum."""
+    B = cy.deformation_form(s, seed.candidate.value(s.chart.grid_points())).comps
+    tau = fr.tau_at(B, fr.build_frame(s).e)[seed.pair]
+    mag = np.abs(np.broadcast_to(tau, s.chart.shape))
+    return mag, np.flatnonzero(mag >= mag.max() * (1.0 - 64 * np.finfo(float).eps))
+
+
+def test_select_seed_takes_the_lower_index_twin():
+    """At twisted 13^4 |tau_12| peaks at two symmetric twins, equal up to
+    rounding; the basepoint is the one of lower flat index, (0, 3, 10, 11),
+    not the argmax of the rounded values, (0, 10, 3, 11)."""
+    s = make_twisted([13] * 4)
+    seed = bd.select_seed(s)
+    assert seed.basepoint == (0, 3, 10, 11)
+    mag, near = _tau_peaks(s, seed)
+    twins = [np.ravel_multi_index(p, s.chart.shape) for p in ((0, 3, 10, 11), (0, 10, 3, 11))]
+    assert sorted(twins) == sorted(near)
+
+
+def test_select_seed_at_n3():
+    """At n = 3 (twisted 8^6) the seed is a strictly taming multiple of a
+    candidate with H(phi)(p0) positive; its basepoint is the lowest flat
+    index where |tau_ab| of its pair peaks, and epsilon1, the least |tau_ab|
+    of the seed over a box around p0, lies below the peak."""
+    s = slab_structure("tw8_n3")
+    seed = bd.select_seed(s)
+    assert seed.pair in ((0, 1), (0, 2), (1, 2))
+    assert seed.margin > cy.TAMING_THRESHOLD and seed.lam.min() > 0.0
+    mag, near = _tau_peaks(s, seed)
+    assert seed.basepoint == np.unravel_index(near[0], s.chart.shape)
+    assert 0.0 < seed.epsilon1 < seed.scale_c * mag[seed.basepoint]
+
+
 def test_epsilon0_floor_formula():
     class Seed:
         epsilon1 = 0.04
@@ -255,6 +291,37 @@ def _flat_seed(s):
         U=U,
         chart_scale=0.05,
     )
+
+
+def test_scan_geometry_reads_tau_on_the_seed_pair():
+    """At n = 3 the scan geometry's tau of the seed and of the bump is
+    tau_at in the seed-rotated frame on the seed's pair, here (1, 2)."""
+    s = slab_structure("tw8_n3")
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    p0_idx = (3,) * 6
+    seed = bd.SeedPotential(
+        potential=None,
+        epsilon1=0.0,
+        basepoint=p0_idx,
+        lam=np.array([0.9, 1.0, 1.1]),
+        candidate=default_candidates(3)[0],
+        scale_c=0.05,
+        pair=(1, 2),
+        p0=s.chart.index_to_point(p0_idx),
+        U=U,
+        chart_scale=0.05,
+    )
+    bump = bd._seed_bump(s, seed, 8.0)
+    pts = bump.chart_to_torus(rng.uniform(-1.0, 1.0, size=(300, 6)) / 64)
+    geo = bd._ScanGeometry(s, seed, bump, pts)
+    lg = fr.LocalGeometry(s, pts, U)
+    Bphi = fr.deformation_at(lg.J, lg.dJ, seed.analytic_grad(pts), seed.analytic_hess(pts))
+    _, gpsi, hpsi = bump.torus_eval(pts)
+    Bpsi = fr.deformation_at(lg.J, lg.dJ, gpsi, hpsi)
+    assert_same_bytes(geo.tau_phi, fr.tau_at(Bphi, lg.e)[1, 2])
+    assert_same_bytes(geo.tau_psi, fr.tau_at(Bpsi, lg.e)[1, 2])
+    assert np.abs(geo.tau_psi).max() > 0.0
 
 
 @pytest.mark.parametrize(

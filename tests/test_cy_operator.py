@@ -9,8 +9,9 @@ from akcy import cy_operator as cy
 from akcy import forms
 from akcy import potentials
 from akcy.errors import AmplitudeError, ConsistencyError, NumericalError, PreconditionError
-from akcy.frame import LocalGeometry, deformation_at, hermitian_at, tau_at
+from akcy.frame import LocalGeometry, build_frame, deformation_at, hermitian_at, tau_at
 
+import grid_frame as gf
 from conftest import (REDUCTION_GRIDS, REDUCTION_ROWS, SLAB_GRIDS, SLAB_ROWS, assert_same_bytes,
                       grouped_slabs, make_standard, make_twisted, set_slab_rows,
                       slab_structure, unblocked_deformation_form)
@@ -177,7 +178,7 @@ def test_one_slabs_component_defect_raises(monkeypatch):
 
 def test_deformed_form_is_closed(s_tw12, rng):
     phi = sample_potential(s_tw12, rng)
-    w = cy.deformed_form(s_tw12, phi)
+    w = cy.deformation_form(s_tw12, phi)
     assert forms.exterior_derivative(w).max_abs() < 1e-11
 
 
@@ -258,8 +259,8 @@ def test_margin_vanishes_at_amplitude(s_tw12, rng):
 def test_tau_vanishes_on_J_invariant_pairs(s_tw12, rng):
     """tau is a (2,0)-form: tau(X, JX) = i tau(X, X) = 0."""
     phi = sample_potential(s_tw12, rng)
-    t = cy.tau(s_tw12, phi)
-    T = forms.form_to_matrix(t)
+    tau = gf.bidegree_projections(s_tw12, cy.deformation_form(s_tw12, phi).comps)[0]
+    T = forms.pair_matrix(tau, s_tw12.chart.dim)
     X = rng.standard_normal(4)
     JX = np.einsum("kl...,l->k...", s_tw12.J, X)
     val = np.einsum("k,kl...,l...->...", X, T, JX) - 1j * np.einsum(
@@ -269,7 +270,7 @@ def test_tau_vanishes_on_J_invariant_pairs(s_tw12, rng):
 
 
 def test_H_part_at_zero_is_identity(s_tw12):
-    M = cy.H_part(s_tw12, np.zeros(s_tw12.chart.shape))
+    M = hermitian_at(np.zeros((6, 1, 1, 1, 1)), build_frame(s_tw12).e)
     eye = np.eye(2).reshape(2, 2, 1, 1, 1, 1)
     assert np.abs(M - eye).max() < 1e-12
 

@@ -42,28 +42,9 @@ def test_package_root_imports_resolve():
 
 SRC = Path(akcy.__file__).resolve().parent
 REPO = SRC.parents[1]
-# Public names kept though only the tests use them, as references: H_part
-# is the coordinate-path H of criterion 05's frame/coordinate cross-check;
-# connection_forms, torsion and covariant_hessian are the grid path that
-# criterion 05 and test_frame hold the pointwise path to; kernel_check is
-# the dense audit of the linearized operator; tau is the bidegree-projection
-# reference of the (2,0) part of d(J dphi); tau_coefficients and
-# hermitian_coefficients are the grid frame path's tau and H, the references
-# that criterion 05 and test_frame hold the coordinate and pointwise tau and
-# H to; and TORSION_NIJENHUIS_RATIO is
-# the desk-derived ratio of frame (0,2) torsion to the bracket Nijenhuis
-# tensor that test_frame asserts.
-TEST_REFERENCES = {
-    "H_part",
-    "TORSION_NIJENHUIS_RATIO",
-    "connection_forms",
-    "torsion",
-    "covariant_hessian",
-    "kernel_check",
-    "tau",
-    "tau_coefficients",
-    "hermitian_coefficients",
-}
+# Public names kept though only the tests use them, as references:
+# kernel_check is the dense audit of the linearized operator.
+TEST_REFERENCES = {"kernel_check"}
 
 
 def _public_names():

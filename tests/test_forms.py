@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st_hyp
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import structure
-from akcy.errors import ConfigurationError, DegreeError, ShapeMismatchError
+from akcy.errors import DegreeError, ShapeMismatchError
 from akcy.frame import LocalGeometry
 
+import grid_frame as gf
 from conftest import make_twisted
 
 
@@ -98,17 +99,12 @@ def test_form_matrix_roundtrip(s_std12, rng):
     """Each entry of the matrix view is its pair component, with the
     opposite sign below the diagonal; the diagonal is zero."""
     a = random_form(s_std12.chart, 2, rng)
-    B = forms.form_to_matrix(a)
+    B = forms.pair_matrix(a.comps, s_std12.chart.dim)
     for p, (i, j) in enumerate(forms.multi_indices(s_std12.chart.dim, 2)):
         assert np.array_equal(B[i, j], a.comps[p])
         assert np.array_equal(B[j, i], -a.comps[p])
     for i in range(s_std12.chart.dim):
         assert not B[i, i].any()
-
-
-def test_bidegree_project_rejects_a_bidegree_past_two(s_std12, rng):
-    with pytest.raises(ConfigurationError):
-        forms.bidegree_project(s_std12, random_form(s_std12.chart, 2, rng), 3, 0)
 
 
 def test_wedge_and_top_ratio_reject_wrong_degrees(s_std12, rng):
@@ -126,8 +122,8 @@ def test_form_field_rejects_a_wrong_component_count(s_std12):
 
 def test_bidegree_projection_resolves_identity(s_tw12, rng):
     b = random_form(s_tw12.chart, 2, rng)
-    parts = [forms.bidegree_project(s_tw12, b, p, q) for p, q in ((2, 0), (1, 1), (0, 2))]
-    total = parts[0].comps + parts[1].comps + parts[2].comps
+    parts = gf.bidegree_projections(s_tw12, b.comps)
+    total = parts[0] + parts[1] + parts[2]
     assert np.abs(total - b.comps).max() < 1e-12
 
 
@@ -136,11 +132,10 @@ def test_bidegree_projection_eigenspaces(s_tw12, rng):
     b = random_form(s_tw12.chart, 2, rng)
     J = s_tw12.J
     dim = s_tw12.chart.dim
-    p11 = forms.bidegree_project(s_tw12, b, 1, 1)
-    conj11 = forms.j_conjugate_comps(J, p11.comps, dim)
-    assert np.abs(conj11 - p11.comps).max() < 1e-11
-    p20 = forms.bidegree_project(s_tw12, b, 2, 0)
-    anti = p20.comps + np.conj(p20.comps)
+    p20, p11, _ = gf.bidegree_projections(s_tw12, b.comps)
+    conj11 = forms.j_conjugate_comps(J, p11, dim)
+    assert np.abs(conj11 - p11).max() < 1e-11
+    anti = p20 + np.conj(p20)
     conj_anti = forms.j_conjugate_comps(J, anti, dim)
     assert np.abs(conj_anti + anti).max() < 1e-11
 
@@ -295,7 +290,7 @@ def test_h_matrix_is_exactly_symmetric(case, s_tw12, s_std12):
 
 def test_signed_pairs_reads_antisymmetric_storage(s_std12, rng):
     a = random_form(s_std12.chart, 2, rng)
-    B = forms.form_to_matrix(a)
+    B = forms.pair_matrix(a.comps, s_std12.chart.dim)
     for (i, j), (p, sign) in forms.signed_pairs(4).items():
         assert np.array_equal(B[i, j], sign * a.comps[p])
     assert len(forms.signed_pairs(4)) == 4 * 3
@@ -338,7 +333,7 @@ def test_j_action_identities_on_random_structures(case):
     P11, _, _ = forms.bidegree_parts(J, comps, dim)
     assert np.abs(forms.j_conjugate_comps(J, P11, dim) - P11).max() <= tol
     assert np.abs(forms.j_anticommutator_comps(J, P11, dim)).max() <= tol
-    B = forms.form_to_matrix(forms.FormField(s.chart, 2, comps))
+    B = forms.pair_matrix(comps, dim)
     BJ = np.einsum("ij...,jk...->ik...", B, J)
     expected = 0.5 * (BJ - np.einsum("ji...,jk...->ik...", J, B))
     assert np.abs(cy.h_matrix(J, comps) - expected).max() <= tol

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from akcy import cy_operator as cy
-from akcy import forms
 from akcy import frame as fr
 from akcy.errors import FrameError
 from akcy.potentials import default_candidates
 
-from conftest import assert_same_bytes, make_twisted
+import grid_frame as gf
+from conftest import assert_same_bytes, make_twisted, slab_structure
 
 
 def _pipeline(s):
     f = fr.build_frame(s)
-    c = fr.connection_forms(s, f)
-    t = fr.torsion(s, f, c)
+    c = gf.connection_forms(s, f)
+    t = gf.torsion(s, f, c)
     return f, c, t
 
 
@@ -39,7 +39,7 @@ def test_connection_annihilates_g_and_J():
     defects = []
     for s in (coarse, fine):
         f = fr.build_frame(s)
-        c = fr.connection_forms(s, f)
+        c = gf.connection_forms(s, f)
         defects.append(max(c.nabla_g_defect, c.nabla_J_defect))
     # second-order convergence: halving h divides the defect by about 4
     assert defects[1] < defects[0] / 2.5
@@ -71,7 +71,7 @@ def test_torsion_nijenhuis_ratio():
             "kij...,ak...,bi...,cj...->abc...", Nc, f.theta, ebar, ebar
         )
         errs.append(
-            float(np.abs(t.N - fr.TORSION_NIJENHUIS_RATIO * pairing).max())
+            float(np.abs(t.N - gf.TORSION_NIJENHUIS_RATIO * pairing).max())
         )
     assert errs[1] < errs[0] / 2.5
     assert errs[1] < 1e-3
@@ -87,15 +87,15 @@ def test_nijenhuis_cyclic_identity(s_tw12):
 
 def test_covariant_hessian_of_zero_is_zero(s_tw12):
     f, c, t = _pipeline(s_tw12)
-    h = fr.covariant_hessian(s_tw12, f, c, np.zeros(s_tw12.chart.shape))
+    h = gf.covariant_hessian(s_tw12, f, c, np.zeros(s_tw12.chart.shape))
     assert np.abs(h.phi_a).max() == 0.0
     assert np.abs(h.phi_abar).max() == 0.0
 
 
 def test_hermitian_frame_path_at_zero_is_identity(s_tw12):
     f, c, t = _pipeline(s_tw12)
-    h = fr.covariant_hessian(s_tw12, f, c, np.zeros(s_tw12.chart.shape))
-    M = fr.hermitian_coefficients(h.phi_abar)
+    h = gf.covariant_hessian(s_tw12, f, c, np.zeros(s_tw12.chart.shape))
+    M = gf.hermitian_coefficients(h.phi_abar)
     eye = np.eye(2).reshape(2, 2, 1, 1, 1, 1)
     assert np.abs(M - eye).max() == 0.0
 
@@ -104,25 +104,42 @@ def test_covariant_hessian_is_nearly_hermitian(s_tw16, rng):
     f, c, t = _pipeline(s_tw16)
     X = s_tw16.chart.grid_points()
     phi = 0.05 * np.sin(2 * np.pi * (X[..., 0] + X[..., 3]))
-    h = fr.covariant_hessian(s_tw16, f, c, phi)
+    h = gf.covariant_hessian(s_tw16, f, c, phi)
     assert h.hermitian_defect() < 0.05
 
 
 def test_frame_paths_match_coordinate_paths(s_tw16):
-    """tau and H from the frame formulas vs coordinate bidegree projection."""
+    """tau and H from the grid frame formulas vs tau_at and hermitian_at."""
     X = s_tw16.chart.grid_points()
     phi = 0.03 * np.sin(2 * np.pi * X[..., 1]) * np.cos(2 * np.pi * X[..., 2])
     f, c, t = _pipeline(s_tw16)
-    h = fr.covariant_hessian(s_tw16, f, c, phi)
+    h = gf.covariant_hessian(s_tw16, f, c, phi)
 
-    tau_coord = cy.tau(s_tw16, phi)
-    tau_frame = fr.tau_coefficients(h.phi_a, t.N)
-    tau_check = fr.frame_tau_components(f, tau_coord)
+    B = cy.deformation_form(s_tw16, phi).comps
+    tau_frame = gf.tau_coefficients(h.phi_a, t.N)
+    tau_check = 0.5 * fr.tau_at(B, f.e)
     assert np.abs(tau_frame - tau_check).max() < 5e-3
 
-    M_coord = cy.H_part(s_tw16, phi, f=f)
-    M_frame = fr.hermitian_coefficients(h.phi_abar)
+    M_coord = fr.hermitian_at(B, f.e)
+    M_frame = gf.hermitian_coefficients(h.phi_abar)
     assert np.abs(M_frame - M_coord).max() < 5e-3
+
+
+@pytest.mark.parametrize("grid", ["tw12", "tw13", "tw8_n3"])
+def test_tau_at_and_hermitian_at_are_the_bidegree_projection(grid):
+    """On build_frame's e, 0.5 tau_at and hermitian_at of d(J dphi) are the
+    (2,0) and (1,1) parts of omega + d(J dphi) from forms.bidegree_parts,
+    read on the frame, to 64 eps of their largest entry, for every default
+    candidate."""
+    s = make_twisted([13] * 4) if grid == "tw13" else slab_structure(grid)
+    e = fr.build_frame(s).e
+    eps = 64 * np.finfo(float).eps
+    for cand in default_candidates(s.half_dim):
+        B = cy.deformation_form(s, 0.05 * cand.value(s.chart.grid_points())).comps
+        tau_ref = gf.projected_tau(s, B, e)
+        M_ref = gf.projected_hermitian(s, B, e)
+        assert np.abs(0.5 * fr.tau_at(B, e) - tau_ref).max() <= eps * np.abs(tau_ref).max()
+        assert np.abs(fr.hermitian_at(B, e) - M_ref).max() <= eps * np.abs(M_ref).max()
 
 
 def test_local_geometry_matches_grid_frame(s_tw12):
@@ -207,10 +224,10 @@ def _pointwise_vs_grid(res):
     B = fr.deformation_at(lg.J, lg.dJ, c * cand.grad(pts), c * cand.hess(pts))
     phi = c * cand.value(chart.grid_points())
     f, conn, t = _pipeline(s)
-    h = fr.covariant_hessian(s, f, conn, phi)
+    h = gf.covariant_hessian(s, f, conn, phi)
     grid_B = cy.deformation_form(s, phi).comps.reshape(6, -1)
-    grid_tau = np.broadcast_to(2.0 * fr.tau_coefficients(h.phi_a, t.N)[0, 1], chart.shape)
-    grid_M = np.broadcast_to(fr.hermitian_coefficients(h.phi_abar), (2, 2) + chart.shape)
+    grid_tau = np.broadcast_to(2.0 * gf.tau_coefficients(h.phi_a, t.N)[0, 1], chart.shape)
+    grid_M = np.broadcast_to(gf.hermitian_coefficients(h.phi_abar), (2, 2) + chart.shape)
     return (
         float(np.abs(B - grid_B).max()),
         float(np.abs(fr.tau_at(B, lg.e)[0, 1] - grid_tau.ravel()).max()),

@@ -36,22 +36,24 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-from akcy import cy_operator as cy, frame, potentials, solver, structure as st
+from akcy import boundary, cy_operator as cy, frame, potentials, solver, structure as st
 
+recipe = st.StructureRecipe("twisted", st.default_generator(2), 0.12, "sin_x1_cos_y2")
 chart = st.build_grid(2, [8] * 4)
-s = st.twisted_structure(
-    chart, st.StructureRecipe("twisted", st.default_generator(2), 0.12, "sin_x1_cos_y2")
-)
+s = st.twisted_structure(chart, recipe)
 pot = {c.name: c for c in potentials.default_candidates(2)}["prod_x2_y1"]
 phi = cy.project_zero_mean(s, 0.01 * pot.sample(chart)).values
 cy.analyze_potential(s, phi)
 frame.LocalGeometry(s, np.random.default_rng(2).uniform(size=(5, 4)))
 solver.newton_solve(s, cy.F_total(s, phi), tol=1e-9)
+boundary.select_seed(st.twisted_structure(st.build_grid(2, [10] * 4), recipe))
 print(json.dumps(tracer.metrics()))
 """
 
 
 def test_bench_tracer_installs_and_counts():
+    """Each traced layer the run reaches counts; select_seed reaches the
+    lattice frame through the build_frame the tracer patches."""
     proc = _run(["-c", TRACED_RUN])
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
@@ -66,5 +68,7 @@ def test_bench_tracer_installs_and_counts():
         "solver.LinearOperatorHandle.apply.calls",
         "solver.gmres.calls",
         "solver.fft.calls",
+        "frame.build_frame.s",
+        "boundary.select_seed.s",
     ):
         assert metrics[key] > 0, key
