@@ -1,5 +1,6 @@
-"""The deformed form omega(phi), its bidegree parts, the operators F_j and F,
-taming margins, and the positivity amplitude.
+"""d(J dphi), the bidegree parts of the deformed form omega(phi) = omega +
+d(J dphi), the operators F_j and F, taming margins, and the positivity
+amplitude.
 
 Everything here is computed in coordinates on the grid; the frame module
 reads tau and H of d(J dphi) on a unitary frame (tau_at, hermitian_at).  F
