@@ -56,8 +56,8 @@ from .cy_operator import (  # noqa: F401
 )
 from .boundary import (  # noqa: F401
     BoundaryReport,
+    BumpField,
     boundary_potential,
-    bump_psi,
     search_R,
     select_seed,
     witness_density,

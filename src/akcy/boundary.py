@@ -16,10 +16,10 @@ normalizes it.
 Memory: every pointwise pass runs over batches of SCAN_CHUNK points in point
 order.  The scan set's LocalGeometry (J, g, the seed-rotated frame and dJ)
 exists one batch at a time and is reduced at once to the per-point arrays the
-certification reads (`_ScanGeometry`); the seed's grid F gathers only J and
-dJ from the broadcast-reduced lattice geometry.  Point order is kept, so
-minima, first argmins and every output are bitwise those of one pass over all
-points.
+certification reads (`_ScanGeometry`); the seed's grid F broadcasts J and
+dJ of the broadcast-reduced lattice geometry against rows of the grid.
+Point order is kept, so minima, first argmins and every output are bitwise
+those of one pass over all points.
 
 Chart convention: the polydisk chart around the basepoint p0 is
 x(zeta) = p0 + rho * sum_a (zeta_a e_a + conj), with e_a the p0-frame rotated
@@ -29,6 +29,7 @@ unscaled coordinates z = rho*zeta satisfy d/dz_a = e_a at p0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,15 +61,15 @@ __all__ = [
     "cutoff_eta",
     "cutoff_eta_d1",
     "cutoff_eta_d2",
-    "bump_psi",
     "select_seed",
     "boundary_potential",
     "search_R",
 ]
 
 NONINTEGRABILITY_THRESHOLD = 1e-6
-# Points per batch of every point pass: a LocalGeometry, a gather from the
-# lattice geometry or the near-set sweep of the grid.
+# Points per batch of every point pass: a LocalGeometry, the near-set sweep
+# of the grid, or (in whole rows of grid axis 0, at least one) the seed's
+# grid F.
 SCAN_CHUNK = 8_192
 
 
@@ -264,11 +265,6 @@ class BumpField:
         return psi, grad, hess
 
 
-def bump_psi(spec: BumpSpec) -> BumpField:
-    """Construct psi_R with analytic first/second chart derivatives."""
-    return BumpField(spec)
-
-
 # ---------------------------------------------------------------------------
 # Seed selection.
 
@@ -333,10 +329,12 @@ def select_seed(s):
     diagnostics = []
     for cand in default_candidates(n):
         B = cy.deformation_form(s, cand.value(chart.grid_points()))
-        # Rank by the closed-form amplitude; only the winner is certified.
+        # Rank by the closed-form amplitude, skipping directions that stay
+        # taming past AMPLITUDE_MAX; only the winner is certified.
         amp = cy._pencil_critical_scale(s.g, cy.h_matrix(s.J, B.comps))
-        bounded = np.isfinite(amp) and amp <= cy.AMPLITUDE_MAX
-        c = 0.9 * amp if bounded else 1.0
+        if not amp <= cy.AMPLITUDE_MAX:
+            continue
+        c = 0.9 * amp
         tau = tau_at(B.comps, f.e)
         for a in range(n):
             for b in range(a + 1, n):
@@ -367,7 +365,6 @@ def select_seed(s):
                 if best is None or score > best["eps1"]:
                     best = {
                         "cand": cand,
-                        "bounded": bounded,
                         "pair": (a, b),
                         "p0_idx": tuple(int(i) for i in p0_idx),
                         "rho": rho,
@@ -380,7 +377,7 @@ def select_seed(s):
 
     cand = best["cand"]
     raw = cand.value(chart.grid_points())
-    c = 0.9 * cy.positivity_amplitude(s, raw) if best["bounded"] else 1.0
+    c = 0.9 * cy.positivity_amplitude(s, raw)
     p0 = chart.index_to_point(best["p0_idx"])
     phi_vals = c * raw
     margin = cy.taming_margin(s, phi_vals)
@@ -470,7 +467,7 @@ def _seed_bump(s, seed, R):
     """psi_R in the polydisk chart at seed.p0, whose frame is rotated so that
     H(phi)(p0) is diagonal."""
     frame = LocalGeometry(s, seed.p0[None, :], seed.U).e[..., 0]
-    return bump_psi(BumpSpec(R, seed.p0, frame, seed.lam, seed.chart_scale))
+    return BumpField(BumpSpec(R, seed.p0, frame, seed.lam, seed.chart_scale))
 
 
 def _scan_lattice(bump, R, rng):
@@ -519,48 +516,29 @@ def _grid_near(s, bump):
     return idx, pts[idx], np.concatenate(w, axis=0)
 
 
-def _lattice_geometry(s):
-    """(LocalGeometry on the broadcast-reduced lattice, index map), cached.
-
-    The lattice holds one grid point per distinct value of the structure,
-    prod(s.bshape) points; the index map is a grid-shaped broadcast view of
-    each grid point's flat lattice index.  J_at depends on a point only
-    through the profile axes, so the lattice geometry gathered by the index
-    map is the geometry at every grid point.
-    """
-
-    def _build():
-        chart = s.chart
-        bshape = s.bshape
-        pts = np.zeros(bshape + (chart.dim,))
-        for d in range(chart.dim):
-            if bshape[d] > 1:
-                pts[..., d] = np.broadcast_to(chart.axis_coords(d), bshape)
-        lattice = np.arange(int(np.prod(bshape))).reshape(bshape)
-        geometry = LocalGeometry(s, pts.reshape(-1, chart.dim))
-        return geometry, np.broadcast_to(lattice, chart.shape)
-
-    return s.cache("lattice_geometry", _build)
-
-
 def _seed_grid_F(s, seed):
     """F(phi) at every grid point, the top power of omega + d(J dphi) with
     d(J dphi) from the exact pointwise path, cached with its seed (an id()
-    key could hit for a new seed at a freed one's address)."""
+    key could hit for a new seed at a freed one's address).
+
+    J_at depends on a point only through the profile axes, so J and dJ come
+    from one LocalGeometry on J's broadcast-reduced lattice (cached on s),
+    whose rows broadcast against the grid rows of the seed's derivatives."""
 
     def _build():
         chart = s.chart
-        pts = chart.grid_points().reshape(-1, chart.dim)
-        lattice, idx = _lattice_geometry(s)
-        out = np.empty(pts.shape[0])
-        for a, b in _batches(pts.shape[0]):
-            # np.take keeps the point axis last in memory too (value[..., at]
-            # would put it first and slow every einsum over the points).
-            at = idx.flat[a:b]
-            J, dJ = (np.take(v, at, axis=-1) for v in (lattice.J, lattice.dJ))
+        lattice = s.cache(
+            "lattice_geometry", lambda: LocalGeometry(s, chart.lattice_points(s.bshape))
+        )
+        pts = chart.grid_points()
+        out = np.empty(chart.shape)
+        rows = max(1, SCAN_CHUNK // math.prod(chart.shape[1:]))
+        for a in range(0, chart.shape[0], rows):
+            b = min(a + rows, chart.shape[0])
+            J, dJ = (forms.axis_rows(v, v.ndim - chart.dim, a, b) for v in (lattice.J, lattice.dJ))
             B = deformation_at(J, dJ, seed.analytic_grad(pts[a:b]), seed.analytic_hess(pts[a:b]))
             out[a:b] = cy._F_of(s, B)
-        return out
+        return out.reshape(-1)
 
     entry = s.cache("seed_grid_F", lambda: [None, None])
     if entry[0] is not seed:

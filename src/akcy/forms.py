@@ -90,17 +90,9 @@ class FormField:
         self.degree = degree
         self.comps = comps
 
-    @property
-    def indices(self):
-        return multi_indices(self.chart.dim, self.degree)
-
     def __add__(self, other):
         self._check_compatible(other)
         return type(self)(self.chart, self.degree, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return FormField(self.chart, self.degree, self.comps - other.comps)
 
     def __mul__(self, c):
         return type(self)(self.chart, self.degree, self.comps * c)

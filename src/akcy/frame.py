@@ -3,8 +3,8 @@ parts at arbitrary points.
 
 One Gram-Schmidt builds the unitary frame on J's lattice (`build_frame`,
 with its continuity and unitarity checks) and off it (`LocalGeometry`, which
-keeps J, g, the frame and dJ, a small-step central difference of the closed
-form).  d(J dphi) is taken in coordinates (`deformation_at`), and tau and H
+keeps J, g, the frame and dJ, the structure's closed form from one J_at per
+point).  d(J dphi) is taken in coordinates (`deformation_at`), and tau and H
 are read off it on a frame (`tau_at`, `hermitian_at`) with no bidegree
 projection: this is the one tau/H path of the package.  Seed selection reads
 tau on the lattice frame; the boundary module scans polydisks far below the
@@ -36,8 +36,6 @@ __all__ = [
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
-# Central-difference step of the pointwise path (LocalGeometry).
-FD_STEP = 1e-5
 
 
 @dataclass
@@ -206,28 +204,19 @@ class LocalGeometry:
     arbitrary points: all that deformation_at, tau_at, hermitian_at and the
     taming matrix read there.
 
-    dJ[d] is the central difference of J_at with step FD_STEP, so its
-    accuracy does not depend on the grid.  Points have shape
-    (m, 2n); the member arrays keep the point axis last.  With a constant
-    unitary U the frame is e'_a = sum_b U[b,a] e_b.
+    J_at runs once on the points and dJ[d] = partial_d J is the structure's
+    closed form from that J (dJ_at), so neither depends on the grid.  Points
+    have shape (..., 2n); the member arrays keep the point axes last.  With
+    a constant unitary U the frame is e'_a = sum_b U[b,a] e_b.
     """
 
     def __init__(self, s: CompatibleStructure, points, U=None):
         self.s = s
         self.points = np.asarray(points, dtype=float)
-        dim = 2 * s.half_dim
-
-        def J_at(pts):
-            return np.moveaxis(s.J_at(pts), (-2, -1), (0, 1))
-
-        self.J = J_at(self.points)
+        J = s.J_at(self.points)
+        self.J = np.moveaxis(J, (-2, -1), (0, 1))
         self.g = np.einsum("ij,jk...->ik...", s.omega, self.J)
-        self.e = _gram_schmidt(self.J, self.g, list(range(0, dim, 2)))[0]
+        self.e = _gram_schmidt(self.J, self.g, list(range(0, 2 * s.half_dim, 2)))[0]
         if U is not None:
             self.e = np.einsum("ba,bk...->ak...", np.asarray(U, dtype=complex), self.e)
-        self.dJ = np.empty((dim,) + self.J.shape)
-        for d in range(dim):
-            dp = np.zeros(dim)
-            dp[d] = FD_STEP
-            np.subtract(J_at(self.points + dp), J_at(self.points - dp), out=self.dJ[d])
-            self.dJ[d] /= 2 * FD_STEP
+        self.dJ = np.moveaxis(s.dJ_at(self.points, J), (-2, -1), (1, 2))

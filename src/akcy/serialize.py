@@ -102,6 +102,7 @@ def field_to_csv(path, values, degree=0):
             f"grid has {npts} points; CSV export capped at {CSV_MAX_POINTS}"
         )
     ndim = len(grid_shape)
+    idx = np.indices(grid_shape).reshape(ndim, -1).T.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = [f"i{d}" for d in range(ndim)] + ["component", "value"]
@@ -111,15 +112,9 @@ def field_to_csv(path, values, degree=0):
         comps = arr[None] if degree == 0 else arr
         for c in range(comps.shape[0]):
             flat = comps[c].ravel()
-            for flat_idx in range(npts):
-                idx = np.unravel_index(flat_idx, grid_shape)
-                row = list(idx) + [c]
-                v = flat[flat_idx]
-                if np.iscomplexobj(arr):
-                    row += [float(v.real), float(v.imag)]
-                else:
-                    row += [float(v)]
-                w.writerow(row)
+            cols = (flat.real, flat.imag) if np.iscomplexobj(arr) else (flat,)
+            vals = zip(*(col.astype(float).tolist() for col in cols))
+            w.writerows(i + [c, *v] for i, v in zip(idx, vals))
 
 
 def write_report(path, report):

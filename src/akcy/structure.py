@@ -22,6 +22,8 @@ the fewest squarings that bring ``max|c| * ||S||_1 / 2^q`` to 1/2
 ``||S||_1 = 1.5``, so they never square while ``|c| <= 1/3``.
 Conjugation by a symplectic matrix preserves omega-compatibility
 identically, so compatibility never has to be repaired after the fact.
+Since ``S`` commutes with ``A``, ``dJ = eps dt (S J - J S)`` in closed form
+from J itself (``CompatibleStructure.dJ_at``).
 """
 
 from __future__ import annotations
@@ -92,6 +94,16 @@ class GridChart:
         axes = [np.arange(N) * h for N, h in zip(self.resolution, self.spacing)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
+
+    def lattice_points(self, bshape):
+        """Coordinates of the lattice of a field broadcast-reduced to bshape,
+        shape (*bshape, 2n): the grid coordinate along each full axis and 0
+        along each size-1 (broadcast) axis."""
+        pts = np.zeros(tuple(bshape) + (self.dim,))
+        for d in range(self.dim):
+            if bshape[d] > 1:
+                pts[..., d] = np.broadcast_to(self.axis_coords(d), bshape)
+        return pts
 
     def index_to_point(self, idx):
         return np.asarray(idx, dtype=float) * np.asarray(self.spacing)
@@ -209,34 +221,21 @@ def default_generator(half_dim):
     return np.linalg.solve(O, M)
 
 
-# ---------------------------------------------------------------------------
-# Twist profiles: name -> (callable on points (...,2n), axes it depends on)
-
-def _profile_sin(axis, freq=1):
-    def f(x):
-        return np.sin(2.0 * np.pi * freq * x[..., axis])
-    return f
-
-
-def _profile_cos(axis, freq=1):
-    def f(x):
-        return np.cos(2.0 * np.pi * freq * x[..., axis])
-    return f
-
-
-def _profile_sin_sum():
-    def f(x):
-        return np.sin(2.0 * np.pi * x[..., 0]) + 0.5 * np.cos(2.0 * np.pi * x[..., 3])
-    return f
-
-
+# Twist profiles: name -> terms (c, axis, f), t(x) = sum c * f(2 pi x[axis]),
+# f in {np.sin, np.cos}; _DERIVATIVE holds f'.
 PROFILES = {
-    "sin_x1": (_profile_sin(0), (0,)),
-    "cos_x1": (_profile_cos(0), (0,)),
-    "sin_y1": (_profile_sin(1), (1,)),
-    "sin_x2": (_profile_sin(2), (2,)),
-    "sin_x1_cos_y2": (_profile_sin_sum(), (0, 3)),
+    "sin_x1": ((1.0, 0, np.sin),),
+    "cos_x1": ((1.0, 0, np.cos),),
+    "sin_y1": ((1.0, 1, np.sin),),
+    "sin_x2": ((1.0, 2, np.sin),),
+    "sin_x1_cos_y2": ((1.0, 0, np.sin), (0.5, 3, np.cos)),
 }
+_DERIVATIVE = {np.sin: np.cos, np.cos: lambda u: -np.sin(u)}
+
+
+def _profile(terms, x):
+    """t at points x (..., 2n)."""
+    return sum(c * f(2.0 * np.pi * x[..., axis]) for c, axis, f in terms)
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ class StructureRecipe:
 
     kind is "standard" or "twisted"; generator is a constant matrix in the
     symplectic Lie algebra (S^T Omega + Omega S = 0); amplitude scales the
-    twist; profile names a periodic scalar in PROFILES.
+    twist; profile names the periodic scalar t of PROFILES.
     """
 
     kind: str
@@ -277,7 +276,8 @@ class CompatibleStructure:
     ``J`` and ``g`` are stored with shape (2n, 2n, *bshape) where bshape is
     broadcastable to the grid (size-1 along axes the twist does not use).
     ``J_at`` evaluates the same structure at arbitrary points, which the
-    boundary module uses for off-grid polydisk scans.
+    boundary module uses for off-grid polydisk scans, and ``dJ_at`` its
+    closed-form first derivatives there.
     """
 
     def __init__(self, chart, J, recipe, J_at):
@@ -300,6 +300,20 @@ class CompatibleStructure:
     def J_at(self, points):
         """J at arbitrary physical points, shape (..., 2n) -> (..., 2n, 2n)."""
         return self._J_at(np.asarray(points, dtype=float))
+
+    def dJ_at(self, points, J):
+        """dJ[d] = partial_d J at points (..., 2n), given J = J_at(points):
+        shape (2n, ..., 2n, 2n).  With A = exp(eps t S), partial_d A =
+        eps partial_d t S A, so partial_d J = eps partial_d t (S J - J S);
+        zero for the standard structure."""
+        if self.recipe.kind == "standard":
+            return np.zeros((self.chart.dim,) + np.shape(J))
+        points = np.asarray(points, dtype=float)
+        dt = np.zeros((self.chart.dim,) + points.shape[:-1])
+        for c, axis, f in PROFILES[self.recipe.profile]:
+            dt[axis] += 2.0 * np.pi * c * _DERIVATIVE[f](2.0 * np.pi * points[..., axis])
+        S = np.asarray(self.recipe.generator, dtype=float)
+        return (self.recipe.amplitude * dt)[..., None, None] * (S @ J - J @ S)
 
     def cache(self, key, builder):
         if key not in self._cache:
@@ -363,7 +377,7 @@ def twisted_structure(chart, recipe):
         return standard_structure(chart)
     n = chart.half_dim
     J0 = standard_J(n)
-    prof, axes = PROFILES[recipe.profile]
+    terms = PROFILES[recipe.profile]
     expS = _exp_kernel(recipe.generator)
     eps = float(recipe.amplitude)
 
@@ -372,14 +386,13 @@ def twisted_structure(chart, recipe):
         return expS(eps * t) @ J0 @ expS(-eps * t)
 
     # Profile sampled on the broadcast-reduced lattice only.
-    bshape = tuple(chart.resolution[d] if d in axes else 1 for d in range(chart.dim))
-    coords = np.zeros(bshape + (chart.dim,))
-    for d in axes:
-        coords[..., d] = np.broadcast_to(chart.axis_coords(d), bshape)
-    J = np.ascontiguousarray(np.moveaxis(conjugate(prof(coords)), (-2, -1), (0, 1)))
+    axes = {axis for _, axis, _ in terms}
+    bshape = tuple(N if d in axes else 1 for d, N in enumerate(chart.resolution))
+    coords = chart.lattice_points(bshape)
+    J = np.ascontiguousarray(np.moveaxis(conjugate(_profile(terms, coords)), (-2, -1), (0, 1)))
 
     def J_at(points):
-        return conjugate(prof(points))
+        return conjugate(_profile(terms, points))
 
     s = CompatibleStructure(chart, J, recipe, J_at)
     rep = validate_structure(s)

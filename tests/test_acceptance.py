@@ -194,13 +194,13 @@ def test_criterion_08_bump_scaling():
     Rs = (4.0, 8.0, 16.0)
     for R in Rs:
         spec = bd.BumpSpec(R, np.array([0.3, 0.4, 0.5, 0.6]), frame, lam, 0.05)
-        bump = bd.bump_psi(spec)
+        bump = bd.BumpField(spec)
         w = (t * dirs[None] / R).reshape(-1, 4)
         _, grad, _ = bump.chart_eval(w, order=1)
         sups.append(float(np.abs(grad).max()))
     slopes = np.diff(np.log(sups)) / np.diff(np.log(Rs))
     spec = bd.BumpSpec(4.0, np.array([0.3, 0.4, 0.5, 0.6]), frame, lam, 0.05)
-    bump = bd.bump_psi(spec)
+    bump = bd.BumpField(spec)
     _, grad0, hess0 = bump.chart_eval(np.zeros((1, 4)), order=2)
     hess_dev = max(
         abs(0.25 * (hess0[2 * a, 2 * a, 0] + hess0[2 * a + 1, 2 * a + 1, 0]) - lam[a] / 2)

@@ -8,7 +8,7 @@ from akcy import boundary as bd
 from akcy import cy_operator as cy
 from akcy import forms
 from akcy import frame as fr
-from akcy.errors import ConfigurationError, NoSeedError, PreconditionError
+from akcy.errors import ConfigurationError, NoSeedError, PreconditionError, SeedSearchError
 from akcy.potentials import default_candidates
 from conftest import assert_same_bytes, make_standard, make_twisted, slab_structure
 
@@ -51,7 +51,7 @@ def test_bump_spec_rejects_small_R():
 def _toy_bump(R=4.0, lam=(0.8, 1.1), scale=0.05):
     frame = np.array([[1.0, 1j, 0, 0], [0, 0, 1.0, 1j]], dtype=complex) / np.sqrt(2)
     spec = bd.BumpSpec(R, np.array([0.3, 0.4, 0.5, 0.6]), frame, np.array(lam), scale)
-    return bd.bump_psi(spec)
+    return bd.BumpField(spec)
 
 
 def test_bump_center_hessian_is_half_lambda():
@@ -173,6 +173,15 @@ def test_select_seed_certifies_only_the_winner(monkeypatch, s_tw12):
     assert seed.scale_c == 0.9 * cy.positivity_amplitude(s_tw12, raw)
     assert np.array_equal(seed.potential.values, seed.scale_c * raw)
     assert seed.margin == cy.taming_margin(s_tw12, seed.potential.values)
+
+
+def test_select_seed_skips_directions_unbounded_by_the_closed_form(monkeypatch, s_tw12):
+    """A candidate whose closed-form amplitude exceeds AMPLITUDE_MAX is
+    skipped, not given a fallback scale: with every one unbounded no seed
+    is found."""
+    monkeypatch.setattr(cy, "_pencil_critical_scale", lambda g, h: np.inf)
+    with pytest.raises(SeedSearchError):
+        bd.select_seed(s_tw12)
 
 
 def _tau_peaks(s, seed):
@@ -329,21 +338,24 @@ def test_scan_geometry_reads_tau_on_the_seed_pair():
     [("sin_x1_cos_y2", 100), ("sin_x1", 10), ("standard", 1)],
 )
 def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
-    """_seed_grid_F gathers J and dJ from the broadcast-reduced lattice
-    geometry; it matches a LocalGeometry evaluated at every grid point."""
+    """_seed_grid_F broadcasts J and dJ of the broadcast-reduced lattice
+    geometry against the grid; it matches a LocalGeometry evaluated at every
+    grid point."""
     if case == "standard":
         s = make_standard([10] * 4)
         seed = _flat_seed(s)
     else:
         s = make_twisted([10] * 4, profile=case)
         seed = bd.select_seed(s)
-    lattice, _ = bd._lattice_geometry(s)
-    assert lattice.points.shape[0] == lattice_points
+    F = bd._seed_grid_F(s, seed)
+    lattice = s.cache("lattice_geometry", None)
+    assert lattice.points.shape[:-1] == s.bshape
+    assert np.prod(s.bshape) == lattice_points
 
     pts = s.chart.grid_points().reshape(-1, 4)
     lg = fr.LocalGeometry(s, pts)
     B = fr.deformation_at(lg.J, lg.dJ, seed.analytic_grad(pts), seed.analytic_hess(pts))
-    assert np.abs(bd._seed_grid_F(s, seed) - cy._F_of(s, B)).max() < 1e-10
+    assert np.abs(F - cy._F_of(s, B)).max() < 1e-10
 
 
 @pytest.mark.parametrize("profile", ["sin_x1_cos_y2", "sin_x1"])

@@ -77,6 +77,25 @@ def test_torsion_nijenhuis_ratio():
     assert errs[1] < 1e-3
 
 
+def _closed_form_nijenhuis(s):
+    """nijenhuis_coordinate's bracket formula on J's lattice with J and the
+    closed-form dJ of LocalGeometry instead of grid differences."""
+    lg = fr.LocalGeometry(s, s.chart.lattice_points(s.bshape))
+    t1 = np.einsum("mi...,mkj...->kij...", lg.J, lg.dJ)
+    t2 = np.einsum("km...,imj...->kij...", lg.J, lg.dJ)
+    return t1 - np.swapaxes(t1, 1, 2) - t2 + np.swapaxes(t2, 1, 2)
+
+
+def test_grid_nijenhuis_converges_to_the_closed_form():
+    """The grid bracket approaches the closed-form one at O(h^2): halving h
+    cuts the gap by about 4 (3.9 measured, 0.038 at 12^4)."""
+    gaps = []
+    for res in (12, 24):
+        s = make_twisted([res] * 4)
+        gaps.append(float(np.abs(fr.nijenhuis_coordinate(s) - _closed_form_nijenhuis(s)).max()))
+    assert gaps[0] < 0.05 and 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+
 def test_nijenhuis_cyclic_identity(s_tw12):
     """The cyclic sum vanishes identically for the discrete N as well."""
     f, c, t = _pipeline(s_tw12)
@@ -193,8 +212,8 @@ def test_local_geometry_holds_only_J_g_e_and_dJ(resolution, rng):
 
 def test_local_geometry_peak_is_under_twice_what_it_holds(s_tw12, rng):
     """The rotated geometry on 2,000 points peaks (tracemalloc) under 1.9
-    times the arrays it keeps, because each central difference is written
-    into its slice of the result (with per-axis lists it peaks at 2.14)."""
+    times the arrays it keeps (1.21 measured): J_at runs once, and dJ is
+    one product of the closed form."""
     pts = rng.uniform(0, 1, size=(2000, 4))
     U, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     fr.LocalGeometry(s_tw12, pts[:10], U)

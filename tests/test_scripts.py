@@ -72,3 +72,5 @@ def test_bench_tracer_installs_and_counts():
         "boundary.select_seed.s",
     ):
         assert metrics[key] > 0, key
+    # LocalGeometry reads J_at once per point and nothing else reads it.
+    assert metrics["structure.J_at.points"] == metrics["frame.LocalGeometry.points"]

@@ -5,7 +5,7 @@ import scipy.linalg
 from akcy import structure as st
 from akcy.errors import ConfigurationError, RecipeError
 
-from conftest import make_twisted
+from conftest import assert_same_bytes, make_twisted
 
 
 def test_build_grid_rejects_surfaces():
@@ -93,6 +93,54 @@ def test_J_at_non_nilpotent_generator_matches_pointwise_expm(n):
         ref.append(scipy.linalg.expm(c * S) @ J0 @ scipy.linalg.expm(-c * S))
     assert np.abs(s.J_at(pts) - np.array(ref)).max() < 1e-12
     assert np.abs(s.J_at(pts[0]) - ref[0]).max() < 1e-12
+
+
+# The profiles as the closures they were before PROFILES became a table of
+# terms (c, axis, f).
+PROFILE_CLOSURES = {
+    "sin_x1": lambda x: np.sin(2.0 * np.pi * 1 * x[..., 0]),
+    "cos_x1": lambda x: np.cos(2.0 * np.pi * 1 * x[..., 0]),
+    "sin_y1": lambda x: np.sin(2.0 * np.pi * 1 * x[..., 1]),
+    "sin_x2": lambda x: np.sin(2.0 * np.pi * 1 * x[..., 2]),
+    "sin_x1_cos_y2": lambda x: np.sin(2.0 * np.pi * x[..., 0])
+    + 0.5 * np.cos(2.0 * np.pi * x[..., 3]),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILE_CLOSURES))
+def test_profile_terms_give_the_closures_J_bitwise(profile, rng):
+    """The grid J and J_at of each profile are bitwise those of its closure,
+    conjugated by the same exp kernel."""
+    assert sorted(PROFILE_CLOSURES) == sorted(st.PROFILES)
+    s = make_twisted([10] * 4, profile=profile)
+    expS = st._exp_kernel(s.recipe.generator)
+    J0 = st.standard_J(2)
+
+    def reference(points):
+        t = PROFILE_CLOSURES[profile](points)
+        return expS(0.12 * t) @ J0 @ expS(-0.12 * t)
+
+    grid = reference(s.chart.lattice_points(s.bshape))
+    assert_same_bytes(s.J, np.ascontiguousarray(np.moveaxis(grid, (-2, -1), (0, 1))))
+    pts = rng.uniform(-0.5, 1.5, size=(200, 4))
+    assert_same_bytes(s.J_at(pts), reference(pts))
+
+
+def test_lattice_points_are_the_grid_coordinates_on_full_axes():
+    chart = st.build_grid(2, [8, 9, 10, 11])
+    pts = chart.lattice_points((8, 1, 1, 11))
+    assert pts.shape == (8, 1, 1, 11, 4)
+    full = chart.grid_points()
+    assert np.array_equal(pts[..., 0], full[:, :1, :1, :, 0])
+    assert np.array_equal(pts[..., 3], full[:, :1, :1, :, 3])
+    assert not pts[..., 1:3].any()
+
+
+def test_standard_dJ_is_exactly_zero(s_std12, rng):
+    pts = rng.uniform(0, 1, size=(50, 4))
+    dJ = s_std12.dJ_at(pts, s_std12.J_at(pts))
+    assert dJ.shape == (4, 50, 4, 4)
+    assert not dJ.any()
 
 
 def test_recipe_rejects_non_symplectic_generator():
