@@ -309,11 +309,29 @@ def _box_indices(chart, p0_idx, halfwidth):
     return sels
 
 
+def _constant_axes_cut(v):
+    """v cut to its first index along every axis on which it is exactly
+    constant: the same values, read by broadcasting.  A cut is a copy, so
+    v itself can be freed."""
+    cut = v
+    for axis in range(v.ndim):
+        first = cut[(slice(None),) * axis + (slice(0, 1),)]
+        if cut.shape[axis] > 1 and np.array_equal(cut, np.broadcast_to(first, cut.shape)):
+            cut = first
+    return v if cut is v else cut.copy()
+
+
 def select_seed(s):
     """Pick the default candidate, scaling, frame pair (a, b), basepoint and
     polydisk maximizing the certified lower bound epsilon1 of |tau_ab| near
     the basepoint; tau is read off d(J dphi) on build_frame's lattice frame
-    (tau_at)."""
+    (tau_at).
+
+    Each candidate is cut along the grid axes on which its values are
+    exactly constant (_constant_axes_cut), so d(J dphi), h, the pencil and
+    tau run on the broadcast lattice of J and the candidate.  Differences
+    along a cut axis are exact zeros on the grid too (Chart.diff), so every
+    value is bitwise that of the whole grid."""
     if nijenhuis_max_norm(s) <= NONINTEGRABILITY_THRESHOLD:
         raise NoSeedError(
             "structure is integrable (Nijenhuis tensor vanishes): tau is "
@@ -327,8 +345,10 @@ def select_seed(s):
 
     best = None
     diagnostics = []
+    X = chart.grid_points()
     for cand in default_candidates(n):
-        B = cy.deformation_form(s, cand.value(chart.grid_points()))
+        vals = _constant_axes_cut(cand.value(X))
+        B = cy.deformation_form(s, vals)
         # Rank by the closed-form amplitude, skipping directions that stay
         # taming past AMPLITUDE_MAX; only the winner is certified.
         amp = cy._pencil_critical_scale(s.g, cy.h_matrix(s.J, B.comps))
@@ -365,6 +385,7 @@ def select_seed(s):
                 if best is None or score > best["eps1"]:
                     best = {
                         "cand": cand,
+                        "vals": vals,
                         "pair": (a, b),
                         "p0_idx": tuple(int(i) for i in p0_idx),
                         "rho": rho,
@@ -375,12 +396,11 @@ def select_seed(s):
             f"no candidate produced a usable tau component; tried {diagnostics}"
         )
 
-    cand = best["cand"]
-    raw = cand.value(chart.grid_points())
-    c = 0.9 * cy.positivity_amplitude(s, raw)
+    del X
+    cand, vals = best["cand"], best["vals"]
+    c = 0.9 * cy.positivity_amplitude(s, vals)
     p0 = chart.index_to_point(best["p0_idx"])
-    phi_vals = c * raw
-    margin = cy.taming_margin(s, phi_vals)
+    margin = cy.taming_margin(s, c * vals)
     if margin <= cy.TAMING_THRESHOLD:
         raise SeedSearchError(f"seed scaling failed to keep taming margin > 0 ({margin})")
 
@@ -392,7 +412,7 @@ def select_seed(s):
     if lamvals.min() <= 0:
         raise SeedSearchError(f"H(phi)(p0) not positive definite: eigenvalues {lamvals}")
 
-    pot = cy.Potential(chart, phi_vals)
+    pot = cy.Potential(chart, c * np.broadcast_to(vals, chart.shape))
     return SeedPotential(
         potential=pot,
         epsilon1=best["eps1"],

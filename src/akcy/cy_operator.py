@@ -30,8 +30,14 @@ builds Delta once, releases d(J dphi), and reads the margin off Delta
 (g + 1*Delta) instead of contracting h a second time over the slabs.  The
 taming matrix is g + h_matrix(J, B); min_eigenvalue_field sweeps any pencil
 of it, g + h_matrix(J, B) + t*delta, block by block, never at grid size.
-pencil_amplitude certifies its closed-form scale with one full sweep just
-below it and, just above it, one point: the argmin of the sweep below.
+The critical scale of a pencil g + s*delta (_pencil_critical_scale) is
+read off the whitened direction W delta W^T, with W = L^-1, g = L L^T,
+factored once on g's own points (J's lattice for the metric, the scan
+points for a witness base): per grid point two batched matrix products,
+and eigvalsh only where the whitened matrix's Gershgorin bound can still
+hold the minimum.  pencil_amplitude certifies that closed-form scale with
+one full sweep just below it and, just above it, one point: the argmin of
+the sweep below.
 
 Threads: these row-slab loops (d(J dphi), the margin, F, h on a grid and
 both passes of the eigenvalue sweeps) run in contiguous row groups, one
@@ -40,7 +46,9 @@ SLAB_POINTS / groups points, so the slab points in flight are those of one
 serial sweep.  A grid of fewer than two full slabs runs the serial loop,
 and a sweep inside a group runs serially.  Every value is bitwise the same
 on any number of CPUs.  The L apply and the FFT preconditioner (solver)
-run in the same row groups.
+run in the same row groups.  The pencil kernel's matrix products and
+eigvalsh gain from the second group; its whitener is factored before the
+groups start.
 """
 
 from __future__ import annotations
@@ -83,9 +91,10 @@ SLAB_POINTS = 1 << 16    # points per slab along grid axis 0 (_row_slabs)
 PROBE = 64               # lowest-bound points per block evaluated first
 # Allowance, relative to the largest absolute row sum, by which a Gershgorin
 # bound is lowered so that it also bounds the rounded kernel value: LAPACK's
-# Cholesky, solves and symmetric eigensolver on k <= 6 are backward stable
-# with errors of a small multiple of k*eps*||A|| (Higham, Accuracy and
-# Stability of Numerical Algorithms, ch. 10; Golub & Van Loan, ch. 8).
+# Cholesky, inverse and symmetric eigensolver and the matrix products on
+# k <= 6 are backward stable with errors of a small multiple of
+# k*eps*||A|| (Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 10; Golub & Van Loan, ch. 8).
 GERSHGORIN_ROUNDING = 4096 * np.finfo(float).eps
 
 
@@ -148,7 +157,8 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     with more than PROBE points whose bound is not above limit; it then runs
     only on points whose bound is not above the least value found so far,
     since no other point can hold or tie the minimum.  The kernel acts
-    matrix by matrix, so min and argmin equal those of a sweep over every
+    matrix by matrix (or returns +inf at points that cannot hold the least
+    value of its call), so min and argmin equal those of a sweep over every
     point whenever the minimum is not above limit (a value the caller
     already holds); otherwise the result is some value above limit, or
     (inf, 0) if no point can reach it.
@@ -618,14 +628,25 @@ def _F_total(s, B, return_components):
     return direct
 
 
-def _whitened_bound(G, D):
-    """Lower bound of lambda_min(L^-1 D L^-T), G = L L^T: the Rayleigh
-    quotient x'Dx / x'Gx is at least min(lb(D), 0) / lb(G) when lb(G) > 0.
-    lb(D) is D's Gershgorin bound.  When G broadcasts to fewer points than D
-    (the metric on J's lattice), lb(G) is G's smallest eigenvalue, taken on
-    G's own points at almost no cost; otherwise (a base on the scan set, as
-    large as D) it is G's Gershgorin bound.  Both are lowered by the
-    rounding allowance."""
+def _whitener(G):
+    """W = L^-1 with G = L L^T, on G's own points (matrix axes first, as G).
+
+    The entries are checked first (_gershgorin), so a non-finite entry
+    raises NumericalError rather than the Cholesky's LinAlgError; a finite
+    G that is not positive definite at some point raises LinAlgError."""
+    _gershgorin(G)
+    L = np.linalg.cholesky(np.moveaxis(G, (0, 1), (-2, -1)))
+    return np.moveaxis(np.linalg.inv(L), (-2, -1), (0, 1))
+
+
+def _whitened_bound(G, W, D):
+    """Lower bound of lambda_min(W D W^T), W = L^-1 with G = L L^T: the
+    Rayleigh quotient x'Dx / x'Gx is at least min(lb(D), 0) / lb(G) when
+    lb(G) > 0.  lb(D) is D's Gershgorin bound.  When G broadcasts to fewer
+    points than D (the metric on J's lattice), lb(G) is G's smallest
+    eigenvalue, taken on G's own points at almost no cost; otherwise (a base
+    on the scan set, as large as D) it is G's Gershgorin bound.  Both are
+    lowered by the rounding allowance."""
     low_g, norm_g = _gershgorin(G)
     low_d, norm_d = _gershgorin(D)
     if G[0, 0].size < D[0, 0].size:
@@ -636,23 +657,41 @@ def _whitened_bound(G, D):
     return np.where(den > 0.0, lb, -np.inf)
 
 
-def _whitened_min_eigenvalue(G, D):
-    L = np.linalg.cholesky(G)
-    A = np.linalg.solve(L, D)
-    K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
-    return np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
+def _whitened_min_eigenvalue(G, W, D):
+    """lambda_min of the whitened K = W D W^T, symmetrised, of (p, k, k)
+    stacks, at the points whose K can hold the least value among them; +inf
+    elsewhere.
+
+    K's Gershgorin bound, lowered by the rounding allowance (_eigen_bound),
+    bounds eigvalsh's value from below.  eigvalsh runs first on the PROBE
+    points of lowest bound, then on the other points whose bound is not
+    above the least value found, so the min and first argmin are those of
+    eigvalsh on every point."""
+    K = W @ D @ np.swapaxes(W, -1, -2)
+    K = 0.5 * (K + np.swapaxes(K, -1, -2))
+    lb = _eigen_bound(np.moveaxis(K, 0, -1))
+    val = np.full(lb.shape, np.inf)
+    probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
+    val[probe] = _min_eigenvalue(K[probe])
+    rest = np.flatnonzero((lb <= val[probe].min()) & np.isinf(val))
+    val[rest] = _min_eigenvalue(K[rest])
+    return val
 
 
 def _pencil_critical_scale(g, delta):
     """min over points of sup{s : g + s*delta positive definite}, inf if none.
 
-    Whitens the pencil by the Cholesky factor of g; the critical scale per
-    point is -1/lambda_min of the whitened delta when that eigenvalue is
-    negative, so the grid minimum comes from the least lambda_min (division
-    rounds monotonically).  g may be a broadcastable field (the metric); see
-    _point_blocks.
+    Whitens the pencil by W = L^-1, g = L L^T, formed once on g's own points
+    (_whitener): J's lattice for the metric, the scan points for a witness
+    base.  The critical scale per point is -1/lambda_min of the whitened
+    delta W delta W^T when that eigenvalue is negative, so the grid minimum
+    comes from the least lambda_min (division rounds monotonically).  The
+    kernel is two batched matrix products and eigvalsh only where the
+    whitened matrix's Gershgorin bound can still hold the minimum
+    (_whitened_min_eigenvalue); no Cholesky or solve runs per grid point.
+    g may be a broadcastable field (the metric); see _point_blocks.
     """
-    lam, _ = _pruned_min((g, delta), _whitened_bound, _whitened_min_eigenvalue)
+    lam, _ = _pruned_min((g, _whitener(g), delta), _whitened_bound, _whitened_min_eigenvalue)
     return -1.0 / lam if lam < 0.0 else np.inf
 
 
@@ -660,13 +699,15 @@ def pencil_amplitude(base, delta):
     """a = sup{ s > 0 : base + s*delta positive definite at every point }.
 
     The pencil is affine in s per point, so a is the closed-form critical
-    scale of the symmetric-definite pencil (Cholesky reduction, Golub & Van
-    Loan 8.7).  A certificate checks it: the margin must be positive at
-    a*(1 - 1e-9) and non-positive at a*(1 + 1e-9).  The first is a full
-    eigenvalue sweep; the second is read at that sweep's argmin with the
-    sweep's own kernel, since a value there bounds the minimum from above.
-    Only when that point does not decide does a full sweep run, also before
-    ConsistencyError, so its message gives the two sweep minima.
+    scale of the symmetric-definite pencil (Golub & Van Loan 8.7), reduced
+    by the inverse Cholesky factor of base, formed once on base's own points
+    (_pencil_critical_scale).  A certificate checks it: the margin must be
+    positive at a*(1 - 1e-9) and non-positive at a*(1 + 1e-9).  The first
+    is a full eigenvalue sweep; the second is read at that sweep's argmin
+    with the sweep's own kernel, since a value there bounds the minimum
+    from above.  Only when that point does not decide does a full sweep
+    run, also before ConsistencyError, so its message gives the two sweep
+    minima.
     """
     a = _pencil_critical_scale(base, delta)
     if not np.isfinite(a) or a > AMPLITUDE_MAX:

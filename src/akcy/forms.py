@@ -187,16 +187,6 @@ def wedge(a, b):
     return FormField(chart, k, comps)
 
 
-def pair_matrix(comps, dim):
-    """Antisymmetric (dim, dim, *p) matrix of increasing-pair components
-    comps (pair axis first)."""
-    B = np.zeros((dim, dim) + comps.shape[1:], dtype=comps.dtype)
-    for idx, (i, j) in enumerate(multi_indices(dim, 2)):
-        B[i, j] = comps[idx]
-        B[j, i] = -comps[idx]
-    return B
-
-
 @lru_cache(maxsize=None)
 def signed_pairs(dim):
     """{(i, j): (pair, sign)} for i != j, so that B_ij = sign * comps[pair]."""
@@ -207,7 +197,8 @@ def signed_pairs(dim):
 def contract_pairs(J, comps, lead, terms, out=None, rows=None):
     """out[o] = sum of c * comps[p] over the (o, p, c) terms, out of shape
     lead + the broadcast point shape; o indexes the lead axes.  out is a
-    new array unless given.
+    new array unless given.  J's trailing axes are the coefficients' points
+    and its dtype joins comps' in out: the structure's J, or a frame.
 
     The terms of one output come together.  Each c lives on J's lattice, and
     the c of equal (o, p) are summed there first, in the order they appear,

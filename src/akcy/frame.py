@@ -6,11 +6,12 @@ with its continuity and unitarity checks) and off it (`LocalGeometry`, which
 keeps J, g, the frame and dJ, the structure's closed form from one J_at per
 point).  d(J dphi) is taken in coordinates (`deformation_at`), and tau and H
 are read off it on a frame (`tau_at`, `hermitian_at`) with no bidegree
-projection: this is the one tau/H path of the package.  Seed selection reads
-tau on the lattice frame; the boundary module scans polydisks far below the
-grid scale with the pointwise geometry.  The grid connection, torsion and
-covariant Hessian that the frame-coefficient formulas are checked against
-are a test reference (tests/grid_frame.py).
+projection, by one contraction over its pair components whose coefficients
+live on the frame's points: this is the one tau/H path of the package.
+Seed selection reads tau on the lattice frame; the boundary module scans
+polydisks far below the grid scale with the pointwise geometry.  The grid
+connection, torsion and covariant Hessian that the frame-coefficient
+formulas are checked against are a test reference (tests/grid_frame.py).
 """
 
 from __future__ import annotations
@@ -161,10 +162,21 @@ def nijenhuis_max_norm(s):
 # ---------------------------------------------------------------------------
 # d(J dphi) at points, and its tau and H on a frame.
 
-def _frame_values(B, u, v):
-    """[a, b] -> B(u_a, v_b) for the antisymmetric matrix B (2n, 2n, *p) of a
-    2-form and vectors u_a, v_b given as (k, 2n, *p)."""
-    return np.einsum("ij...,ai...,bj...->ab...", B, u, v)
+def _frame_pairs(B, u, v, outputs):
+    """out[a, b] = B(u_a, v_b) = sum_{i<j} B_ij (u_a^i v_b^j - u_a^j v_b^i)
+    for each (a, b) in outputs, from a 2-form B in pair components (pair
+    axis first) and vectors u_a, v_b given as (k, 2n, *p).
+
+    One contraction over the pair components (forms.contract_pairs): the
+    coefficients u_a^i v_b^j - u_a^j v_b^i live on the points of u and v
+    (J's lattice for build_frame's frame, the points themselves off it),
+    and each (output, pair) costs one multiply-add at B's points.  The
+    entries outputs does not name are left unset."""
+    pairs = forms.multi_indices(u.shape[1], 2)
+    return forms.contract_pairs(u, B, (u.shape[0], v.shape[0]), (
+        ((a, b), p, u[a, i] * v[b, j] - u[a, j] * v[b, i])
+        for a, b in outputs for p, (i, j) in enumerate(pairs)
+    ))
 
 
 def deformation_at(J, dJ, grad, hess):
@@ -182,8 +194,17 @@ def deformation_at(J, dJ, grad, hess):
 def tau_at(B, e):
     """tau_ab = B(e_a, e_b) for a 2-form B in pair components: the (1,1)
     and (0,2) parts of B vanish on two (1,0)-vectors, so this is B's (2,0)
-    part, tau = sum_{a<b} tau_ab theta^a wedge theta^b, with no projection."""
-    return _frame_values(forms.pair_matrix(B, e.shape[1]), e, e)
+    part, tau = sum_{a<b} tau_ab theta^a wedge theta^b, with no projection.
+
+    Only a < b is contracted (_frame_pairs); tau_ba = -tau_ab and the
+    diagonal is zero, so tau is exactly antisymmetric."""
+    n = e.shape[0]
+    tau = _frame_pairs(B, e, e, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    for a in range(n):
+        tau[a, a] = 0.0
+        for b in range(a + 1, n):
+            tau[b, a] = -tau[a, b]
+    return tau
 
 
 def hermitian_at(B, e):
@@ -191,12 +212,12 @@ def hermitian_at(B, e):
     components, with H(phi) = i M_ab theta^a wedge conj-theta^b: the (2,0)
     and (0,2) parts vanish on (e_a, conj e_b), so no projection is needed;
     M = identity at B = 0."""
-    dim = e.shape[1]
+    n, dim = e.shape[:2]
     pos = forms.index_positions(dim, 2)
     w = B.copy()
-    for a in range(dim // 2):
+    for a in range(n):
         w[pos[(2 * a, 2 * a + 1)]] += 1.0
-    return -1j * _frame_values(forms.pair_matrix(w, dim), e, np.conj(e))
+    return -1j * _frame_pairs(w, e, np.conj(e), [(a, b) for a in range(n) for b in range(n)])
 
 
 class LocalGeometry:

@@ -205,9 +205,21 @@ def bidegree_projections(s, comps):
     return 0.5 * (Bm - 1j * mixed), P11, 0.5 * (Bm + 1j * mixed)
 
 
-def _frame_values(comps, u, v):
-    """[a, b] -> W(u_a, v_b) for the 2-form W of pair components comps."""
-    W = forms.pair_matrix(comps, u.shape[1])
+def pair_matrix(comps, dim):
+    """Antisymmetric (dim, dim, *p) matrix of increasing-pair components
+    comps (pair axis first)."""
+    B = np.zeros((dim, dim) + comps.shape[1:], dtype=comps.dtype)
+    for idx, (i, j) in enumerate(forms.multi_indices(dim, 2)):
+        B[i, j] = comps[idx]
+        B[j, i] = -comps[idx]
+    return B
+
+
+def frame_values(comps, u, v):
+    """[a, b] -> W(u_a, v_b) for the 2-form W of pair components comps, by
+    the dense matrix and one einsum over all (2n)^2 n^2 products: the
+    reference of the pair contraction of frame.tau_at and hermitian_at."""
+    W = pair_matrix(comps, u.shape[1])
     return np.einsum("ij...,ai...,bj...->ab...", W, u, v)
 
 
@@ -215,11 +227,11 @@ def projected_tau(s, B, e):
     """Coefficients c[a,b] = T(e_a, e_b)/2 of tau = sum_{a,b} c[a,b]
     theta^a wedge theta^b (full double sum), T the (2,0) part of omega + B."""
     T = bidegree_projections(s, forms.omega_form(s).comps + B)[0]
-    return 0.5 * _frame_values(T, e, e)
+    return 0.5 * frame_values(T, e, e)
 
 
 def projected_hermitian(s, B, e):
     """M[a,b] = -i P11(e_a, conj e_b), with H = i M_ab theta^a wedge
     conj-theta^b and P11 the (1,1) part of omega + B."""
     P11 = bidegree_projections(s, forms.omega_form(s).comps + B)[1]
-    return -1j * _frame_values(P11, e, np.conj(e))
+    return -1j * frame_values(P11, e, np.conj(e))

@@ -143,7 +143,7 @@ def test_criterion_06_integrable_degeneration(s_std12, rng):
     for res in (12, 24):
         s = make_standard([res] * 4)
         phi = 0.02 * pot.sample(s.chart)
-        B_disc = forms.pair_matrix(cy.deformation_form(s, phi).comps, 4)
+        B_disc = gf.pair_matrix(cy.deformation_form(s, phi).comps, 4)
         H = 0.02 * pot.hess(s.chart.grid_points())
         J0 = np.asarray(s.J).reshape(4, 4, *([1] * 4))[:, :, 0, 0, 0, 0]
         HJ = np.einsum("km...,ml->kl...", H, J0)

@@ -184,6 +184,44 @@ def test_select_seed_skips_directions_unbounded_by_the_closed_form(monkeypatch, 
         bd.select_seed(s_tw12)
 
 
+def test_constant_axes_cut_keeps_exactly_the_constant_axes():
+    """Only axes along which every value is exactly equal are cut, and the
+    cut broadcasts back to the same bytes; one ulp along an axis keeps it."""
+    rng = np.random.default_rng(29)
+    v = np.ascontiguousarray(np.broadcast_to(rng.standard_normal((6, 1, 5, 1)), (6, 4, 5, 3)))
+    cut = bd._constant_axes_cut(v)
+    assert cut.shape == (6, 1, 5, 1)
+    assert_same_bytes(np.ascontiguousarray(np.broadcast_to(cut, v.shape)), v)
+    v[2, 1, 3, 2] = np.nextafter(v[2, 1, 3, 2], np.inf)
+    assert bd._constant_axes_cut(v).shape == v.shape
+
+
+@pytest.mark.parametrize("res", [12, 13])
+def test_select_seed_on_the_cut_is_bitwise_the_whole_grid_search(monkeypatch, res):
+    """Ranking each candidate on its constant-axes cut gives the seed of the
+    search over the whole grid, field by field and bit by bit, and some
+    candidates of the twisted structure do run on fewer points."""
+    s = make_twisted([res] * 4)
+    form = cy.deformation_form
+    points = []
+
+    def counted(s_, phi):
+        points.append(np.size(phi))
+        return form(s_, phi)
+
+    monkeypatch.setattr(cy, "deformation_form", counted)
+    seed = bd.select_seed(s)
+    assert min(points) < np.prod(s.chart.shape)
+    monkeypatch.setattr(bd, "_constant_axes_cut", lambda v: v)
+    whole = bd.select_seed(s)
+    for field in ("epsilon1", "scale_c", "chart_scale", "margin", "lam", "U", "p0"):
+        assert_same_bytes(np.asarray(getattr(seed, field)), np.asarray(getattr(whole, field)))
+    for field in ("basepoint", "pair"):
+        assert getattr(seed, field) == getattr(whole, field)
+    assert seed.candidate.name == whole.candidate.name
+    assert_same_bytes(seed.potential.values, whole.potential.values)
+
+
 def _tau_peaks(s, seed):
     """|tau_ab| on the seed's pair of its unscaled candidate, read on
     build_frame's lattice frame, and the flat indices of the grid points

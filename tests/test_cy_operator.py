@@ -260,7 +260,7 @@ def test_tau_vanishes_on_J_invariant_pairs(s_tw12, rng):
     """tau is a (2,0)-form: tau(X, JX) = i tau(X, X) = 0."""
     phi = sample_potential(s_tw12, rng)
     tau = gf.bidegree_projections(s_tw12, cy.deformation_form(s_tw12, phi).comps)[0]
-    T = forms.pair_matrix(tau, s_tw12.chart.dim)
+    T = gf.pair_matrix(tau, s_tw12.chart.dim)
     X = rng.standard_normal(4)
     JX = np.einsum("kl...,l->k...", s_tw12.J, X)
     val = np.einsum("k,kl...,l...->...", X, T, JX) - 1j * np.einsum(
@@ -422,7 +422,8 @@ def test_pencil_amplitude_falls_back_to_the_full_sweep(monkeypatch):
 
 def _pencil_scale_full_copy(g, delta, chunk):
     """Reference pencil scale with the metric copied to the full grid and
-    flat chunks of `chunk` points."""
+    flat chunks of `chunk` points: per point W = L^-1 of g = L L^T, the
+    symmetrised W delta W^T and its least eigenvalue by eigvalsh."""
     k = delta.shape[0]
     gflat = np.broadcast_to(g, delta.shape).reshape(k, k, -1)
     dflat = delta.reshape(k, k, -1)
@@ -430,13 +431,25 @@ def _pencil_scale_full_copy(g, delta, chunk):
     for start in range(0, dflat.shape[-1], chunk):
         G = np.ascontiguousarray(np.moveaxis(gflat[..., start : start + chunk], -1, 0))
         D = np.ascontiguousarray(np.moveaxis(dflat[..., start : start + chunk], -1, 0))
-        L = np.linalg.cholesky(G)
-        A = np.linalg.solve(L, D)
-        K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
+        W = np.linalg.inv(np.linalg.cholesky(G))
+        K = W @ D @ np.swapaxes(W, -1, -2)
         lam = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
         if np.any(lam < 0.0):
             best = min(best, float((-1.0 / lam[lam < 0.0]).min()))
     return best
+
+
+def _pencil_scale_cholesky_solve(g, delta):
+    """Independent reference: per point the Cholesky factor L of g, two
+    triangular-by-LU solves for L^-1 delta L^-T, and eigvalsh."""
+    k = delta.shape[0]
+    G = np.moveaxis(np.broadcast_to(g, delta.shape).reshape(k, k, -1), -1, 0)
+    D = np.moveaxis(delta.reshape(k, k, -1), -1, 0)
+    L = np.linalg.cholesky(G)
+    A = np.linalg.solve(L, D)
+    K = np.linalg.solve(L, np.swapaxes(A, -1, -2))
+    lam = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
+    return float(-1.0 / lam.min()) if lam.min() < 0.0 else np.inf
 
 
 @pytest.mark.parametrize("chunk", [1 << 18, 1000])
@@ -454,16 +467,16 @@ def test_pencil_scale_of_broadcast_metric_is_bitwise_unchanged(monkeypatch, s_tw
 
 def test_pencil_bound_reads_the_lattice_metric_exactly(monkeypatch, s_tw12, rng):
     """With the metric on J's lattice the pencil bound's denominator is g's
-    exact smallest eigenvalue, so fewer points reach the Cholesky kernel
+    exact smallest eigenvalue, so fewer points reach the whitened kernel
     than with the same metric copied to grid size, where the Gershgorin
     bound of g is kept; the critical scale is the same."""
     delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
     points = []
     kernel = cy._whitened_min_eigenvalue
 
-    def counted(G, D):
+    def counted(G, W, D):
         points.append(D.shape[0])
-        return kernel(G, D)
+        return kernel(G, W, D)
 
     monkeypatch.setattr(cy, "_whitened_min_eigenvalue", counted)
     lattice = cy._pencil_critical_scale(s_tw12.g, delta)
@@ -471,6 +484,54 @@ def test_pencil_bound_reads_the_lattice_metric_exactly(monkeypatch, s_tw12, rng)
     full = cy._pencil_critical_scale(np.broadcast_to(s_tw12.g, delta.shape).copy(), delta)
     assert lattice == full
     assert 0 < on_lattice < sum(points)
+
+
+# Measured drift of the whitened kernel from the Cholesky-solve reference:
+# at most 3.7 eps relative over random and candidate potentials at twisted
+# 12^4, 13^4 and 14^4, and 6.1 eps over random 4x4 and 6x6 fields with a
+# per-point base.  The bound leaves a factor of ten.
+WHITENED_DRIFT_RTOL = 64 * np.finfo(float).eps
+
+
+def test_pencil_scale_agrees_with_the_cholesky_solve_reference(s_tw12):
+    """The whitener formed once on g's points and the matrix-product kernel
+    give the critical scale of per-point Cholesky factors and solves, for
+    the lattice metric, a per-point base as on the scan set, and random
+    4x4 and 6x6 fields."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for amp in (0.01, 0.05):
+        phi = sample_potential(s_tw12, rng, amp=amp)
+        delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, phi).comps)
+        half = 0.5 * _pencil_scale_cholesky_solve(s_tw12.g, delta)
+        cases += [(s_tw12.g, delta), (s_tw12.g + half * delta, delta[:, :, ::-1])]
+    for k in (4, 6):
+        cases.append((_symmetric_field(rng, k, (3, 200), diag=2.0 * k),
+                      _symmetric_field(rng, k, (3, 200), diag=0.0)))
+    for g, delta in cases:
+        want = _pencil_scale_cholesky_solve(g, delta)
+        assert np.isfinite(want)
+        assert abs(cy._pencil_critical_scale(g, delta) - want) <= WHITENED_DRIFT_RTOL * want
+
+
+def test_pencil_whitens_on_the_metric_lattice_and_prunes_eigvalsh(monkeypatch, s_tw12, rng):
+    """At twisted 12^4 the Cholesky factors only g's own points (J's 12x1x1x12
+    lattice), and the whitened Gershgorin bound keeps eigvalsh off some of
+    the points that reach the kernel."""
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    kernel = _count_calls(monkeypatch, "_whitened_min_eigenvalue", lambda G, W, D: len(D))
+    eigvalsh = _count_calls(monkeypatch, "_min_eigenvalue", len)
+    assert np.isfinite(cy._pencil_critical_scale(s_tw12.g, delta))
+    assert 0 < sum(factored) <= s_tw12.g[0, 0].size == 144
+    assert 0 < sum(eigvalsh) < sum(kernel)
 
 
 @pytest.mark.parametrize("chunk", [1000, 7])
@@ -674,7 +735,9 @@ def test_pencil_scale_metric_failing_cholesky_at_one_point_raises(monkeypatch):
 )
 def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
     """Fields drawn from a small pool of matrices (so minima tie across
-    points and blocks) give the brute-force min, argmin and pencil scale."""
+    points and blocks) give the brute-force min, argmin and pencil scale.
+    A drawn base need not be positive definite (seed 66583, k = 4, pool
+    19 has a least eigenvalue of -1.39); then both raise LinAlgError."""
     rng = np.random.default_rng(seed)
     pick = rng.integers(pool, size=(rows, cols))
     M = _symmetric_field(rng, k, (pool,), diag=rng.uniform(0.0, 4.0))[:, :, pick]
@@ -683,6 +746,12 @@ def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
     cy.SLAB_POINTS = chunk
     try:
         assert cy.min_eigenvalue_field(M) == _min_eigenvalue_reference(M)
-        assert cy._pencil_critical_scale(base, M) == _pencil_scale_full_copy(base, M, chunk)
+        try:
+            want = _pencil_scale_full_copy(base, M, chunk)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                cy._pencil_critical_scale(base, M)
+        else:
+            assert cy._pencil_critical_scale(base, M) == want
     finally:
         cy.SLAB_POINTS = old

@@ -99,7 +99,7 @@ def test_form_matrix_roundtrip(s_std12, rng):
     """Each entry of the matrix view is its pair component, with the
     opposite sign below the diagonal; the diagonal is zero."""
     a = random_form(s_std12.chart, 2, rng)
-    B = forms.pair_matrix(a.comps, s_std12.chart.dim)
+    B = gf.pair_matrix(a.comps, s_std12.chart.dim)
     for p, (i, j) in enumerate(forms.multi_indices(s_std12.chart.dim, 2)):
         assert np.array_equal(B[i, j], a.comps[p])
         assert np.array_equal(B[j, i], -a.comps[p])
@@ -290,7 +290,7 @@ def test_h_matrix_is_exactly_symmetric(case, s_tw12, s_std12):
 
 def test_signed_pairs_reads_antisymmetric_storage(s_std12, rng):
     a = random_form(s_std12.chart, 2, rng)
-    B = forms.pair_matrix(a.comps, s_std12.chart.dim)
+    B = gf.pair_matrix(a.comps, s_std12.chart.dim)
     for (i, j), (p, sign) in forms.signed_pairs(4).items():
         assert np.array_equal(B[i, j], sign * a.comps[p])
     assert len(forms.signed_pairs(4)) == 4 * 3
@@ -362,7 +362,7 @@ def test_j_action_identities_on_random_structures(case):
     P11, _, _ = forms.bidegree_parts(J, comps, dim)
     assert np.abs(forms.j_conjugate_comps(J, P11, dim) - P11).max() <= tol
     assert np.abs(forms.j_anticommutator_comps(J, P11, dim)).max() <= tol
-    B = forms.pair_matrix(comps, dim)
+    B = gf.pair_matrix(comps, dim)
     BJ = np.einsum("ij...,jk...->ik...", B, J)
     expected = 0.5 * (BJ - np.einsum("ji...,jk...->ik...", J, B))
     assert np.abs(cy.h_matrix(J, comps) - expected).max() <= tol
