@@ -34,10 +34,13 @@ The critical scale of a pencil g + s*delta (_pencil_critical_scale) is
 read off the whitened direction W delta W^T, with W = L^-1, g = L L^T,
 factored once on g's own points (J's lattice for the metric, the scan
 points for a witness base): per grid point two batched matrix products,
-and eigvalsh only where the whitened matrix's Gershgorin bound can still
-hold the minimum.  pencil_amplitude certifies that closed-form scale with
-one full sweep just below it and, just above it, one point: the argmin of
-the sweep below.
+and the least eigenvalue of each kernel call's whitened stack by a nested
+_pruned_min, the one probe-and-prune loop of every taming question, so
+eigvalsh runs only where the whitened matrix's Gershgorin bound can still
+hold the minimum; no point reaches a kernel twice in one sweep.
+pencil_amplitude certifies that closed-form scale with one full sweep
+just below it and, just above it, one point: the argmin of the sweep
+below.
 
 Threads: these row-slab loops (d(J dphi), the margin, F, h on a grid and
 both passes of the eigenvalue sweeps) run in contiguous row groups, one
@@ -150,18 +153,20 @@ def _gershgorin(M):
 
 
 def _pruned_min(fields, bound, kernel, limit=np.inf):
-    """(min over points of kernel, first flat argmin) over _point_blocks.
+    """(min over points of kernel, first flat argmin) over _point_blocks,
+    each point sent to the kernel at most once.
 
     bound(*views) is a per-point lower bound of the computed kernel value.
     The kernel first runs on the PROBE points of lowest bound in each block
-    with more than PROBE points whose bound is not above limit; it then runs
-    only on points whose bound is not above the least value found so far,
-    since no other point can hold or tie the minimum.  The kernel acts
-    matrix by matrix (or returns +inf at points that cannot hold the least
-    value of its call), so min and argmin equal those of a sweep over every
-    point whenever the minimum is not above limit (a value the caller
-    already holds); otherwise the result is some value above limit, or
-    (inf, 0) if no point can reach it.
+    with more than PROBE points whose bound is not above limit, whose values
+    the block keeps; it then runs only on the block's other points whose
+    bound is not above the least value found so far, since no other point
+    can hold or tie the minimum.  A call gets its points in flat order and
+    must return the least value of the call at its first point holding it
+    and no smaller value elsewhere (+inf will do), so min and argmin equal
+    those of a sweep over every point whenever the minimum is not above
+    limit (a value the caller already holds); otherwise the result is some
+    value above limit, or (inf, 0) if no point can reach it.
 
     Both passes run in row groups (_in_groups): each group bounds and probes
     its blocks, and every group's kernel pass starts from the least probe
@@ -170,18 +175,20 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     """
     grid = np.broadcast_shapes(*(M.shape for M in fields))[2:]
 
+    def evaluate(shape, views, points):
+        idx = np.unravel_index(points, shape)
+        return kernel(*(_take(V, idx, shape) for V in views))
+
     def bound_pass(lo, hi):
-        blocks = [
-            (first, shape, views, np.broadcast_to(bound(*views), shape).ravel())
-            for first, shape, views in _point_blocks(fields, lo, hi)
-        ]
-        probed = limit
-        for _, shape, views, lb in blocks:
-            if np.count_nonzero(lb <= probed) <= PROBE:
-                continue
-            probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
-            idx = np.unravel_index(probe, shape)
-            probed = min(probed, float(kernel(*(_take(V, idx, shape) for V in views)).min()))
+        blocks, probed = [], limit
+        for first, shape, views in _point_blocks(fields, lo, hi):
+            lb = np.broadcast_to(bound(*views), shape).ravel()
+            seen, val = np.empty(0, dtype=np.intp), np.empty(0)
+            if np.count_nonzero(lb <= probed) > PROBE:
+                seen = np.sort(np.argpartition(lb, PROBE - 1)[:PROBE])
+                val = evaluate(shape, views, seen)
+                probed = min(probed, float(val.min()))
+            blocks.append((first, shape, views, lb, seen, val))
         return lo, (blocks, probed)
 
     groups = dict(_in_groups(grid, bound_pass))
@@ -189,23 +196,19 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
 
     def kernel_pass(lo, hi):
         best, best_idx = np.inf, 0
-        for first, shape, views, lb in groups[lo][0]:
-            keep = np.flatnonzero(lb <= min(start, best))
-            if keep.size == 0:
-                continue
-            idx = np.unravel_index(keep, shape)
-            val = kernel(*(_take(V, idx, shape) for V in views))
-            i = int(np.argmin(val))
-            if val[i] < best:
-                best = float(val[i])
-                best_idx = first + int(keep[i])
+        for first, shape, views, lb, seen, val in groups[lo][0]:
+            keep = lb <= min(start, best)
+            keep[seen] = False
+            new = np.flatnonzero(keep)
+            if new.size:
+                seen = np.concatenate((seen, new))
+                val = np.concatenate((val, evaluate(shape, views, new)))
+            if seen.size and val.min() < best:
+                best = float(val.min())
+                best_idx = first + int(seen[val == best].min())
         return best, best_idx
 
-    best, best_idx = np.inf, 0
-    for value, idx in _in_groups(grid, kernel_pass):
-        if value < best:
-            best, best_idx = value, idx
-    return best, best_idx
+    return min(_in_groups(grid, kernel_pass), key=lambda result: result[0])
 
 
 def _eigen_bound(M):
@@ -246,11 +249,7 @@ def deformation_form(s, phi):
     npairs = len(forms.multi_indices(s.chart.dim, 2))
     comps = np.zeros((npairs,) + grid, dtype=np.result_type(s.J, u, 1.0))
 
-    def fill(lo, hi):
-        for _ in _deformation_slabs(s, u, comps, lo, hi):
-            pass
-
-    _in_groups(grid, fill)
+    _in_groups(grid, lambda lo, hi: _deformation_slabs(s, u, comps, lo, hi))
     return forms.FormField(s.chart, 2, comps)
 
 
@@ -421,9 +420,9 @@ def _edge_rows_apart(n, build):
 
 
 def _deformation_slabs(s, u, out, lo, hi):
-    """Yield (a, b, d(J du) on rows [a, b) of grid axis 0, pair axis first)
-    over _row_slabs in rows [lo, hi) of the broadcast grid of u and J,
-    added into out[:, a:b] (zeros).
+    """Add d(J du) into rows [lo, hi) of grid axis 0 of out (zeros, pair
+    axis first, on the broadcast grid of u and J), one _row_slabs slab
+    [a, b) at a time.
 
     The slab [a, b) differences J du on rows [a-1, b+1), each row built once
     (_halo_slabs).  d is taken with axis-0 differences as interior slice
@@ -438,14 +437,12 @@ def _deformation_slabs(s, u, out, lo, hi):
     for a, b, Jg_rows in _halo_slabs(grid, chart.dim, dtype, lambda r0, r1, Jg: (
             _j_gradient_rows(chart, s.J, u, r0, r1, Jg)), lo, hi):
         Jg_mid = Jg_rows[:, 1:-1] if Jg_rows.shape[1] > b - a else Jg_rows
-        B = out[:, a:b]
         if diff is None:               # the first slab is the largest
             diff = np.empty((b - a,) + grid[1:], dtype=dtype)
         d_rows = diff[:b - a]
-        forms.add_d_terms(B, chart.dim, 1, lambda i, d: (
+        forms.add_d_terms(out[:, a:b], chart.dim, 1, lambda i, d: (
             _diff_rows(chart, Jg_rows[i], d_rows) if d == 0
             else chart.diff(Jg_mid[i], d, out=d_rows)))
-        yield a, b, B
 
 
 def h_matrix(J, comps):
@@ -659,23 +656,17 @@ def _whitened_bound(G, W, D):
 
 def _whitened_min_eigenvalue(G, W, D):
     """lambda_min of the whitened K = W D W^T, symmetrised, of (p, k, k)
-    stacks, at the points whose K can hold the least value among them; +inf
-    elsewhere.
+    stacks, at the first point where it is least; +inf elsewhere (the
+    kernel contract of _pruned_min).
 
+    The least value is a _pruned_min sweep of K as a (k, k, p) field with
     K's Gershgorin bound, lowered by the rounding allowance (_eigen_bound),
-    bounds eigvalsh's value from below.  eigvalsh runs first on the PROBE
-    points of lowest bound, then on the other points whose bound is not
-    above the least value found, so the min and first argmin are those of
-    eigvalsh on every point."""
+    and eigvalsh, so the min and first argmin are those of eigvalsh on
+    every point."""
     K = W @ D @ np.swapaxes(W, -1, -2)
     K = 0.5 * (K + np.swapaxes(K, -1, -2))
-    lb = _eigen_bound(np.moveaxis(K, 0, -1))
-    val = np.full(lb.shape, np.inf)
-    probe = np.argpartition(lb, min(PROBE, lb.size) - 1)[:PROBE]
-    val[probe] = _min_eigenvalue(K[probe])
-    rest = np.flatnonzero((lb <= val[probe].min()) & np.isinf(val))
-    val[rest] = _min_eigenvalue(K[rest])
-    return val
+    lam, at = _pruned_min((np.moveaxis(K, 0, -1),), _eigen_bound, _min_eigenvalue)
+    return np.where(np.arange(len(K)) == at, lam, np.inf)
 
 
 def _pencil_critical_scale(g, delta):

@@ -345,7 +345,8 @@ def _exp_kernel(S):
     The Taylor terms S^k/k!, k <= EXP_ORDER, are precomputed; each call scales
     c by 2^-q (q = _exp_squarings(max|c| * ||S||_1)), evaluates the polynomial
     for all points as one tensordot of the powers (c/2^q)^k with the stacked
-    terms, and squares q times.
+    terms, and squares q times.  When max|c| * ||S||_1 >= 2^1022, 2^q is out
+    of float range and every entry is +inf.
     """
     S = np.asarray(S, dtype=float)
     terms = [np.eye(S.shape[0])]
@@ -356,7 +357,10 @@ def _exp_kernel(S):
 
     def expS(c):
         c = np.asarray(c, dtype=float)
-        q = _exp_squarings(float(np.abs(c).max(initial=0.0)) * norm1)
+        r = float(np.abs(c).max(initial=0.0)) * norm1
+        if not r < 2.0**1022:          # 2^q leaves the float range, as exp(c S) does
+            return np.full(c.shape + S.shape, np.inf)
+        q = _exp_squarings(r)
         powers = np.vander((c / 2.0**q).ravel(), EXP_ORDER + 1, increasing=True)
         A = np.tensordot(powers.reshape(c.shape + (EXP_ORDER + 1,)), terms, axes=1)
         for _ in range(q):
@@ -369,7 +373,9 @@ def _exp_kernel(S):
 def twisted_structure(chart, recipe):
     """Symplectically conjugated structure J = A J0 A^-1, A = exp(eps*t(p)*S),
     with A and A^-1 = exp(-eps*t(p)*S) from one _exp_kernel for both the grid
-    field and J_at."""
+    field and J_at.  Raises StructureError at validate_structure's worst
+    point when the lattice J fails validation or is not finite (a twist so
+    large that exp(eps*t*S) overflows)."""
     if recipe.kind != "twisted":
         raise RecipeError("twisted_structure requires a recipe with kind='twisted'")
     recipe.check(chart.half_dim)
@@ -389,17 +395,21 @@ def twisted_structure(chart, recipe):
     axes = {axis for _, axis, _ in terms}
     bshape = tuple(N if d in axes else 1 for d, N in enumerate(chart.resolution))
     coords = chart.lattice_points(bshape)
-    J = np.ascontiguousarray(np.moveaxis(conjugate(_profile(terms, coords)), (-2, -1), (0, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = conjugate(_profile(terms, coords))
+    J = np.ascontiguousarray(np.moveaxis(J, (-2, -1), (0, 1)))
 
     def J_at(points):
         return conjugate(_profile(terms, points))
 
     s = CompatibleStructure(chart, J, recipe, J_at)
     rep = validate_structure(s)
-    if rep.min_g_eigenvalue <= 0.0:
+    if not rep.passed:
         raise StructureError(
-            f"derived metric not positive definite (min eigenvalue "
-            f"{rep.min_g_eigenvalue:.3e}); reduce the twist amplitude",
+            f"twist amplitude {eps!r} breaks the structure at lattice point {rep.worst_point}: "
+            f"J^2 defect {rep.max_J_square_defect:.3e}, omega defect "
+            f"{rep.max_omega_invariance_defect:.3e} (tolerance {VALIDATE_TOL:g}), min metric "
+            f"eigenvalue {rep.min_g_eigenvalue:.3e}; reduce the twist amplitude",
             point=rep.worst_point,
         )
     return s
@@ -426,32 +436,25 @@ class ValidationReport:
 
 
 def validate_structure(s):
-    """Scan every (broadcast-distinct) grid point for the compatibility identities."""
-    n = s.half_dim
+    """Scan every (broadcast-distinct) grid point for the compatibility
+    identities.  A point where J is not finite fails them all: its defects
+    and metric eigenvalue are nan, and the first such point is the worst."""
     J = np.moveaxis(s.J, (0, 1), (-2, -1))      # (*bshape, 2n, 2n)
-    I = np.eye(2 * n)
-    J2 = J @ J
-    d_j2 = np.abs(J2 + I).max(axis=(-2, -1))
-
     O = s.omega
-    d_om = np.abs(np.swapaxes(J, -2, -1) @ O @ J - O).max(axis=(-2, -1))
-
     g = np.moveaxis(s.g, (0, 1), (-2, -1))
-    d_gs = np.abs(g - np.swapaxes(g, -2, -1)).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_j2 = np.abs(J @ J + np.eye(2 * s.half_dim)).max(axis=(-2, -1))
+        d_om = np.abs(np.swapaxes(J, -2, -1) @ O @ J - O).max(axis=(-2, -1))
+        d_gs = np.abs(g - np.swapaxes(g, -2, -1)).max(axis=(-2, -1))
+        gsym = 0.5 * (g + np.swapaxes(g, -2, -1))
 
-    gsym = 0.5 * (g + np.swapaxes(g, -2, -1))
-    eigs = np.linalg.eigvalsh(gsym)
-    min_eig = eigs[..., 0]
+    finite = np.isfinite(gsym).all(axis=(-2, -1))
+    min_eig = np.full(finite.shape, np.nan)
+    min_eig[finite] = np.linalg.eigvalsh(gsym[finite])[:, 0]
 
     defect = np.maximum(np.maximum(d_j2, d_om), d_gs)
-    worst_flat = int(np.argmax(defect))
-    worst = np.unravel_index(worst_flat, defect.shape) if defect.ndim else ()
-    passed = bool(
-        d_j2.max() <= VALIDATE_TOL
-        and d_om.max() <= VALIDATE_TOL
-        and d_gs.max() <= VALIDATE_TOL
-        and min_eig.min() > 0.0
-    )
+    worst = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    passed = bool(defect.max() <= VALIDATE_TOL and min_eig.min() > 0.0)
     return ValidationReport(
         max_J_square_defect=float(d_j2.max()),
         max_omega_invariance_defect=float(d_om.max()),

@@ -74,19 +74,28 @@ def test_bad_resolution_exit_code(tmp_path):
     ("solve.steps", 0),
     ("solve.steps", -1),
     ("solve.max_iter", 2.5),
+    ("epsilon", 50.0),
+    ("epsilon", 1e308),
 ])
 def test_mistyped_structure_value_exit_code(tmp_path, capsys, key, value):
     """A mistyped value exits 2 naming its key; a bare key is a structure key
-    and a dotted one names its section, run by the command that reads it."""
+    and a dotted one names its section, run by the command that reads it.
+    A well-typed twist amplitude that breaks the structure (eps = 50 fails
+    J^2 = -1 by 3e-3 here, 1e308 overflows exp(eps t S)) exits 2 from
+    validate and analyze with a StructureError, not a traceback."""
     section, _, name = key.rpartition(".")
     section = section or "structure"
     doc = {"structure": BASE_STRUCTURE}
     doc[section] = dict(doc.get(section, {}), **{name: value})
     cfg = write_cfg(tmp_path, doc)
-    command = {"structure": "validate"}.get(section, section)
-    code = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
-    assert code == 2
-    assert f'"{section}.{name}" must be' in capsys.readouterr().err
+    breaks = key == "epsilon" and isinstance(value, float)
+    commands = (["validate", "analyze"] if breaks
+                else [{"structure": "validate"}.get(section, section)])
+    for command in commands:
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error (StructureError)" if breaks else f'"{section}.{name}" must be') in err
 
 
 def test_grid_override(tmp_path):

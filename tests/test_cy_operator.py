@@ -1,3 +1,5 @@
+import collections
+import threading
 import tracemalloc
 
 import numpy as np
@@ -753,5 +755,81 @@ def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
                 cy._pencil_critical_scale(base, M)
         else:
             assert cy._pencil_critical_scale(base, M) == want
+            G = np.moveaxis(base.reshape(k, k, -1), -1, 0)
+            D = np.moveaxis(M.reshape(k, k, -1), -1, 0)
+            W = np.linalg.inv(np.linalg.cholesky(G))
+            K = W @ D @ np.swapaxes(W, -1, -2)
+            lam = np.linalg.eigvalsh(0.5 * (K + np.swapaxes(K, -1, -2)))[:, 0]
+            want = np.full(lam.shape, np.inf)
+            want[np.argmin(lam)] = lam.min()
+            assert np.array_equal(cy._whitened_min_eigenvalue(G, W, D), want)
     finally:
         cy.SLAB_POINTS = old
+
+
+def _record_kernel_points(monkeypatch):
+    """Per thread, in call order, (rank of the swept grid, grid flat indices
+    of the call's points) for each kernel call of _pruned_min.  A call reads
+    its points from its block's views through _take, one read per field;
+    the read from a block's first view is recorded, at the first flat index
+    _point_blocks gives that block (the view is held, so its id is not
+    reused)."""
+    log = collections.defaultdict(list)
+    first_of = {}
+    blocks, take = cy._point_blocks, cy._take
+
+    def point_blocks(fields, lo, hi):
+        for first, shape, views in blocks(fields, lo, hi):
+            first_of[id(views[0])] = (views[0], first)
+            yield first, shape, views
+
+    def recorded(M, idx, shape):
+        if id(M) in first_of:
+            flat = first_of[id(M)][1] + np.ravel_multi_index(idx, shape)
+            log[threading.get_ident()].append((len(shape), flat))
+        return take(M, idx, shape)
+
+    monkeypatch.setattr(cy, "_point_blocks", point_blocks)
+    monkeypatch.setattr(cy, "_take", recorded)
+    return log
+
+
+@pytest.mark.parametrize("workers", CPU_COUNTS)
+def test_no_point_reaches_a_kernel_twice_in_one_sweep(monkeypatch, workers):
+    """The kernel calls of one sweep see each flat index at most once, probe
+    points included: the plain and the pencil min_eigenvalue_field, and
+    _pencil_critical_scale on its grid and in the nested sweep of each
+    whitened kernel call over that call's stack, on one CPU and in two row
+    groups of 400-point blocks.  Each group's first call is a probe.  The
+    metric (1 - c) I + c ones, c >= 0.4, whose Gershgorin bound is
+    negative, sends whole blocks to the whitened kernel, and the dense
+    ones part of delta loosens the bound of the whitened matrices, so that
+    some nested sweep runs its kernel on probe points and on kept ones."""
+    monkeypatch.setattr(cy, "_cpus", lambda: workers)
+    monkeypatch.setattr(cy, "SLAB_POINTS", 800)
+    rng = np.random.default_rng(30)
+    grid = (6, 10, 40)
+    M = _symmetric_field(rng, 4, grid, diag=3.0)
+    c = rng.uniform(0.4, 0.6, size=grid)
+    g = (1.0 - c) * np.eye(4).reshape(4, 4, 1, 1, 1) + c * np.ones((4, 4, 1, 1, 1))
+    delta = _symmetric_field(rng, 4, grid, diag=0.0) + 4.0 * np.ones((4, 4, 1, 1, 1))
+    for sweep in (lambda: cy.min_eigenvalue_field(M),
+                  lambda: cy.min_eigenvalue_field(delta, 0.5, g),
+                  lambda: cy._pencil_critical_scale(g, delta)):
+        log = _record_kernel_points(monkeypatch)
+        sweep()
+        calls, nested = [], []
+        for reads in log.values():
+            assert reads[0][0] == len(grid) and len(reads[0][1]) == cy.PROBE
+            for rank, flat in reads:
+                if rank == len(grid):
+                    calls.append(flat)
+                    nested.append([])
+                else:
+                    nested[-1].append(flat)
+        points = np.concatenate(calls)
+        assert len(np.unique(points)) == len(points)
+        for inner in nested:
+            points = np.concatenate(inner or [np.empty(0, dtype=int)])
+            assert len(np.unique(points)) == len(points)
+    assert all(nested) and max(map(len, nested)) > 1

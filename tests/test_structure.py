@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from akcy import structure as st
-from akcy.errors import ConfigurationError, RecipeError
+from akcy.errors import ConfigurationError, RecipeError, StructureError
 
 from conftest import assert_same_bytes, make_twisted
 
@@ -169,6 +171,35 @@ def test_metric_positive_definite_up_to_large_twist():
     s = make_twisted([12] * 4, epsilon=0.3)
     rep = st.validate_structure(s)
     assert rep.passed and rep.min_g_eigenvalue > 0.0
+
+
+@pytest.mark.parametrize("eps", [50.0, 1e200, 1e308, -1e308])
+def test_twist_that_breaks_the_structure_is_rejected(eps):
+    """At 8^4 (sin_x1) eps = 50 gives a finite J whose J^2 defect, 5e-6,
+    fails validate_structure; at 1e200 the squarings overflow and J is not
+    finite; at 1e308 the scaling 2^q leaves the float range.  Each raises
+    StructureError at a lattice point, with no numpy warning or error."""
+    chart = st.build_grid(2, [8] * 4)
+    recipe = st.StructureRecipe("twisted", st.default_generator(2), eps, "sin_x1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match="breaks the structure") as err:
+            st.twisted_structure(chart, recipe)
+    assert len(err.value.point) == 4 and all(0 <= i < 8 for i in err.value.point)
+
+
+def test_validate_structure_fails_where_J_is_not_finite(s_tw12):
+    """A non-finite J fails every identity there, and the first such point
+    is the worst, without an eigensolver error."""
+    J = s_tw12.J.copy()
+    J[0, 1, 3, 0, 0, 5] = np.inf
+    s = st.CompatibleStructure(s_tw12.chart, J, s_tw12.recipe, s_tw12.J_at)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = st.validate_structure(s)
+    assert not rep.passed
+    assert np.isnan(rep.max_J_square_defect) and np.isnan(rep.min_g_eigenvalue)
+    assert rep.worst_point == (3, 0, 0, 5)
 
 
 def test_diff_is_exact_on_resolved_waves(s_std12):
