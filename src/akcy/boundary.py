@@ -17,7 +17,7 @@ Memory: every pointwise pass runs over batches of SCAN_CHUNK points in point
 order.  The scan set's LocalGeometry (J, g, the seed-rotated frame and dJ)
 exists one batch at a time and is reduced at once to the per-point arrays the
 certification reads (`_ScanGeometry`); the seed's grid F broadcasts J and
-dJ of the broadcast-reduced lattice geometry against rows of the grid.
+dJ of build_frame's lattice geometry against rows of the grid.
 Point order is kept, so minima, first argmins and every output are bitwise
 those of one pass over all points.
 
@@ -542,14 +542,12 @@ def _seed_grid_F(s, seed):
     key could hit for a new seed at a freed one's address).
 
     J_at depends on a point only through the profile axes, so J and dJ come
-    from one LocalGeometry on J's broadcast-reduced lattice (cached on s),
-    whose rows broadcast against the grid rows of the seed's derivatives."""
+    from build_frame's geometry on J's broadcast-reduced lattice, whose rows
+    broadcast against the grid rows of the seed's derivatives."""
 
     def _build():
         chart = s.chart
-        lattice = s.cache(
-            "lattice_geometry", lambda: LocalGeometry(s, chart.lattice_points(s.bshape))
-        )
+        lattice = build_frame(s)
         pts = chart.grid_points()
         out = np.empty(chart.shape)
         rows = max(1, SCAN_CHUNK // math.prod(chart.shape[1:]))

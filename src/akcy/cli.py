@@ -379,13 +379,12 @@ _COMMANDS = {
 
 
 def _exit_code_for(exc):
+    """Exit code of an AkcyError, by the mapping of akcy.errors."""
     if isinstance(exc, PreconditionError):
         return EXIT_PRECONDITION
     if isinstance(exc, NumericalError):
         return EXIT_NUMERICAL
-    if isinstance(exc, (ConfigurationError, AkcyError)):
-        return EXIT_VALIDATION
-    return EXIT_NUMERICAL
+    return EXIT_VALIDATION
 
 
 def _parse_grid_override(text):

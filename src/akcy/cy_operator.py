@@ -15,10 +15,12 @@ the form); its coefficients live on J's broadcast lattice, are summed there
 per (output, pair) and built one output at a time, and beside its output it
 holds one grid-size product buffer.  h_matrix fills only the upper triangle
 of its output and copies it to the lower one, with no second h-size array;
-min_eigenvalue_field forms each block's pencil in place (_pencil).  tau
-wedge tau-bar is evaluated via the real identity (Bm^Bm + JBm^JBm)/4,
-avoiding complex intermediates.  d(J dphi) is filled in slabs of grid axis
-0 of about SLAB_POINTS points (_deformation_slabs), each row of J dphi built
+min_eigenvalue_field forms each block's pencil in place (_pencil).  F_j
+reads the J-anti-invariant part Bm = tau + conj(tau) of d(J dphi) alone, with
+no complex intermediate: at top degree the terms of Bm^(2j) with unequal
+powers of tau and conj(tau) vanish by type, so Bm^(2j) ^ H^(n-2j) =
+C(2j, j) (tau^taubar)^j ^ H^(n-2j).  d(J dphi) is filled in slabs of grid
+axis 0 of about SLAB_POINTS points (_deformation_slabs), each row of J dphi built
 once and its last two rows handed on to the next slab, so its gradient and
 J-gradient are only slab-size.  The taming margin and F with its component
 check are reduced over the same row slabs of one d(J dphi) (_margin_of,
@@ -462,7 +464,7 @@ def h_matrix(J, comps):
     def fill(lo, hi):
         forms.contract_pairs(J, comps, (dim, dim), (
             t for i in range(dim) for l in range(i, dim)
-            for t in forms.bj_terms(J, i, l, 0.5, 0.5, (i, l))
+            for t in forms.bj_terms(J, i, l, (i, l))
         ), out=h, rows=(lo, hi))
         for i in range(dim):
             for l in range(i + 1, dim):
@@ -533,10 +535,11 @@ def F_components(s, phi):
     """Fields F_0..F_{[n/2]} with F_j omega^n = c_j (tau^taubar)^j ^ H^{n-2j},
     c_j = n!/(j!^2 (n-2j)!).
 
-    tau^taubar is evaluated through the real identity
-    (Bm^Bm + mixed^mixed)/4 where Bm is the J-anti-invariant part of dJdphi
-    and mixed = (J^T Bm + Bm J)/2, avoiding complex intermediates.  Their
-    sum is checked against the top power as in F_total.
+    F_j is read off the J-anti-invariant part Bm = tau + conj(tau) of
+    d(J dphi) as C(n, 2j) Bm^(2j) ^ H^(n-2j) / omega^n: at top degree only
+    the C(2j, j) terms (tau^taubar)^j of Bm^(2j) survive, and
+    C(n, 2j) C(2j, j) = c_j.  Their sum is checked against the top power as
+    in F_total.
     """
     return _F_total(s, deformation_form(s, phi), return_components=True)[1]
 
@@ -546,26 +549,23 @@ def _F_components(s, J, B):
     same points (matrix axes first; the point axes broadcast)."""
     n = s.half_dim
     chart = s.chart
-    P11, Bm, mixed = forms.bidegree_parts(J, B, chart.dim)
+    P11, Bm = forms.bidegree_parts(J, B, chart.dim)
     del B
     P11 += forms.omega_form(s).comps  # broadcast add; P11 is now H(phi)
     H = forms.FormField(chart, 2, P11)
     BmF = forms.FormField(chart, 2, Bm)
-    mixedF = forms.FormField(chart, 2, mixed)
-    ttbar = 0.25 * (forms.wedge(BmF, BmF) + forms.wedge(mixedF, mixedF))
-    del Bm, mixed, BmF, mixedF
+    Bm2 = forms.wedge(BmF, BmF)
+    del Bm, BmF
 
     out = []
     for j in range(n // 2 + 1):
-        cj = math.factorial(n) / (math.factorial(j) ** 2 * math.factorial(n - 2 * j))
         top = None
         if j > 0:
-            top = _wedge_power(ttbar, j)
+            top = _wedge_power(Bm2, j)
         if n - 2 * j > 0:
             Hp = _wedge_power(H, n - 2 * j)
             top = Hp if top is None else forms.wedge(top, Hp)
-        Fj = cj * forms.top_ratio(s, top)
-        out.append(Fj)
+        out.append(math.comb(n, 2 * j) * forms.top_ratio(s, top))
     return out
 
 

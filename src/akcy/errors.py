@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all akcy modules.
 
 Exit-code mapping used by the CLI:
-  ConfigurationError / RecipeError / StructureError -> 2 (validation)
   PreconditionError (and subclasses)                -> 3 (precondition)
   NumericalError (and subclasses)                   -> 5 (numerical failure)
+  every other AkcyError                             -> 2 (validation):
+    ConfigurationError, RecipeError, StructureError, FrameError,
+    SeedSearchError, DegreeError, ShapeMismatchError
 """
 
 

@@ -244,17 +244,17 @@ def axis_rows(f, axis, a, b):
     return f[(slice(None),) * axis + (slice(a, b),)]
 
 
-def bj_terms(J, a, b, wa, wb, o):
-    """Terms of out[o] = wa*(BJ)_ab + wb*(BJ)_ba, the two products per j in
-    that order; the signs of pair storage and the exact weights fold into c."""
+def bj_terms(J, a, b, o):
+    """Terms of out[o] = (BJ)_ab/2 + (BJ)_ba/2, the two products per j in
+    that order; the signs of pair storage and the weights fold into c."""
     table = signed_pairs(J.shape[0])
     for j in range(J.shape[0]):
         if j != a:
             p, sign = table[a, j]
-            yield o, p, (sign * wa) * J[j, b]
+            yield o, p, (0.5 * sign) * J[j, b]
         if j != b:
             p, sign = table[b, j]
-            yield o, p, (sign * wb) * J[j, a]
+            yield o, p, (0.5 * sign) * J[j, a]
 
 
 def j_conjugate_comps(J, comps, dim):
@@ -266,28 +266,17 @@ def j_conjugate_comps(J, comps, dim):
     ))
 
 
-def j_anticommutator_comps(J, comps, dim):
-    """Components of the antisymmetric matrix J^T B + B J from pair storage,
-    (J^T B + B J)_il = -(BJ)_li + (BJ)_il."""
-    pairs = multi_indices(dim, 2)
-    return contract_pairs(J, comps, (len(pairs),), (
-        t for m, (i, l) in enumerate(pairs) for t in bj_terms(J, l, i, -1, 1, m)
-    ))
-
-
 def bidegree_parts(J, comps, dim):
-    """(P11, Bm, mixed) of a 2-form given by increasing-pair comps.
+    """(P11, Bm) of a 2-form given by increasing-pair comps.
 
-    P11 = (b + b(J.,J.))/2 is the (1,1) part, Bm = b - P11 the J-anti-invariant
-    part, and mixed = (J^T Bm + Bm J)/2 its J-rotated partner; the (2,0) part
-    is (Bm - i*mixed)/2 and the (0,2) part its conjugate.
+    P11 = (b + b(J.,J.))/2 is the (1,1) part and Bm = b - P11 the
+    J-anti-invariant part, the sum of the (2,0) part and its conjugate.
     """
     P11 = j_conjugate_comps(J, comps, dim)
     Bm = 0.5 * (comps - P11)
     P11 += comps
     P11 *= 0.5
-    mixed = 0.5 * j_anticommutator_comps(J, Bm, dim)
-    return P11, Bm, mixed
+    return P11, Bm
 
 
 def omega_form(s):

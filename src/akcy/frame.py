@@ -1,22 +1,23 @@
 """Unitary frames, the Nijenhuis tensor, and d(J dphi) with its tau and H
 parts at arbitrary points.
 
-One Gram-Schmidt builds the unitary frame on J's lattice (`build_frame`,
-with its continuity and unitarity checks) and off it (`LocalGeometry`, which
-keeps J, g, the frame and dJ, the structure's closed form from one J_at per
-point).  d(J dphi) is taken in coordinates (`deformation_at`), and tau and H
-are read off it on a frame (`tau_at`, `hermitian_at`) with no bidegree
-projection, by one contraction over its pair components whose coefficients
-live on the frame's points: this is the one tau/H path of the package.
-Seed selection reads tau on the lattice frame; the boundary module scans
-polydisks far below the grid scale with the pointwise geometry.  The grid
-connection, torsion and covariant Hessian that the frame-coefficient
-formulas are checked against are a test reference (tests/grid_frame.py).
+One Gram-Schmidt builds the unitary frame, in `LocalGeometry`, which keeps
+J, g, the frame and dJ, the structure's closed form from one J_at per
+point.  `build_frame` is the LocalGeometry on J's broadcast-reduced lattice,
+built once per structure after its continuity, unitarity, J-alignment and
+duality checks; seed selection, the seed's grid F and the Nijenhuis tensor
+(`nijenhuis_coordinate`, exact from that dJ) all read it.  d(J dphi) is
+taken in coordinates (`deformation_at`), and tau and H are read off it on a
+frame (`tau_at`, `hermitian_at`) with no bidegree projection, by one
+contraction over its pair components whose coefficients live on the
+frame's points: this is the one tau/H path of the package.  The boundary
+module scans polydisks far below the grid scale with the pointwise
+geometry.  The grid connection, torsion, covariant Hessian and grid-bracket
+Nijenhuis tensor that the frame-coefficient formulas are checked against
+are a test reference (tests/grid_frame.py).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import FrameError
 from .structure import CompatibleStructure
 
 __all__ = [
-    "UnitaryFrame",
     "build_frame",
     "nijenhuis_coordinate",
     "deformation_at",
@@ -39,39 +39,26 @@ UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
 
-@dataclass
-class UnitaryFrame:
-    """Pointwise basis e_1..e_n of T^{1,0} with dual (1,0)-coframe theta."""
-
-    chart: object
-    e: np.ndarray        # (n, 2n, *bshape) complex
-    theta: np.ndarray    # (n, 2n, *bshape) complex
-    max_neighbor_jump: float = 0.0
-
-    @property
-    def half_dim(self):
-        return self.e.shape[0]
-
-    def defects(self, g, J):
-        """Max violations of unitarity, J-alignment and duality."""
-        n = self.half_dim
-        gram = np.einsum("ak...,kl...,bl...->ab...", self.e, g, np.conj(self.e))
-        d_unit = np.abs(gram - np.eye(n).reshape((n, n) + (1,) * (gram.ndim - 2))).max()
-        Je = np.einsum("kl...,al...->ak...", J, self.e)
-        d_align = np.abs(Je - 1j * self.e).max()
-        dual = np.einsum("ak...,bk...->ab...", self.theta, self.e)
-        d_dual = np.abs(dual - np.eye(n).reshape((n, n) + (1,) * (dual.ndim - 2))).max()
-        dual0 = np.einsum("ak...,bk...->ab...", self.theta, np.conj(self.e))
-        d_dual0 = np.abs(dual0).max()
-        return {
-            "unitarity": float(d_unit),
-            "J_alignment": float(d_align),
-            "duality": float(max(d_dual, d_dual0)),
-        }
+def _frame_defects(J, g, e):
+    """Max violations of unitarity, J-alignment and duality of a frame e
+    of T^{1,0} with the coframe theta = g conj(e)."""
+    n = e.shape[0]
+    eye = np.eye(n).reshape((n, n) + (1,) * (e.ndim - 2))
+    theta = np.einsum("kl...,al...->ak...", g, np.conj(e))
+    gram = np.einsum("ak...,kl...,bl...->ab...", e, g, np.conj(e))
+    Je = np.einsum("kl...,al...->ak...", J, e)
+    dual = np.einsum("ak...,bk...->ab...", theta, e)
+    dual0 = np.einsum("ak...,bk...->ab...", theta, np.conj(e))
+    return {
+        "unitarity": float(np.abs(gram - eye).max()),
+        "J_alignment": float(np.abs(Je - 1j * e).max()),
+        "duality": float(max(np.abs(dual - eye).max(), np.abs(dual0).max())),
+    }
 
 
 def _gram_schmidt(J, g, seeds):
-    """Shared kernel: J, g shaped (2n, 2n, *trailing); returns (e, theta)."""
+    """LocalGeometry's frame: J, g shaped (2n, 2n, *trailing); returns e,
+    shaped (n, 2n, *trailing)."""
     dim = J.shape[0]
     n = dim // 2
     trailing = J.shape[2:]
@@ -100,20 +87,22 @@ def _gram_schmidt(J, g, seeds):
         built.extend([eps, Jeps])
         eps_vecs.append((eps, Jeps))
 
-    e = np.stack([(eps - 1j * Jeps) / np.sqrt(2.0) for eps, Jeps in eps_vecs])
-    theta = np.einsum("kl...,al...->ak...", g.astype(complex), np.conj(e))
-    return e, theta
+    return np.stack([(eps - 1j * Jeps) / np.sqrt(2.0) for eps, Jeps in eps_vecs])
 
 
 def build_frame(s):
-    """Per-point Gram-Schmidt frame seeded from fixed coordinate vectors.
+    """The LocalGeometry of s on J's broadcast-reduced lattice
+    (chart.lattice_points(s.bshape)), built and checked once per structure.
 
-    The seeds are d/dx_1, d/dx_2, ... (axes 0, 2, 4, ...); degeneracy is
-    detected and reported, never silently repaired.  A neighbor-jump scan
-    guards against branch flips of the frame between adjacent points.
+    The Gram-Schmidt seeds are d/dx_1, d/dx_2, ... (axes 0, 2, 4, ...);
+    degeneracy is detected and reported, never silently repaired.  A
+    neighbor-jump scan guards against branch flips of the frame between
+    adjacent points, and the frame must be unitary, J-aligned and dual to
+    theta = g conj(e) (_frame_defects).
     """
     def _build():
-        e, theta = _gram_schmidt(s.J, s.g, [2 * a for a in range(s.half_dim)])
+        lg = LocalGeometry(s, s.chart.lattice_points(s.bshape))
+        e = lg.e
         jump = 0.0
         for d in range(s.chart.dim):
             axis = e.ndim - s.chart.dim + d
@@ -125,33 +114,26 @@ def build_frame(s):
             raise FrameError(
                 f"frame discontinuity: neighbor jump {jump:.3e} exceeds {thresh:.3e}"
             )
-        f = UnitaryFrame(s.chart, e, theta, max_neighbor_jump=jump)
-        defs = f.defects(s.g, s.J)
-        worst = max(defs.values())
-        if worst > UNITARITY_TOL:
+        defs = _frame_defects(lg.J, lg.g, e)
+        if max(defs.values()) > UNITARITY_TOL:
             raise FrameError(f"frame invariants violated: {defs}")
-        return f
+        return lg
 
     return s.cache("frame", _build)
 
 
 def nijenhuis_coordinate(s):
-    """Bracket-formula Nijenhuis tensor on coordinate pairs.
+    """Bracket-formula Nijenhuis tensor on coordinate pairs, on J's lattice.
 
-    N^k_{ij} components of N(d_i, d_j) via finite-difference Lie brackets;
-    exact zero (to rounding) for constant J.
+    N^k_{ij} components of N(d_i, d_j) from J and the closed-form dJ of
+    build_frame's geometry: exact, and zero for the standard structure.
     """
-    def _build():
-        chart = s.chart
-        J = s.J
-        dJ = chart.gradient(J)   # dJ[d,k,l]
-        # N(di,dj)^k = J^m_i dJ[m,k,j] - J^m_j dJ[m,k,i] - J^k_m dJ[i,m,j] + J^k_m dJ[j,m,i]
-        t1 = np.einsum("mi...,mkj...->kij...", J, dJ)
-        t2 = np.einsum("km...,imj...->kij...", J, dJ)
-        N = t1 - np.swapaxes(t1, 1, 2) - t2 + np.swapaxes(t2, 1, 2)
-        return N
-
-    return s.cache("nijenhuis", _build)
+    lg = build_frame(s)
+    J, dJ = lg.J, lg.dJ   # dJ[d,k,l]
+    # N(di,dj)^k = J^m_i dJ[m,k,j] - J^m_j dJ[m,k,i] - J^k_m dJ[i,m,j] + J^k_m dJ[j,m,i]
+    t1 = np.einsum("mi...,mkj...->kij...", J, dJ)
+    t2 = np.einsum("km...,imj...->kij...", J, dJ)
+    return t1 - np.swapaxes(t1, 1, 2) - t2 + np.swapaxes(t2, 1, 2)
 
 
 def nijenhuis_max_norm(s):
@@ -227,8 +209,9 @@ class LocalGeometry:
 
     J_at runs once on the points and dJ[d] = partial_d J is the structure's
     closed form from that J (dJ_at), so neither depends on the grid.  Points
-    have shape (..., 2n); the member arrays keep the point axes last.  With
-    a constant unitary U the frame is e'_a = sum_b U[b,a] e_b.
+    have shape (..., 2n); the member arrays keep the point axes last, so on
+    J's lattice (build_frame) they broadcast against grid fields.  With a
+    constant unitary U the frame is e'_a = sum_b U[b,a] e_b.
     """
 
     def __init__(self, s: CompatibleStructure, points, U=None):
@@ -237,7 +220,7 @@ class LocalGeometry:
         J = s.J_at(self.points)
         self.J = np.moveaxis(J, (-2, -1), (0, 1))
         self.g = np.einsum("ij,jk...->ik...", s.omega, self.J)
-        self.e = _gram_schmidt(self.J, self.g, list(range(0, 2 * s.half_dim, 2)))[0]
+        self.e = _gram_schmidt(self.J, self.g, list(range(0, 2 * s.half_dim, 2)))
         if U is not None:
             self.e = np.einsum("ba,bk...->ak...", np.asarray(U, dtype=complex), self.e)
         self.dJ = np.moveaxis(s.dJ_at(self.points, J), (-2, -1), (1, 2))

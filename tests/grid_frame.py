@@ -1,14 +1,19 @@
 """The grid frame path: the second canonical connection, its torsion and
 the covariant Hessian of a grid potential, built on the lattice frame of
-akcy.frame.build_frame with the chart's centered differences, and the
-bidegree projection of omega + d(J dphi) read on that frame.
+akcy.frame.build_frame with the chart's centered differences, the bracket
+Nijenhuis tensor from a grid-difference dJ, and the bidegree projection of
+omega + d(J dphi) read on that frame.
 
 It is the test reference of the one tau/H path of akcy (deformation_at,
 tau_at, hermitian_at): tau_coefficients and hermitian_coefficients are the
 frame-coefficient formulas of tau and H, to which criteria 05 and 07 and
 test_frame hold the library at O(h^2); projected_tau and
 projected_hermitian read tau and H off the bidegree projection, to which
-test_frame holds tau_at and hermitian_at at rounding level.
+test_frame holds tau_at and hermitian_at at rounding level.  The (2,0)
+projection needs the J-rotated partner of the anti-invariant part, which
+akcy does not build (its F_j read the anti-invariant part alone); it is
+formed here by reference loops over the pair storage
+(reference_j_anticommutator).
 
 The connection is realized as Levi-Civita corrected by -J(grad J)/2, the
 closed form of the unique almost-Hermitian connection with vanishing (1,1)
@@ -63,6 +68,24 @@ def _covariant_J(J, dJ, conn):
         + np.einsum("dkm...,ml...->dkl...", conn, J)
         - np.einsum("km...,dml...->dkl...", J, conn)
     )
+
+
+def coframe(f):
+    """theta^a = g conj(e_a), the (1,0)-coframe dual to a frame f."""
+    return np.einsum("kl...,al...->ak...", f.g.astype(complex), np.conj(f.e))
+
+
+def nijenhuis_coordinate(s):
+    """Bracket-formula Nijenhuis tensor on coordinate pairs, N(d_i, d_j)^k,
+    with dJ the chart's centered differences of the lattice J: the grid
+    counterpart of akcy.frame.nijenhuis_coordinate's closed form, to which
+    it converges at O(h^2)."""
+    J = s.J
+    dJ = s.chart.gradient(J)   # dJ[d,k,l]
+    # N(di,dj)^k = J^m_i dJ[m,k,j] - J^m_j dJ[m,k,i] - J^k_m dJ[i,m,j] + J^k_m dJ[j,m,i]
+    t1 = np.einsum("mi...,mkj...->kij...", J, dJ)
+    t2 = np.einsum("km...,imj...->kij...", J, dJ)
+    return t1 - np.swapaxes(t1, 1, 2) - t2 + np.swapaxes(t2, 1, 2)
 
 
 def _connection_matrix(theta, e, de, gamma1):
@@ -127,7 +150,7 @@ def connection_forms(s, f):
     gamma1 = _gamma1(s.J, dJ, _levi_civita(g, dg))
 
     de = chart.gradient(f.e)
-    omega = _connection_matrix(f.theta, f.e, de, gamma1)
+    omega = _connection_matrix(coframe(f), f.e, de, gamma1)
 
     # nabla^1 of J with the corrected connection (should vanish to O(h^2)).
     nab1J = _covariant_J(s.J, dJ, gamma1)
@@ -148,8 +171,8 @@ def connection_forms(s, f):
 def torsion(s, f, c):
     """Torsion of the second canonical connection, split into (2,0) and (0,2)."""
     chart = s.chart
-    dtheta = chart.gradient(f.theta)
-    T, N, mixed = _torsion_components(dtheta, c.omega, f.theta, f.e)
+    theta = coframe(f)
+    T, N, mixed = _torsion_components(chart.gradient(theta), c.omega, theta, f.e)
     return TorsionField(chart, T, N, mixed)
 
 
@@ -196,12 +219,62 @@ def hermitian_coefficients(phi_abar):
 
 # ---------------------------------------------------------------------------
 # Bidegree projection of omega + B, read on the frame.
+#
+# The loops below spell out forms.contract_pairs' summation entry by entry:
+# per output, the coefficient of each pair component is summed on J's
+# lattice in the order the matrix products first meet it, and a coefficient
+# that is zero everywhere is skipped; the first product is stored, the
+# others added.  test_forms holds akcy's J action to them bit for bit.
+
+def reference_pair(pos, a, b):
+    """(pair, sign) with B_ab = sign * comps[pair], for a != b."""
+    return (pos[(a, b)], 1) if a < b else (pos[(b, a)], -1)
+
+
+def reference_add(coeffs, p, c):
+    coeffs[p] = coeffs[p] + c if p in coeffs else c
+
+
+def reference_store(out, coeffs, comps):
+    """out (zeros) = sum of c * comps[p] over coeffs in order, the first
+    product stored and zero coefficients skipped."""
+    first = True
+    for p, c in coeffs.items():
+        if np.max(np.abs(c)) == 0.0:
+            continue
+        if first:
+            out[...] = c * comps[p]
+            first = False
+        else:
+            out += c * comps[p]
+
+
+def reference_j_anticommutator(J, comps, dim):
+    """(J^T B + B J)_il = sum over j of J_ji B_jl + B_ij J_jl."""
+    pairs = forms.multi_indices(dim, 2)
+    pos = forms.index_positions(dim, 2)
+    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
+    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
+    for m, (i, l) in enumerate(pairs):
+        coeffs = {}
+        for j in range(dim):
+            if j != l:
+                p, sign = reference_pair(pos, j, l)
+                reference_add(coeffs, p, sign * J[j, i])
+            if j != i:
+                p, sign = reference_pair(pos, i, j)
+                reference_add(coeffs, p, sign * J[j, l])
+        reference_store(out[m], coeffs, comps)
+    return out
+
 
 def bidegree_projections(s, comps):
     """The (2,0), (1,1) and (0,2) parts of the 2-form of pair components
-    comps, from forms.bidegree_parts: (Bm - i mixed)/2, P11 and its
-    conjugate partner (Bm + i mixed)/2."""
-    P11, Bm, mixed = forms.bidegree_parts(s.J, comps, s.chart.dim)
+    comps: (Bm - i mixed)/2, P11 and its conjugate partner (Bm + i mixed)/2,
+    with P11 and the anti-invariant part Bm from forms.bidegree_parts and
+    mixed = (J^T Bm + Bm J)/2 its J-rotated partner."""
+    P11, Bm = forms.bidegree_parts(s.J, comps, s.chart.dim)
+    mixed = 0.5 * reference_j_anticommutator(s.J, Bm, s.chart.dim)
     return 0.5 * (Bm - 1j * mixed), P11, 0.5 * (Bm + 1j * mixed)
 
 
@@ -223,15 +296,10 @@ def frame_values(comps, u, v):
     return np.einsum("ij...,ai...,bj...->ab...", W, u, v)
 
 
-def projected_tau(s, B, e):
-    """Coefficients c[a,b] = T(e_a, e_b)/2 of tau = sum_{a,b} c[a,b]
-    theta^a wedge theta^b (full double sum), T the (2,0) part of omega + B."""
-    T = bidegree_projections(s, forms.omega_form(s).comps + B)[0]
-    return 0.5 * frame_values(T, e, e)
-
-
-def projected_hermitian(s, B, e):
-    """M[a,b] = -i P11(e_a, conj e_b), with H = i M_ab theta^a wedge
-    conj-theta^b and P11 the (1,1) part of omega + B."""
-    P11 = bidegree_projections(s, forms.omega_form(s).comps + B)[1]
-    return -1j * frame_values(P11, e, np.conj(e))
+def projected_tau_and_hermitian(s, B, e):
+    """(c, M) from one bidegree projection of omega + B: the coefficients
+    c[a,b] = T(e_a, e_b)/2 of tau = sum_{a,b} c[a,b] theta^a wedge theta^b
+    (full double sum), T the (2,0) part, and M[a,b] = -i P11(e_a, conj e_b),
+    with H = i M_ab theta^a wedge conj-theta^b and P11 the (1,1) part."""
+    T, P11, _ = bidegree_projections(s, forms.omega_form(s).comps + B)
+    return 0.5 * frame_values(T, e, e), -1j * frame_values(P11, e, np.conj(e))

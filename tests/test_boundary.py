@@ -376,9 +376,9 @@ def test_scan_geometry_reads_tau_on_the_seed_pair():
     [("sin_x1_cos_y2", 100), ("sin_x1", 10), ("standard", 1)],
 )
 def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
-    """_seed_grid_F broadcasts J and dJ of the broadcast-reduced lattice
-    geometry against the grid; it matches a LocalGeometry evaluated at every
-    grid point."""
+    """_seed_grid_F broadcasts J and dJ of build_frame's broadcast-reduced
+    lattice geometry against the grid; it matches a LocalGeometry evaluated
+    at every grid point."""
     if case == "standard":
         s = make_standard([10] * 4)
         seed = _flat_seed(s)
@@ -386,7 +386,7 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
         s = make_twisted([10] * 4, profile=case)
         seed = bd.select_seed(s)
     F = bd._seed_grid_F(s, seed)
-    lattice = s.cache("lattice_geometry", None)
+    lattice = fr.build_frame(s)
     assert lattice.points.shape[:-1] == s.bshape
     assert np.prod(s.bshape) == lattice_points
 
@@ -394,6 +394,38 @@ def test_lattice_geometry_matches_per_point_geometry(case, lattice_points):
     lg = fr.LocalGeometry(s, pts)
     B = fr.deformation_at(lg.J, lg.dJ, seed.analytic_grad(pts), seed.analytic_hess(pts))
     assert np.abs(F - cy._F_of(s, B)).max() < 1e-10
+
+
+def test_lattice_J_is_evaluated_once_per_structure(monkeypatch):
+    """select_seed, boundary_potential and nijenhuis_max_norm on one
+    twisted 10^4 structure run J_at on J's lattice once, and the seed's
+    grid F reads J and dJ of the geometry build_frame returns."""
+    s = make_twisted([10] * 4)
+    lattice_shape = s.bshape + (s.chart.dim,)
+    J_at, lattice_calls = s._J_at, []
+
+    def counted(points):
+        if points.shape == lattice_shape:
+            lattice_calls.append(points)
+        return J_at(points)
+
+    s._J_at = counted
+    seed = bd.select_seed(s)
+    bd.boundary_potential(s, seed, 8.0)
+    fr.nijenhuis_max_norm(s)
+    assert len(lattice_calls) == 1
+
+    lattice = fr.build_frame(s)
+    reads = []
+
+    def spy(J, dJ, grad, hess):
+        reads.append(np.shares_memory(J, lattice.J) and np.shares_memory(dJ, lattice.dJ))
+        return fr.deformation_at(J, dJ, grad, hess)
+
+    monkeypatch.setattr(bd, "deformation_at", spy)
+    bd._seed_grid_F(s, dataclasses.replace(seed, scale_c=0.5 * seed.scale_c))
+    assert reads and all(reads)
+    assert len(lattice_calls) == 1
 
 
 @pytest.mark.parametrize("profile", ["sin_x1_cos_y2", "sin_x1"])

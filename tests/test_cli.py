@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from akcy import cli, forms, serialize
+from akcy import cli, errors, forms, serialize
 from akcy import cy_operator as cy
 from akcy.errors import ConfigurationError
 
@@ -273,3 +274,16 @@ def test_parse_config_rejects_missing_structure(tmp_path):
     cfg = write_cfg(tmp_path, {"analyze": {}})
     with pytest.raises(ConfigurationError):
         cli.parse_config(cfg)
+
+
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(c, errors.AkcyError)]
+
+
+@pytest.mark.parametrize("exc", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_of_every_error_class(exc):
+    """akcy.errors' mapping: PreconditionError and its subclasses exit 3,
+    NumericalError and its subclasses 5, every other AkcyError 2."""
+    want = (3 if issubclass(exc, errors.PreconditionError)
+            else 5 if issubclass(exc, errors.NumericalError) else 2)
+    assert cli._exit_code_for(exc("message")) == want

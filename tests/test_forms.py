@@ -152,35 +152,13 @@ def test_omega_is_closed(s_tw12):
 
 
 # --- The pair-storage J action: one contraction against reference loops.
-# The loops below spell out the contraction's summation entry by entry: per
+# The loops below (on grid_frame's reference_pair, reference_add and
+# reference_store) spell out the contraction's summation entry by entry: per
 # output, the coefficient of each pair component is summed on J's lattice in
 # the order the matrix products first meet it, and a coefficient that is zero
 # everywhere is skipped; the first product is stored, the others added; h is
 # built on its upper triangle and mirrored.  The contraction performs the same
 # operations in the same order, so its outputs must match them bit for bit.
-
-def _reference_pair(pos, a, b):
-    """(pair, sign) with B_ab = sign * comps[pair], for a != b."""
-    return (pos[(a, b)], 1) if a < b else (pos[(b, a)], -1)
-
-
-def _reference_add(coeffs, p, c):
-    coeffs[p] = coeffs[p] + c if p in coeffs else c
-
-
-def _reference_store(out, coeffs, comps):
-    """out (zeros) = sum of c * comps[p] over coeffs in order, the first
-    product stored and zero coefficients skipped."""
-    first = True
-    for p, c in coeffs.items():
-        if np.max(np.abs(c)) == 0.0:
-            continue
-        if first:
-            out[...] = c * comps[p]
-            first = False
-        else:
-            out += c * comps[p]
-
 
 def reference_j_conjugate(J, comps, dim):
     pairs = forms.multi_indices(dim, 2)
@@ -189,27 +167,8 @@ def reference_j_conjugate(J, comps, dim):
     for m, (i, l) in enumerate(pairs):
         coeffs = {}
         for nn, (j, k) in enumerate(pairs):
-            _reference_add(coeffs, nn, J[j, i] * J[k, l] - J[k, i] * J[j, l])
-        _reference_store(out[m], coeffs, comps)
-    return out
-
-
-def reference_j_anticommutator(J, comps, dim):
-    """(J^T B + B J)_il = sum over j of J_ji B_jl + B_ij J_jl."""
-    pairs = forms.multi_indices(dim, 2)
-    pos = forms.index_positions(dim, 2)
-    shape = np.broadcast_shapes(J.shape[2:], comps.shape[1:])
-    out = np.zeros((len(pairs),) + shape, dtype=np.result_type(J.dtype, comps.dtype))
-    for m, (i, l) in enumerate(pairs):
-        coeffs = {}
-        for j in range(dim):
-            if j != l:
-                p, sign = _reference_pair(pos, j, l)
-                _reference_add(coeffs, p, sign * J[j, i])
-            if j != i:
-                p, sign = _reference_pair(pos, i, j)
-                _reference_add(coeffs, p, sign * J[j, l])
-        _reference_store(out[m], coeffs, comps)
+            gf.reference_add(coeffs, nn, J[j, i] * J[k, l] - J[k, i] * J[j, l])
+        gf.reference_store(out[m], coeffs, comps)
     return out
 
 
@@ -224,12 +183,12 @@ def reference_h_matrix(J, comps):
             coeffs = {}
             for j in range(dim):
                 if j != i:
-                    p, sign = _reference_pair(pos, i, j)
-                    _reference_add(coeffs, p, 0.5 * sign * J[j, l])
+                    p, sign = gf.reference_pair(pos, i, j)
+                    gf.reference_add(coeffs, p, 0.5 * sign * J[j, l])
                 if j != l:
-                    p, sign = _reference_pair(pos, l, j)
-                    _reference_add(coeffs, p, 0.5 * sign * J[j, i])
-            _reference_store(h[i, l], coeffs, comps)
+                    p, sign = gf.reference_pair(pos, l, j)
+                    gf.reference_add(coeffs, p, 0.5 * sign * J[j, i])
+            gf.reference_store(h[i, l], coeffs, comps)
             h[l, i] = h[i, l]
     return h
 
@@ -275,8 +234,6 @@ def test_j_action_matches_reference_loops(case, s_tw12, s_std12):
     for comps in (real, cplx):
         _assert_same(forms.j_conjugate_comps(J, comps, dim),
                      reference_j_conjugate(J, comps, dim))
-        _assert_same(forms.j_anticommutator_comps(J, comps, dim),
-                     reference_j_anticommutator(J, comps, dim))
     # h_matrix is a real symmetric form; the reference accumulates in floats.
     _assert_same(cy.h_matrix(J, real), reference_h_matrix(J, real))
 
@@ -359,9 +316,9 @@ def test_j_action_identities_on_random_structures(case):
     tol = 64 * np.finfo(float).eps * growth ** 2 * float(np.abs(comps).max())
     twice = forms.j_conjugate_comps(J, forms.j_conjugate_comps(J, comps, dim), dim)
     assert np.abs(twice - comps).max() <= tol
-    P11, _, _ = forms.bidegree_parts(J, comps, dim)
+    P11, _ = forms.bidegree_parts(J, comps, dim)
     assert np.abs(forms.j_conjugate_comps(J, P11, dim) - P11).max() <= tol
-    assert np.abs(forms.j_anticommutator_comps(J, P11, dim)).max() <= tol
+    assert np.abs(gf.reference_j_anticommutator(J, P11, dim)).max() <= tol
     B = gf.pair_matrix(comps, dim)
     BJ = np.einsum("ij...,jk...->ik...", B, J)
     expected = 0.5 * (BJ - np.einsum("ji...,jk...->ik...", J, B))

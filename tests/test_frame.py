@@ -22,7 +22,7 @@ def _pipeline(s):
 
 def test_frame_is_unitary(s_tw12):
     f = fr.build_frame(s_tw12)
-    d = f.defects(s_tw12.g, s_tw12.J)
+    d = fr._frame_defects(f.J, f.g, f.e)
     assert d["unitarity"] < 1e-13
     assert d["J_alignment"] < 1e-13
     assert d["duality"] < 1e-13
@@ -66,10 +66,10 @@ def test_torsion_nijenhuis_ratio():
     for res in (12, 24):
         s = make_twisted([res] * 4)
         f, c, t = _pipeline(s)
-        Nc = fr.nijenhuis_coordinate(s)
+        Nc = gf.nijenhuis_coordinate(s)
         ebar = np.conj(f.e)
         pairing = np.einsum(
-            "kij...,ak...,bi...,cj...->abc...", Nc, f.theta, ebar, ebar
+            "kij...,ak...,bi...,cj...->abc...", Nc, gf.coframe(f), ebar, ebar
         )
         errs.append(
             float(np.abs(t.N - gf.TORSION_NIJENHUIS_RATIO * pairing).max())
@@ -78,22 +78,14 @@ def test_torsion_nijenhuis_ratio():
     assert errs[1] < 1e-3
 
 
-def _closed_form_nijenhuis(s):
-    """nijenhuis_coordinate's bracket formula on J's lattice with J and the
-    closed-form dJ of LocalGeometry instead of grid differences."""
-    lg = fr.LocalGeometry(s, s.chart.lattice_points(s.bshape))
-    t1 = np.einsum("mi...,mkj...->kij...", lg.J, lg.dJ)
-    t2 = np.einsum("km...,imj...->kij...", lg.J, lg.dJ)
-    return t1 - np.swapaxes(t1, 1, 2) - t2 + np.swapaxes(t2, 1, 2)
-
-
 def test_grid_nijenhuis_converges_to_the_closed_form():
-    """The grid bracket approaches the closed-form one at O(h^2): halving h
-    cuts the gap by about 4 (3.9 measured, 0.038 at 12^4)."""
+    """The grid bracket (grid_frame) approaches the library's closed form at
+    O(h^2): halving h cuts the gap by about 4 (3.9 measured, 0.038 at
+    12^4)."""
     gaps = []
     for res in (12, 24):
         s = make_twisted([res] * 4)
-        gaps.append(float(np.abs(fr.nijenhuis_coordinate(s) - _closed_form_nijenhuis(s)).max()))
+        gaps.append(float(np.abs(gf.nijenhuis_coordinate(s) - fr.nijenhuis_coordinate(s)).max()))
     assert gaps[0] < 0.05 and 3.5 < gaps[0] / gaps[1] < 4.5, gaps
 
 
@@ -148,16 +140,15 @@ def test_frame_paths_match_coordinate_paths(s_tw16):
 @pytest.mark.parametrize("grid", ["tw12", "tw13", "tw8_n3"])
 def test_tau_at_and_hermitian_at_are_the_bidegree_projection(grid):
     """On build_frame's e, 0.5 tau_at and hermitian_at of d(J dphi) are the
-    (2,0) and (1,1) parts of omega + d(J dphi) from forms.bidegree_parts,
-    read on the frame, to 64 eps of their largest entry, for every default
-    candidate."""
+    (2,0) and (1,1) parts of omega + d(J dphi) from one bidegree projection
+    (grid_frame.projected_tau_and_hermitian), read on the frame, to 64 eps
+    of their largest entry, for every default candidate."""
     s = make_twisted([13] * 4) if grid == "tw13" else slab_structure(grid)
     e = fr.build_frame(s).e
     eps = 64 * np.finfo(float).eps
     for cand in default_candidates(s.half_dim):
         B = cy.deformation_form(s, 0.05 * cand.value(s.chart.grid_points())).comps
-        tau_ref = gf.projected_tau(s, B, e)
-        M_ref = gf.projected_hermitian(s, B, e)
+        tau_ref, M_ref = gf.projected_tau_and_hermitian(s, B, e)
         assert np.abs(0.5 * fr.tau_at(B, e) - tau_ref).max() <= eps * np.abs(tau_ref).max()
         assert np.abs(fr.hermitian_at(B, e) - M_ref).max() <= eps * np.abs(M_ref).max()
 
