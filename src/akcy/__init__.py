@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
     RecipeError,
     SeedSearchError,
     ShapeMismatchError,
-    SolverFailure,
     StructureError,
 )
 from .structure import (  # noqa: F401

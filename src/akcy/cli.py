@@ -43,7 +43,8 @@ For `validate` the config may alternatively be a plain key=value text file
 carrying only the structure fields (kind, n, resolution, epsilon, generator,
 profile).
 
-Exit codes: 0 ok, 2 validation, 3 precondition, 5 numerical failure.
+Exit codes: 0 ok, 2 validation, 3 precondition, 5 numerical failure or a
+solve that stopped unconverged (it still writes its report and last iterate).
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 5
+
+# Bump radii tried in turn when the config gives no "boundary.R_list".
+DEFAULT_R_LIST = (4.0, 6.0, 8.0, 12.0)
+
 
 def _is_int(v, low=None):
     return isinstance(v, int) and not isinstance(v, bool) and (low is None or v >= low)
@@ -283,7 +288,7 @@ def cmd_boundary(cfg, out, args):
     sec = cfg.get("boundary", {})
     s = build_structure_from_config(cfg, args.grid_override)
     seed = bd.select_seed(s)
-    R_list = sec.get("R_list", [4.0, 6.0, 8.0, 12.0])
+    R_list = sec.get("R_list", DEFAULT_R_LIST)
     R0, phi0, report = bd.search_R(s, seed, R_list)
     serialize.write_report(out / "boundary_report.json", report)
     serialize.write_field(out / "phi0_field.bin", phi0.values)
@@ -320,7 +325,7 @@ def cmd_solve(cfg, out, args):
         f = cy.F_total(s, phi_star)
     elif target == "from-boundary-witness":
         seed = bd.select_seed(s)
-        R_list = cfg.get("boundary", {}).get("R_list", [4.0, 6.0, 8.0, 12.0])
+        R_list = cfg.get("boundary", {}).get("R_list", DEFAULT_R_LIST)
         _, _, breport = bd.search_R(s, seed, R_list)
         f = bd.witness_density(s, breport)
         serialize.write_report(out / "boundary_report.json", breport)
@@ -336,13 +341,7 @@ def cmd_solve(cfg, out, args):
     tol = sec.get("tol", 1e-8)
     max_iter = sec.get("max_iter", 12)
     if method == "newton":
-        try:
-            pot, report = sv.newton_solve(s, f, tol=tol, max_iter=max_iter)
-        except AkcyError as exc:
-            report = getattr(exc, "report", None)
-            if report is None:
-                raise
-            pot = None
+        pot, report = sv.newton_solve(s, f, tol=tol, max_iter=max_iter)
     else:
         pot, report = sv.continuity_solve(
             s, f, steps=sec.get("steps", 10), tol=tol, max_iter=max_iter
@@ -359,8 +358,7 @@ def cmd_solve(cfg, out, args):
             ["iter", "residual", "margin", "step", "lin_res", "eta"],
             report.trace,
         )
-    if pot is not None:
-        serialize.write_field(out / "phi_solution.bin", pot.values)
+    serialize.write_field(out / "phi_solution.bin", pot.values)
     d = report.as_dict()
     print(
         f"solve: converged={d['converged']}  t_reached={d['t_reached']}  "

@@ -569,12 +569,13 @@ def _F_components(s, J, B):
     return out
 
 
-def F_total(s, phi, return_components=False):
-    """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j.
+def F_total(s, phi):
+    """F(phi) = omega(phi)^n / omega^n, dual-path checked against sum F_j
+    (F_components returns the F_j).
 
     Both paths start from one evaluation of d(J dphi) and run slab by slab.
     """
-    return _F_total(s, deformation_form(s, phi), return_components)
+    return _F_total(s, deformation_form(s, phi), return_components=False)
 
 
 def _F_of(s, B):

@@ -6,6 +6,9 @@ Exit-code mapping used by the CLI:
   every other AkcyError                             -> 2 (validation):
     ConfigurationError, RecipeError, StructureError, FrameError,
     SeedSearchError, DegreeError, ShapeMismatchError
+
+A solve that stops without converging raises nothing: its SolveReport says
+so (converged False and the reason), and the CLI exits 5 after writing it.
 """
 
 
@@ -58,7 +61,7 @@ class SeedSearchError(AkcyError):
 
 
 class NumericalError(AkcyError):
-    """Generic numerical failure (solver stagnation, consistency trap)."""
+    """Generic numerical failure (non-finite field, consistency trap)."""
 
 
 class SearchFailure(NumericalError):
@@ -75,11 +78,3 @@ class ConsistencyError(NumericalError):
 
 class AmplitudeError(NumericalError):
     """Positivity amplitude search found no sign change (unbounded direction)."""
-
-
-class SolverFailure(NumericalError):
-    """Newton/continuation did not reach the requested tolerance."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -9,6 +9,9 @@ systems are solved matrix-free by GMRES on the complement of the flat kernel
 with a real-FFT constant-coefficient preconditioner from the flat phi=0
 operator, each only as accurately as its Newton step needs (inexact Newton
 with Eisenstat-Walker forcing terms).
+
+Every solve returns a SolveReport saying how it ended; only bad input
+(PreconditionError) and a broken identity (ConsistencyError) raise.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import cy_operator as cy
 from . import forms
-from .errors import ConsistencyError, PreconditionError, SolverFailure
+from .errors import ConsistencyError, PreconditionError
 
 __all__ = [
     "LinearOperatorHandle",
@@ -393,16 +396,15 @@ def _solve_linear(s, handle, rhs, precond, rtol):
 
     At most LIN_MAXITER Krylov iterations run, plus one L-apply per restart
     cycle for its true residual; the last one gives the sup-norm lin_res.
-    The returned delta is GMRES's iterate: P L P does not see its
-    flat-kernel part, which is rounding.
+    Returns (delta, lin_res, info) with GMRES's info: 0 if the tolerance was
+    met, else the iterations run.  delta is GMRES's iterate: P L P does not
+    see its flat-kernel part, which is rounding.
     """
     rhs = precond.project(rhs).ravel()
     x, r, info = gmres(lambda u: _projected_apply(handle, precond, u), rhs,
                        lambda r: precond(r).ravel(), rtol,
                        min(LIN_RESTART, LIN_MAXITER), LIN_MAXITER)
-    if info != 0:
-        raise SolverFailure(f"linear solve stagnated (GMRES info={info})")
-    return x.reshape(s.chart.shape), float(np.abs(r).max())
+    return x.reshape(s.chart.shape), float(np.abs(r).max()), info
 
 
 def _check_target(s, f):
@@ -433,6 +435,15 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     Each trace row is (iteration, residual, taming margin, step length,
     sup-norm linear residual of the GMRES solve that gave the step, and the
     forcing term eta that solve was given).
+
+    Returns (the last accepted iterate, zero-mean, SolveReport) however the
+    solve ends.  Unconverged, the reason is aliasing_floor (res_proj <= 0.1
+    tol < res), max_iter, margin_collapse or stagnation (down to MIN_STEP
+    the line search left the cone or found no decrease; margin is then the
+    rejected trial's), or linear_stagnation (GMRES missed eta within
+    LIN_MAXITER).  iters counts the steps whose line search ran.  Only a bad
+    target or start (PreconditionError) and disagreeing F paths
+    (ConsistencyError) raise.
     """
     chart = s.chart
     f = _check_target(s, f)
@@ -457,29 +468,26 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     res_proj = float(np.abs(precond.project(res_field)).max())
     it = 0
     eta = ETA_MAX
+    reason = ""
     while res > tol:
         if res_proj <= 0.1 * tol:
-            report = SolveReport(False, it, res, margin, reason="aliasing_floor",
-                                 trace=trace)
-            raise SolverFailure(
-                f"target has flat-kernel content {res:.3e} above tol {tol:.1e}; "
-                "the reachable residual component is converged",
-                report=report,
-            )
+            reason = "aliasing_floor"
+            break
         if it >= max_iter:
-            report = SolveReport(False, it, res, margin, reason="max_iter",
-                                 trace=trace)
-            raise SolverFailure("Newton did not converge within max_iter", report=report)
+            reason = "max_iter"
+            break
         if it > 0:
             ew = EW_GAMMA * (res_proj / prev_proj) ** 2
             eta = min(ETA_MAX, max(ew, LIN_TOL, EW_FLOOR * tol / res_proj))
         prev_proj = res_proj
         handle = LinearOperatorHandle(s, B)
         del B
-        delta, lin_res = _solve_linear(s, handle, res_field, precond, eta)
+        delta, lin_res, info = _solve_linear(s, handle, res_field, precond, eta)
         del handle
+        if info != 0:
+            reason = "linear_stagnation"
+            break
         alpha = 1.0
-        accepted = False
         while alpha >= MIN_STEP:
             cand = phi + alpha * delta
             B = cy.deformation_form(s, cand)
@@ -495,31 +503,33 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
                     res_field = new_res_field
                     res = new_res
                     res_proj = new_proj
-                    accepted = True
                     break
             alpha *= 0.5
-        it += 1
-        if not accepted:
+        else:   # no trial accepted
             reason = "margin_collapse" if trial <= cy.TAMING_THRESHOLD else "stagnation"
-            report = SolveReport(False, it, res, trial, reason=reason, trace=trace)
-            raise SolverFailure(f"Newton step rejected ({reason})", report=report)
+            margin = trial
+        it += 1
+        if reason:
+            break
         trace.append((it, res, margin, alpha, lin_res, eta))
 
-    pot = cy.project_zero_mean(s, phi)
-    return pot, SolveReport(True, it, res, margin, trace=trace)
+    return cy.project_zero_mean(s, phi), SolveReport(not reason, it, res, margin,
+                                                     reason=reason, trace=trace)
 
 
 def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
     """Continuation along f_t = c_t((1-t) + t f), multiplicative c_t keeping
     unit mass; Newton restarts from the previous solution.
 
-    A failed Newton step retries with half the step it tried, t_next - t,
-    or half of dt if that is less, so the retry's target lies below the
-    failed one even when that was clamped to t = 1 and no (phi, f_t) is
-    solved twice.  Each accepted step doubles dt again, up to 1/steps.  A
-    PreconditionError or ConsistencyError from a Newton step ends the path
-    with a failed report whose reason names the error, like a stalled
-    continuation.
+    An unconverged Newton step retries with half the step it tried,
+    t_next - t, or half of dt if that is less, so the retry's target lies
+    below the failed one even when that was clamped to t = 1 and no
+    (phi, f_t) is solved twice.  Each accepted step doubles dt again, up to
+    1/steps.  The path ends unconverged, at the last accepted t, when a
+    step stops at aliasing_floor, when dt falls below 1e-4 (reason
+    "continuation stalled: " and the Newton reason), or when a step raises
+    PreconditionError or ConsistencyError (reason "ErrorName: message",
+    report fields 0, inf and nan).
     """
     f = _check_target(s, f)
     phi = np.zeros(s.chart.shape)
@@ -533,26 +543,23 @@ def continuity_solve(s, f, steps=10, tol=1e-8, max_iter=12):
         try:
             pot, rep = newton_solve(s, ft, phi_init=phi, tol=tol, max_iter=max_iter)
         except (PreconditionError, ConsistencyError) as exc:
-            failed, reason = None, f"{type(exc).__name__}: {exc}"
-        except SolverFailure as exc:
-            failed = exc.report
-            if failed is not None and failed.reason == "aliasing_floor":
-                reason = "aliasing_floor"
-            else:
-                dt = min(dt / 2, (t_next - t) / 2)
-                if dt >= 1e-4:
-                    continue
-                reason = f"continuation stalled: {failed.reason if failed else ''}"
-        else:
+            rep = SolveReport(False, 0, np.inf, np.nan, reason=f"{type(exc).__name__}: {exc}")
+            break
+        if rep.converged:
             phi = pot.values
             t = t_next
             trace.append((t, rep.residual, rep.margin))
             dt = min(2.0 * dt, 1.0 / steps)
             continue
-        base = failed if failed is not None else SolveReport(False, 0, np.inf, np.nan)
-        rep = replace(base, converged=False, t_reached=t, reason=reason, trace=trace)
-        return cy.Potential(s.chart, phi), rep
-    return cy.Potential(s.chart, phi), replace(rep, trace=trace)   # rep: the last step
+        if rep.reason == "aliasing_floor":
+            break
+        dt = min(dt / 2, (t_next - t) / 2)
+        if dt < 1e-4:
+            rep = replace(rep, reason=f"continuation stalled: {rep.reason}")
+            break
+    else:   # t reached 1: rep is the last step's
+        return cy.Potential(s.chart, phi), replace(rep, trace=trace)
+    return cy.Potential(s.chart, phi), replace(rep, t_reached=t, trace=trace)
 
 
 def kernel_check(s, phi):

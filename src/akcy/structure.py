@@ -91,9 +91,7 @@ class GridChart:
 
     def grid_points(self):
         """All grid points as an array of shape (*resolution, 2n). Dense; small grids only."""
-        axes = [np.arange(N) * h for N, h in zip(self.resolution, self.spacing)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return self.lattice_points(self.shape)
 
     def lattice_points(self, bshape):
         """Coordinates of the lattice of a field broadcast-reduced to bshape,

@@ -290,10 +290,10 @@ def pair_matrix(comps, dim):
 
 def frame_values(comps, u, v):
     """[a, b] -> W(u_a, v_b) for the 2-form W of pair components comps, by
-    the dense matrix and one einsum over all (2n)^2 n^2 products: the
+    the dense matrix and two contractions, W v and then u (W v): the
     reference of the pair contraction of frame.tau_at and hermitian_at."""
     W = pair_matrix(comps, u.shape[1])
-    return np.einsum("ij...,ai...,bj...->ab...", W, u, v)
+    return np.einsum("ai...,ib...->ab...", u, np.einsum("ij...,bj...->ib...", W, v))
 
 
 def projected_tau_and_hermitian(s, B, e):

@@ -60,7 +60,7 @@ def test_criterion_02_decomposition_identity(s_std12, s_tw12, rng):
     worst = 0.0
     for s in (s_std12, s_tw12):
         for phi in _random_phis(s, rng, 20):
-            direct, comps = cy.F_total(s, phi, return_components=True)
+            direct, comps = cy._F_total(s, cy.deformation_form(s, phi), True)
             rel = float(
                 np.abs(sum(comps) - direct).max() / max(np.abs(direct).max(), 1.0)
             )

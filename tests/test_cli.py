@@ -184,7 +184,7 @@ def test_boundary_on_integrable_structure_exit_code(tmp_path, capsys):
 
 def test_solve_newton_out_of_iterations_exit_code(tmp_path):
     """One Newton step does not reach the tolerance: exit 5, with the
-    report of the unconverged solve written."""
+    report of the unconverged solve and its last iterate written."""
     doc = {
         "structure": dict(BASE_STRUCTURE, resolution=[8] * 4),
         "solve": {"target": "manufactured", "potential": "builtin:prod_x2_y1",
@@ -192,7 +192,10 @@ def test_solve_newton_out_of_iterations_exit_code(tmp_path):
     }
     code = cli.main(["solve", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path)])
     assert code == 5
-    assert json.loads((tmp_path / "solve_report.json").read_text())["converged"] is False
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert (report["converged"], report["reason"], report["iters"]) == (False, "max_iter", 1)
+    phi, _ = serialize.read_field(tmp_path / "phi_solution.bin")
+    assert phi.shape == (8,) * 4 and np.abs(phi).max() > 0
 
 
 def test_solve_non_finite_target_exit_code(tmp_path, capsys):

@@ -9,7 +9,7 @@ from akcy import forms
 from akcy import potentials
 from akcy import solver as sv
 from akcy import structure as st
-from akcy.errors import ConsistencyError, PreconditionError, SolverFailure
+from akcy.errors import ConsistencyError, PreconditionError
 
 from conftest import (L_GRIDS, SLAB_ROWS, assert_same_bytes, make_standard, make_twisted,
                       set_slab_rows, slab_structure, unblocked_deformation_form)
@@ -186,19 +186,155 @@ def test_continuity_manufactured(s_tw12):
     assert ts[-1] == 1.0
 
 
+def _manufactured(s):
+    """A smooth taming phi* of zero mean and its target F(phi*)."""
+    X = s.chart.grid_points()
+    phi_star = 0.01 * np.sin(2 * np.pi * X[..., 2]) * np.cos(2 * np.pi * X[..., 1])
+    phi_star = cy.project_zero_mean(s, phi_star).values
+    return phi_star, cy.F_total(s, phi_star)
+
+
+def _recorded_solve(monkeypatch, s, f, **kwargs):
+    """newton_solve with the potential of each d(J dphi) it forms and each
+    taming margin it reads recorded: the start, then one per line-search
+    trial.  A _margin_of already patched in is the one recorded."""
+    bases, margins = [], []
+    deformation_form, margin_of = cy.deformation_form, cy._margin_of
+
+    def recording_deformation_form(s, phi):
+        bases.append(np.array(phi))
+        return deformation_form(s, phi)
+
+    def recording_margin_of(s, B):
+        margins.append(margin_of(s, B))
+        return margins[-1]
+
+    monkeypatch.setattr(cy, "deformation_form", recording_deformation_form)
+    monkeypatch.setattr(cy, "_margin_of", recording_margin_of)
+    pot, rep = sv.newton_solve(s, f, **kwargs)
+    monkeypatch.setattr(cy, "deformation_form", deformation_form)
+    monkeypatch.setattr(cy, "_margin_of", margin_of)
+    return pot, rep, bases, margins
+
+
+def _assert_stopped(s, pot, rep, reason, phi_last):
+    """An unconverged report naming reason, returned beside the last
+    accepted iterate phi_last projected to zero mean."""
+    assert rep.converged is False
+    assert rep.reason == reason
+    assert_same_bytes(pot.values, cy.project_zero_mean(s, phi_last).values)
+    assert abs(forms.integrate(s, pot.values)) < 1e-15
+
+
+# The line search tries alpha = 1, 1/2, ..., 2^-13, the last step not below
+# MIN_STEP = 1e-4.
+LINE_SEARCH_TRIALS = 14
+
+
 def test_aliasing_floor_reported(s_tw12):
     """A target with content in the flat-kernel modes below tol cannot be
-    matched; the solver reports the floor instead of looping."""
+    matched; the solver reports the floor instead of looping, before any
+    step, with the start's residual and margin."""
     X = s_tw12.chart.grid_points()
     kb = np.cos(12 * np.pi * X[..., 0]) * np.cos(12 * np.pi * X[..., 1])
     f = 1.0 + 1e-6 * kb
     f = f / forms.integrate(s_tw12, f)
-    with pytest.raises(SolverFailure) as exc:
-        sv.newton_solve(s_tw12, f, tol=1e-8)
-    assert exc.value.report.reason == "aliasing_floor"
+    zero = np.zeros(s_tw12.chart.shape)
+    pot, rep = sv.newton_solve(s_tw12, f, tol=1e-8)
+    _assert_stopped(s_tw12, pot, rep, "aliasing_floor", zero)
+    assert (rep.iters, rep.trace) == (0, [])
+    assert rep.residual == float(np.abs(f - cy.F_total(s_tw12, zero)).max()) > 1e-8
+    assert rep.margin == cy.taming_margin(s_tw12, zero)
     pot, rep = sv.continuity_solve(s_tw12, f, steps=2, tol=1e-8)
     assert rep.reason == "aliasing_floor"
     assert not rep.converged
+
+
+def test_newton_stops_at_max_iter(monkeypatch, s_tw12):
+    """max_iter accepted steps short of tol return the last of them with the
+    report of the steps taken: the first step of the full solve."""
+    _, f = _manufactured(s_tw12)
+    pot, rep, bases, _ = _recorded_solve(monkeypatch, s_tw12, f, tol=1e-10, max_iter=1)
+    _, full = sv.newton_solve(s_tw12, f, tol=1e-10)
+    assert full.converged and rep.trace == full.trace[:1]
+    assert rep.trace[0][3] == 1.0 and len(bases) == 2      # the start, one trial
+    assert (rep.iters, rep.residual, rep.margin) == (1,) + rep.trace[0][1:3]
+    assert rep.residual > 1e-10
+    _assert_stopped(s_tw12, pot, rep, "max_iter", bases[-1])
+
+
+def test_newton_stops_at_margin_collapse(monkeypatch, s_tw12):
+    """Every line-search trial outside the taming cone (cy._margin_of reads
+    -1 after the start) ends the step at MIN_STEP as margin_collapse, with
+    the rejected trial's margin and the start returned."""
+    phi_star, f = _manufactured(s_tw12)
+    margin_of = cy._margin_of
+    calls = []
+
+    def collapsing(s, B):
+        calls.append(1)
+        return margin_of(s, B) if len(calls) == 1 else -1.0
+
+    monkeypatch.setattr(cy, "_margin_of", collapsing)
+    pot, rep, bases, margins = _recorded_solve(monkeypatch, s_tw12, f,
+                                               phi_init=0.5 * phi_star, tol=1e-10)
+    assert len(bases) == len(margins) == 1 + LINE_SEARCH_TRIALS
+    assert (rep.iters, rep.margin, rep.trace) == (1, -1.0, [])
+    assert rep.residual == float(np.abs(f - cy.F_total(s_tw12, bases[0])).max())
+    _assert_stopped(s_tw12, pot, rep, "margin_collapse", bases[0])
+
+
+def test_newton_stops_at_stagnation(monkeypatch, s_tw12):
+    """Steps along -delta, an ascent direction, stay in the cone but never
+    decrease the residual: the step ends at MIN_STEP as stagnation, with the
+    last trial's margin and the start returned."""
+    phi_star, f = _manufactured(s_tw12)
+    solve_linear = sv._solve_linear
+
+    def reversed_step(*args):
+        delta, lin_res, info = solve_linear(*args)
+        return -delta, lin_res, info
+
+    monkeypatch.setattr(sv, "_solve_linear", reversed_step)
+    pot, rep, bases, margins = _recorded_solve(monkeypatch, s_tw12, f,
+                                               phi_init=0.5 * phi_star, tol=1e-10)
+    assert len(bases) == len(margins) == 1 + LINE_SEARCH_TRIALS
+    assert min(margins) > cy.TAMING_THRESHOLD
+    assert (rep.iters, rep.margin, rep.trace) == (1, margins[-1], [])
+    assert rep.residual == float(np.abs(f - cy.F_total(s_tw12, bases[0])).max())
+    _assert_stopped(s_tw12, pot, rep, "stagnation", bases[0])
+
+
+def test_newton_stops_at_linear_stagnation(monkeypatch, s_tw12):
+    """A GMRES solve that misses its tolerance within LIN_MAXITER (7, with
+    ETA_MAX = 1e-300 out of reach) ends the solve before its line search,
+    with the start's residual and margin and the start returned."""
+    monkeypatch.setattr(sv, "LIN_MAXITER", 7)
+    monkeypatch.setattr(sv, "ETA_MAX", 1e-300)
+    phi_star, f = _manufactured(s_tw12)
+    pot, rep, bases, margins = _recorded_solve(monkeypatch, s_tw12, f,
+                                               phi_init=0.5 * phi_star, tol=1e-10)
+    assert len(bases) == len(margins) == 1
+    assert (rep.iters, rep.margin, rep.trace) == (0, margins[0], [])
+    assert rep.residual == float(np.abs(f - cy.F_total(s_tw12, bases[0])).max())
+    _assert_stopped(s_tw12, pot, rep, "linear_stagnation", bases[0])
+
+
+def test_continuity_names_a_gmres_stall(monkeypatch):
+    """When every Newton step stalls in GMRES the continuation halves dt
+    below 1e-4 and ends at t = 0 as continuation stalled:
+    linear_stagnation, with the last Newton report's fields."""
+    s = make_twisted([8] * 4)
+    monkeypatch.setattr(sv, "LIN_MAXITER", 7)
+    monkeypatch.setattr(sv, "ETA_MAX", 1e-300)
+    _, f = _manufactured(s)
+    pot, rep = sv.continuity_solve(s, f, steps=2)
+    assert rep.converged is False
+    assert rep.reason == "continuation stalled: linear_stagnation"
+    assert (rep.t_reached, rep.iters, rep.trace) == (0.0, 0, [])
+    assert 0.0 < rep.residual < np.inf
+    assert rep.margin == cy.taming_margin(s, np.zeros(s.chart.shape))
+    assert np.all(pot.values == 0.0)
 
 
 def _complex_fft_reference(chart):
@@ -374,7 +510,8 @@ def test_solve_linear_meets_its_relative_tolerance(s_tw12, rtol):
     rhs = 1.0 - cy.F_total(s_tw12, phi)
     handle = sv.make_handle(s_tw12, phi)
     P = sv._Preconditioner(s_tw12.chart)
-    x, lin_res = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    x, lin_res, info = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    assert info == 0
     resid = sv._projected_apply(handle, P, x) - P.project(rhs).ravel()
     assert np.linalg.norm(resid) <= rtol * np.linalg.norm(P.project(rhs))
     assert lin_res == float(np.abs(resid).max())
@@ -382,15 +519,16 @@ def test_solve_linear_meets_its_relative_tolerance(s_tw12, rtol):
 
 def test_gmres_cap_counts_iterations(monkeypatch, s_tw12):
     """LIN_MAXITER caps the Krylov iterations of one linear solve, not restart
-    cycles: an unreachable rtol raises SolverFailure after the cap plus one
-    residual apply."""
+    cycles: an unreachable rtol returns GMRES's info, the iterations run,
+    after the cap plus one residual apply."""
     monkeypatch.setattr(sv, "LIN_MAXITER", 7)
     calls = _count_applies(monkeypatch)
     X = s_tw12.chart.grid_points()
     rhs = np.sin(2 * np.pi * X[..., 0]) * np.cos(2 * np.pi * X[..., 3])
     handle = sv.make_handle(s_tw12, 0.0)
-    with pytest.raises(SolverFailure, match="linear solve stagnated"):
-        sv._solve_linear(s_tw12, handle, rhs, sv._Preconditioner(s_tw12.chart), 1e-300)
+    _, _, info = sv._solve_linear(s_tw12, handle, rhs, sv._Preconditioner(s_tw12.chart),
+                                  1e-300)
+    assert info == sv.LIN_MAXITER
     assert len(calls) == sv.LIN_MAXITER + 1
 
 
@@ -408,7 +546,8 @@ def test_gmres_matches_scipy(monkeypatch, s_tw12, rtol, restart):
     handle = sv.make_handle(s_tw12, phi)
     P = sv._Preconditioner(s_tw12.chart)
     calls = _count_applies(monkeypatch)
-    x, _ = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    x, _, info = sv._solve_linear(s_tw12, handle, rhs, P, rtol)
+    assert info == 0
     ours = len(calls)
     calls.clear()
     npts = rhs.size
@@ -430,8 +569,9 @@ def test_gmres_rhs_in_the_flat_kernel_returns_zeros_without_apply(monkeypatch, s
     rhs = np.tensordot(coef, P.kernel_modes(), axes=1)
     assert np.all(P.project(rhs) == 0.0)
     calls = _count_applies(monkeypatch)
-    x, lin_res = sv._solve_linear(s_tw12, sv.make_handle(s_tw12, 0.0), rhs, P, 1e-8)
+    x, lin_res, info = sv._solve_linear(s_tw12, sv.make_handle(s_tw12, 0.0), rhs, P, 1e-8)
     assert np.all(x == 0.0) and x.shape == s_tw12.chart.shape
+    assert info == 0
     assert lin_res == 0.0
     assert calls == []
 
@@ -595,7 +735,7 @@ def test_continuity_dt_grows_back_after_a_halving(monkeypatch, s_tw12):
         calls.append(1)
         if len(calls) == 2:        # the step from t = 0.2 to t = 0.4
             report = sv.SolveReport(False, 8, 1e-3, 0.5, reason="max_iter")
-            raise SolverFailure("injected max_iter", report=report)
+            return cy.Potential(args[0].chart, kwargs["phi_init"]), report
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(sv, "newton_solve", failing_second_step)
@@ -621,7 +761,7 @@ def test_continuity_never_solves_a_failed_target_again(monkeypatch, s_tw12):
         t = (float(ft.max()) - 1.0) / peak
         if t > 0.95 + 1e-9:
             report = sv.SolveReport(False, max_iter, 1e-3, 0.5, reason="max_iter")
-            raise SolverFailure("injected max_iter", report=report)
+            return cy.Potential(s.chart, phi_init), report
         return cy.Potential(s.chart, phi_init + 1e-3 * t), sv.SolveReport(True, 1, 0.0, 0.5)
 
     monkeypatch.setattr(sv, "newton_solve", stub)

@@ -28,7 +28,7 @@ def _sweeps(s, phi):
     on phi, and a Newton solve toward F(phi / 250), as bytes and exact
     floats."""
     B = cy.deformation_form(s, phi)
-    direct, comps = cy.F_total(s, phi, return_components=True)
+    direct, comps = cy._F_total(s, B, True)
     delta = cy.h_matrix(s.J, B.comps)
     h = delta + s.g
     report = cy.analyze_potential(s, phi)
