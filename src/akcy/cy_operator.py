@@ -37,12 +37,19 @@ read off the whitened direction W delta W^T, with W = L^-1, g = L L^T,
 factored once on g's own points (J's lattice for the metric, the scan
 points for a witness base): per grid point two batched matrix products,
 and the least eigenvalue of each kernel call's whitened stack by a nested
-_pruned_min, the one probe-and-prune loop of every taming question, so
-eigvalsh runs only where the whitened matrix's Gershgorin bound can still
-hold the minimum; no point reaches a kernel twice in one sweep.
-pencil_amplitude certifies that closed-form scale with one full sweep
-just below it and, just above it, one point: the argmin of the sweep
-below.
+_pruned_min, the one probe-and-prune loop of every taming question; no
+point reaches a kernel twice in one sweep.  Every kernel call gets the
+least value its sweep already holds as a limit (the nested sweep starts
+from it), and the eigenvalue kernel (_min_eigenvalue) pays LAPACK only
+where the minimum can be: a shifted Cholesky test of the whole stack
+(_above) shows most points to lie above the limit, and eigvalsh runs on
+the others.  The Gershgorin bound of the sweeps (_gershgorin), the
+Cholesky test and eigvalsh all read one triangle of each matrix, the
+lower one, and the rounding allowance GERSHGORIN_ROUNDING covers both the
+bound and the test, so min and first argmin are bitwise those of eigvalsh
+on every point.  pencil_amplitude certifies that closed-form scale with
+one full sweep just below it and, just above it, one point: the argmin of
+the sweep below.
 
 Threads: these row-slab loops (d(J dphi), the margin, F, h on a grid and
 both passes of the eigenvalue sweeps) run in contiguous row groups, one
@@ -58,6 +65,7 @@ groups start.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -95,11 +103,12 @@ AMPLITUDE_RTOL = 1e-9
 SLAB_POINTS = 1 << 16    # points per slab along grid axis 0 (_row_slabs)
 PROBE = 64               # lowest-bound points per block evaluated first
 # Allowance, relative to the largest absolute row sum, by which a Gershgorin
-# bound is lowered so that it also bounds the rounded kernel value: LAPACK's
-# Cholesky, inverse and symmetric eigensolver and the matrix products on
-# k <= 6 are backward stable with errors of a small multiple of
-# k*eps*||A|| (Higham, Accuracy and Stability of Numerical Algorithms,
-# ch. 10; Golub & Van Loan, ch. 8).
+# bound is lowered so that it also bounds the rounded kernel value, and,
+# relative to the Frobenius norm, by which the Cholesky screen (_above)
+# raises its shift: LAPACK's Cholesky, inverse and symmetric eigensolver,
+# the screen's own Cholesky and the matrix products on k <= 6 are backward
+# stable with errors of a small multiple of k*eps*||A|| (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 10; Golub & Van Loan, ch. 8).
 GERSHGORIN_ROUNDING = 4096 * np.finfo(float).eps
 
 
@@ -138,18 +147,38 @@ def _take(M, idx, grid):
     return np.ascontiguousarray(np.moveaxis(M[(slice(None), slice(None)) + idx], -1, 0))
 
 
-def _gershgorin(M):
+def _gershgorin(M, t=1.0, base=None):
     """(Gershgorin lower bound of the smallest eigenvalue, largest absolute
-    row sum) of a symmetric matrix field, elementwise over its points; one
-    row at a time, so the temporaries stay a fraction of the field."""
+    row sum) of a symmetric matrix field, or of the pencil t*M + base,
+    elementwise over its points.
+
+    It reads the triangle eigvalsh reads, the lower one: each |M_ij|, i > j,
+    is taken once and added to the radius of rows i and j.  A pencil entry
+    is formed as _pencil forms it, one entry at a time, and its upper
+    triangle not at all.  A non-finite entry raises NumericalError, in
+    either triangle (of M and base for a pencil)."""
+    k = M.shape[0]
+    fields = (M,) if base is None else (M, base)
+    entry = (lambda i, j: M[i, j]) if base is None else (
+        lambda i, j: _pencil(M[i, j], t, base[i, j]))
+    radius = [None] * k
+    for i in range(1, k):
+        for j in range(i):
+            off = np.abs(entry(i, j))
+            for r in (i, j):
+                if radius[r] is None:
+                    radius[r] = off if r == i else off.copy()
+                else:
+                    radius[r] += off
     low = norm = None
-    for i in range(M.shape[0]):
-        row = np.abs(M[i])
-        radius = row[:i].sum(axis=0) + row[i + 1:].sum(axis=0)
-        low_i, norm_i = M[i, i] - radius, row[i] + radius
-        low = low_i if low is None else np.minimum(low, low_i)
-        norm = norm_i if norm is None else np.maximum(norm, norm_i)
-    if not np.isfinite(norm).all():
+    for i in range(k):
+        diag = entry(i, i)
+        low_i = diag - radius[i]
+        radius[i] += np.abs(diag)
+        low = low_i if low is None else np.minimum(low, low_i, out=low)
+        norm = radius[i] if norm is None else np.maximum(norm, radius[i], out=norm)
+    if not (np.isfinite(norm).all() and all(
+            np.isfinite(F[j, j + 1:]).all() for F in fields for j in range(k - 1))):
         raise NumericalError("matrix field has a non-finite entry")
     return low, norm
 
@@ -163,12 +192,18 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     with more than PROBE points whose bound is not above limit, whose values
     the block keeps; it then runs only on the block's other points whose
     bound is not above the least value found so far, since no other point
-    can hold or tie the minimum.  A call gets its points in flat order and
-    must return the least value of the call at its first point holding it
-    and no smaller value elsewhere (+inf will do), so min and argmin equal
+    can hold or tie the minimum.
+
+    The kernel contract: kernel(*stacks, limit=below) gets its points in
+    flat order and below, the least value the sweep holds when the call is
+    made (the group's running probe minimum in the bound pass, min(start,
+    best) in the kernel pass, limit before any).  Each value it returns is
+    its point's computed value or +inf, and the least value of the call is
+    returned at its first point holding it whenever it is not above below;
+    +inf may stand for any value above below.  So min and argmin equal
     those of a sweep over every point whenever the minimum is not above
     limit (a value the caller already holds); otherwise the result is some
-    value above limit, or (inf, 0) if no point can reach it.
+    point's value above limit, or (inf, 0).
 
     Both passes run in row groups (_in_groups): each group bounds and probes
     its blocks, and every group's kernel pass starts from the least probe
@@ -177,9 +212,9 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     """
     grid = np.broadcast_shapes(*(M.shape for M in fields))[2:]
 
-    def evaluate(shape, views, points):
+    def evaluate(shape, views, points, below):
         idx = np.unravel_index(points, shape)
-        return kernel(*(_take(V, idx, shape) for V in views))
+        return kernel(*(_take(V, idx, shape) for V in views), limit=below)
 
     def bound_pass(lo, hi):
         blocks, probed = [], limit
@@ -188,7 +223,7 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
             seen, val = np.empty(0, dtype=np.intp), np.empty(0)
             if np.count_nonzero(lb <= probed) > PROBE:
                 seen = np.sort(np.argpartition(lb, PROBE - 1)[:PROBE])
-                val = evaluate(shape, views, seen)
+                val = evaluate(shape, views, seen, probed)
                 probed = min(probed, float(val.min()))
             blocks.append((first, shape, views, lb, seen, val))
         return lo, (blocks, probed)
@@ -199,12 +234,13 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     def kernel_pass(lo, hi):
         best, best_idx = np.inf, 0
         for first, shape, views, lb, seen, val in groups[lo][0]:
-            keep = lb <= min(start, best)
+            below = min(start, best)
+            keep = lb <= below
             keep[seen] = False
             new = np.flatnonzero(keep)
             if new.size:
                 seen = np.concatenate((seen, new))
-                val = np.concatenate((val, evaluate(shape, views, new)))
+                val = np.concatenate((val, evaluate(shape, views, new, below)))
             if seen.size and val.min() < best:
                 best = float(val.min())
                 best_idx = first + int(seen[val == best].min())
@@ -213,13 +249,70 @@ def _pruned_min(fields, bound, kernel, limit=np.inf):
     return min(_in_groups(grid, kernel_pass), key=lambda result: result[0])
 
 
-def _eigen_bound(M):
-    low, norm = _gershgorin(M)
+def _eigen_bound(M, t=1.0, base=None):
+    low, norm = _gershgorin(M, t, base)
     return low - GERSHGORIN_ROUNDING * norm
 
 
-def _min_eigenvalue(M):
-    return np.linalg.eigvalsh(M)[:, 0]
+def _min_eigenvalue(M, limit=np.inf):
+    """eigvalsh's least eigenvalue of each matrix of the (p, k, k) stack M,
+    or +inf where the shifted Cholesky test (_above) shows it is above
+    limit; eigvalsh runs only on the other points."""
+    if limit == np.inf:
+        return np.linalg.eigvalsh(M)[:, 0]
+    low = np.full(len(M), np.inf)
+    rest = np.flatnonzero(~_above(M, limit))
+    if rest.size:
+        low[rest] = np.linalg.eigvalsh(M[rest])[:, 0]
+    return low
+
+
+def _above(M, limit):
+    """Points of the (p, k, k) stack M at which eigvalsh's least eigenvalue
+    is above limit for certain: those where a Cholesky factorisation of
+    M - (limit + GERSHGORIN_ROUNDING*||M||) I, run on the whole stack
+    column by column from the lower triangle (the one eigvalsh reads), has
+    positive pivots.  ||M|| is the Frobenius norm, at least the 2-norm.  A
+    factorisation that runs through is exact for a matrix within a small
+    multiple of k*eps*||A|| of the shifted one A (Higham, ch. 10), and
+    eigvalsh's own error is a small multiple of k*eps*||M||; while |limit|
+    is at most 2||M||, both stay inside the GERSHGORIN_ROUNDING allowance,
+    so a point that passes has a computed value above limit.  (A larger
+    limit fails the first pivot; a limit below -2||M|| is below every
+    computed value.)"""
+    k = M.shape[-1]
+    rows, cols, at, weight = _lower_triangle(k)
+    T = np.moveaxis(M, 0, -1)[rows, cols]      # (k(k+1)/2, p), contiguous
+    shift = np.sqrt(weight @ (T * T))
+    shift *= GERSHGORIN_ROUNDING
+    shift += limit
+    L = {}
+    ok = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k):
+            pivot = T[at[j, j]] - shift
+            for m in range(j):
+                pivot -= L[j, m] * L[j, m]
+            ok = pivot > 0.0 if ok is None else ok & (pivot > 0.0)
+            if j == k - 1 or not ok.any():
+                break
+            pivot[~ok] = 1.0
+            np.sqrt(pivot, out=pivot)
+            for i in range(j + 1, k):
+                column = T[at[i, j]]
+                for m in range(j):
+                    column = column - L[i, m] * L[j, m]
+                L[i, j] = column / pivot
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_triangle(k):
+    """(rows, cols, position of (i, j) in them, Frobenius weight 1 on the
+    diagonal and 2 off it) of the lower triangle of a k x k matrix."""
+    rows, cols = np.tril_indices(k)
+    at = {(i, j): n for n, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    return rows, cols, at, np.where(rows == cols, 1.0, 2.0)
 
 
 def _pencil(M, t, base):
@@ -234,13 +327,17 @@ def _pencil(M, t, base):
 def min_eigenvalue_field(M, t=1.0, base=None, limit=np.inf):
     """(min eigenvalue, first flat argmin) over the points of base + t*M, or
     of M when base is None; fields have matrix axes first, and base may
-    broadcast (the metric).  _pruned_min forms the pencil (_pencil) block by
-    block in its bound and kernel, so it is never grid-size.  Exact when the
-    minimum is not above limit, a least value known from elsewhere."""
+    broadcast (the metric).  The pencil is never grid-size: the bound forms
+    its lower entries block by block, one at a time (_gershgorin), and the
+    kernel the pencil of its points (_pencil).  Exact when the
+    minimum is not above limit, a least value known from elsewhere.  The
+    kernel is _min_eigenvalue, given the sweep's limit, so eigvalsh runs
+    only on points its Cholesky screen cannot place above the least value
+    held."""
     if base is None:
         return _pruned_min((M,), _eigen_bound, _min_eigenvalue, limit)
-    return _pruned_min((M, base), lambda Mv, bv: _eigen_bound(_pencil(Mv, t, bv)),
-                       lambda Mp, bp: _min_eigenvalue(_pencil(Mp, t, bp)), limit)
+    return _pruned_min((M, base), lambda Mv, bv: _eigen_bound(Mv, t, bv),
+                       lambda Mp, bp, limit: _min_eigenvalue(_pencil(Mp, t, bp), limit), limit)
 
 
 def deformation_form(s, phi):
@@ -655,18 +752,21 @@ def _whitened_bound(G, W, D):
     return np.where(den > 0.0, lb, -np.inf)
 
 
-def _whitened_min_eigenvalue(G, W, D):
+def _whitened_min_eigenvalue(G, W, D, limit=np.inf):
     """lambda_min of the whitened K = W D W^T, symmetrised, of (p, k, k)
     stacks, at the first point where it is least; +inf elsewhere (the
-    kernel contract of _pruned_min).
+    kernel contract of _pruned_min, whose limit it takes).
 
-    The least value is a _pruned_min sweep of K as a (k, k, p) field with
-    K's Gershgorin bound, lowered by the rounding allowance (_eigen_bound),
-    and eigvalsh, so the min and first argmin are those of eigvalsh on
-    every point."""
+    The least value is a _pruned_min sweep of K as a (k, k, p) field,
+    started from limit, with K's Gershgorin bound, lowered by the rounding
+    allowance (_eigen_bound), and the screened _min_eigenvalue, so the min
+    and first argmin are those of eigvalsh on every point whenever the
+    least value is not above limit; otherwise no point of K whose bound is
+    above limit reaches a kernel, and the result is +inf or a point's value
+    above limit."""
     K = W @ D @ np.swapaxes(W, -1, -2)
     K = 0.5 * (K + np.swapaxes(K, -1, -2))
-    lam, at = _pruned_min((np.moveaxis(K, 0, -1),), _eigen_bound, _min_eigenvalue)
+    lam, at = _pruned_min((np.moveaxis(K, 0, -1),), _eigen_bound, _min_eigenvalue, limit)
     return np.where(np.arange(len(K)) == at, lam, np.inf)
 
 
@@ -678,9 +778,11 @@ def _pencil_critical_scale(g, delta):
     base.  The critical scale per point is -1/lambda_min of the whitened
     delta W delta W^T when that eigenvalue is negative, so the grid minimum
     comes from the least lambda_min (division rounds monotonically).  The
-    kernel is two batched matrix products and eigvalsh only where the
-    whitened matrix's Gershgorin bound can still hold the minimum
-    (_whitened_min_eigenvalue); no Cholesky or solve runs per grid point.
+    kernel is two batched matrix products and a nested sweep of the
+    whitened stacks from the least value already held, with eigvalsh only
+    where neither their Gershgorin bound nor the Cholesky screen can rule
+    the minimum out (_whitened_min_eigenvalue); no Cholesky of g or solve
+    runs per grid point.
     g may be a broadcastable field (the metric); see _point_blocks.
     """
     lam, _ = _pruned_min((g, _whitener(g), delta), _whitened_bound, _whitened_min_eigenvalue)

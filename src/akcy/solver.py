@@ -441,7 +441,9 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
     tol < res), max_iter, margin_collapse or stagnation (down to MIN_STEP
     the line search left the cone or found no decrease; margin is then the
     rejected trial's), or linear_stagnation (GMRES missed eta within
-    LIN_MAXITER).  iters counts the steps whose line search ran.  Only a bad
+    LIN_MAXITER).  iters counts the steps whose line search ran.  A Newton
+    solve has no continuation path, so t_reached is 1.0 when it converges
+    and 0.0 otherwise (continuity_solve reports its own).  Only a bad
     target or start (PreconditionError) and disagreeing F paths
     (ConsistencyError) raise.
     """
@@ -514,6 +516,7 @@ def newton_solve(s, f, phi_init=None, tol=1e-8, max_iter=12):
         trace.append((it, res, margin, alpha, lin_res, eta))
 
     return cy.project_zero_mean(s, phi), SolveReport(not reason, it, res, margin,
+                                                     t_reached=0.0 if reason else 1.0,
                                                      reason=reason, trace=trace)
 
 

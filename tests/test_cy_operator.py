@@ -382,6 +382,36 @@ def test_analyze_constant_potential_takes_the_slab_margin(monkeypatch, s_tw12, v
         assert len(slabs) == (3 if workers == 1 else 6)
 
 
+# Rows np.linalg.eigvalsh sees in analyze_potential (amplitude on) at
+# twisted 12^4 on the potential of the test below: 2,678 in 9 calls when
+# every kernel point went to LAPACK, 337 in 5 with the Cholesky screen
+# (144 on g's 12x12 lattice for the pencil bound, 64 in the first probe of
+# each of the three sweeps, which has no limit yet, and the certificate's
+# one point).  The ceiling leaves about half again.
+ANALYZE_EIGVALSH_ROWS = 500
+
+
+def test_analyze_pays_lapack_only_near_the_minimum(monkeypatch, s_tw12):
+    """analyze_potential sends at most ANALYZE_EIGVALSH_ROWS rows to
+    eigvalsh on a smooth seeded potential, and its margin and amplitude are
+    bitwise those of full eigvalsh sweeps and, to 1e-12, the values the
+    unscreened sweeps gave here (0x1.8559e379fa90fp-2 and
+    0x1.b3e9cb2da605fp+0)."""
+    pot = potentials.random_potential(2, np.random.default_rng(33))
+    phi = 0.002 * pot.sample(s_tw12.chart)
+    delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, phi).comps)
+    margin = _min_eigenvalue_reference(1.0 * delta + s_tw12.g)[0]
+    amplitude = _pencil_scale_full_copy(s_tw12.g, delta, 1 << 16)
+    rows, lapack = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(
+        int(np.prod(np.shape(a)[:-2]))) or lapack(a))
+    report = cy.analyze_potential(s_tw12, phi)
+    assert sum(rows) <= ANALYZE_EIGVALSH_ROWS
+    assert (report.margin, report.amplitude) == (margin, amplitude)
+    assert report.margin == pytest.approx(float.fromhex("0x1.8559e379fa90fp-2"), rel=1e-12)
+    assert report.amplitude == pytest.approx(float.fromhex("0x1.b3e9cb2da605fp+0"), rel=1e-12)
+
+
 def test_amplitude_rejects_constant_direction(s_tw12):
     with pytest.raises(PreconditionError):
         cy.positivity_amplitude(s_tw12, np.zeros(s_tw12.chart.shape))
@@ -517,9 +547,9 @@ def test_pencil_bound_reads_the_lattice_metric_exactly(monkeypatch, s_tw12, rng)
     points = []
     kernel = cy._whitened_min_eigenvalue
 
-    def counted(G, W, D):
+    def counted(G, W, D, limit):
         points.append(D.shape[0])
-        return kernel(G, W, D)
+        return kernel(G, W, D, limit)
 
     monkeypatch.setattr(cy, "_whitened_min_eigenvalue", counted)
     lattice = cy._pencil_critical_scale(s_tw12.g, delta)
@@ -559,8 +589,10 @@ def test_pencil_scale_agrees_with_the_cholesky_solve_reference(s_tw12):
 
 def test_pencil_whitens_on_the_metric_lattice_and_prunes_eigvalsh(monkeypatch, s_tw12, rng):
     """At twisted 12^4 the Cholesky factors only g's own points (J's 12x1x1x12
-    lattice), and the whitened Gershgorin bound keeps eigvalsh off some of
-    the points that reach the kernel."""
+    lattice), and the whitened Gershgorin bound and the kernel's Cholesky
+    screen keep LAPACK's eigvalsh off some of the points that reach the
+    kernel: its rows are counted at np.linalg.eigvalsh, g's lattice
+    included."""
     delta = cy.h_matrix(s_tw12.J, cy.deformation_form(s_tw12, sample_potential(s_tw12, rng)).comps)
     factored = []
     cholesky = np.linalg.cholesky
@@ -571,7 +603,9 @@ def test_pencil_whitens_on_the_metric_lattice_and_prunes_eigvalsh(monkeypatch, s
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     kernel = _count_calls(monkeypatch, "_whitened_min_eigenvalue", lambda G, W, D: len(D))
-    eigvalsh = _count_calls(monkeypatch, "_min_eigenvalue", len)
+    eigvalsh, lapack = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh.append(
+        int(np.prod(np.shape(a)[:-2]))) or lapack(a))
     assert np.isfinite(cy._pencil_critical_scale(s_tw12.g, delta))
     assert 0 < sum(factored) <= s_tw12.g[0, 0].size == 144
     assert 0 < sum(eigvalsh) < sum(kernel)
@@ -808,6 +842,147 @@ def test_pruned_sweeps_equal_brute_force(seed, k, rows, cols, pool, chunk):
         cy.SLAB_POINTS = old
 
 
+def _rotated_diagonals(rng, spectrum, count):
+    """count matrices Q diag(spectrum) Q^T, Q random orthogonal, symmetrised
+    exactly, matrix axes first: one exact spectrum, rounded differently."""
+    k = len(spectrum)
+    Q, _ = np.linalg.qr(rng.standard_normal((count, k, k)))
+    A = (Q * spectrum) @ np.swapaxes(Q, -1, -2)
+    return np.moveaxis(0.5 * (A + np.swapaxes(A, -1, -2)), 0, -1)
+
+
+def _matrix_pool(rng, k, kind, count):
+    """(count symmetric k x k matrices, matrix axes first; their exact
+    least eigenvalue, or None): random, all the same (a constant field),
+    one matrix perturbed at rounding level (near ties), or rotated
+    diagonals sharing their least eigenvalue exactly."""
+    if kind == "random":
+        return _symmetric_field(rng, k, (count,), diag=rng.uniform(-2.0, 4.0)), None
+    if kind == "constant":
+        return np.repeat(_symmetric_field(rng, k, (1,)), count, axis=2), None
+    if kind == "near tie":
+        E = _symmetric_field(rng, k, (count,), diag=0.0)
+        return _symmetric_field(rng, k, (1,)) + 1e-15 * E, None
+    spectrum = np.concatenate(([rng.uniform(-1.0, 1.0)], rng.uniform(1.0, 3.0, k - 1)))
+    return _rotated_diagonals(rng, spectrum, count), spectrum[0]
+
+
+MATRIX_KINDS = ["random", "constant", "near tie", "rotated"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([4, 6]),
+    kind=st.sampled_from(MATRIX_KINDS),
+    p=st.integers(1, 200),
+    where=st.sampled_from(["below", "at", "above", "quantile", "exact", "far below"]),
+)
+def test_screened_min_eigenvalue_is_eigvalsh_or_above_the_limit(seed, k, kind, p, where):
+    """Pointwise, _min_eigenvalue(M, limit) is eigvalsh's own value, or +inf
+    only where that value is above limit; limits one ulp below, at and one
+    ulp above the least value, at a quantile of the values, at the exact
+    least eigenvalue of rotated diagonals (else the first point's value),
+    and far below.  A point whose value clears the limit by 1e-8 ||M|| is
+    screened off LAPACK."""
+    rng = np.random.default_rng(seed)
+    pool, exact = _matrix_pool(rng, k, kind, p)
+    M = np.ascontiguousarray(np.moveaxis(pool, -1, 0))
+    want = np.linalg.eigvalsh(M)[:, 0]
+    least = float(want.min())
+    limit = {
+        "below": np.nextafter(least, -np.inf),
+        "at": least,
+        "above": np.nextafter(least, np.inf),
+        "quantile": float(np.quantile(want, rng.uniform())),
+        "exact": float(want[0] if exact is None else exact),
+        "far below": least - 1.0,
+    }[where]
+    got = cy._min_eigenvalue(M, limit)
+    kept = np.isfinite(got)
+    assert np.array_equal(got[kept], want[kept])
+    assert np.all(want[~kept] > limit)
+    norm = np.sqrt(np.einsum("pij,pij->p", M, M))
+    assert not np.any(kept & (want > limit + 1e-8 * norm))
+    assert np.array_equal(cy._min_eigenvalue(M), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([4, 6]),
+    kind=st.sampled_from(MATRIX_KINDS),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 120),
+    pool=st.integers(1, 12),
+    chunk=st.integers(1, 300),
+    cpus=st.sampled_from(CPU_COUNTS),
+)
+def test_screened_eigenvalue_and_pencil_sweeps_equal_the_full_eigvalsh(
+        seed, k, kind, rows, cols, pool, chunk, cpus):
+    """With the screened kernel, min_eigenvalue_field, plain and pencil, with
+    no limit and a limit at the minimum, and _pencil_critical_scale give
+    the min and first argmin of eigvalsh on every point, on one CPU and in
+    two row groups.  The fields draw from a small pool of matrices, so
+    minima tie exactly across points, blocks and groups, or at rounding
+    level (near ties, rotated diagonals)."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(pool, size=(rows, cols))
+    M = _matrix_pool(rng, k, kind, pool)[0][:, :, pick]
+    base = _symmetric_field(rng, k, (pool,), diag=k + 1.0)[:, :, pick]
+    old = cy.SLAB_POINTS, cy._cpus
+    cy.SLAB_POINTS, cy._cpus = chunk, lambda: cpus
+    try:
+        want = _min_eigenvalue_reference(M)
+        assert cy.min_eigenvalue_field(M) == want
+        assert cy.min_eigenvalue_field(M, limit=want[0]) == want
+        for t in (0.5, 2.0):
+            want = _min_eigenvalue_reference(t * M + base)
+            assert cy.min_eigenvalue_field(M, t, base) == want
+            assert cy.min_eigenvalue_field(M, t, base, limit=want[0]) == want
+        try:
+            want = _pencil_scale_full_copy(base, M, chunk)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                cy._pencil_critical_scale(base, M)
+        else:
+            assert cy._pencil_critical_scale(base, M) == want
+    finally:
+        cy.SLAB_POINTS, cy._cpus = old
+
+
+def test_gershgorin_reads_each_lower_entry_once():
+    """_gershgorin's bound and norm are those of the full rows of the
+    symmetric matrix, up to the order of the radius sums, and are read from
+    the lower triangle alone: the upper one may hold any finite values.  A
+    non-finite entry raises in either triangle.  Of a pencil t*M + base,
+    with base broadcast, they are bitwise those of the formed pencil."""
+    rng = np.random.default_rng(31)
+    for k in (4, 6):
+        M = _symmetric_field(rng, k, (3, 50), diag=0.5)
+        A = np.abs(M)
+        off = A.sum(axis=1) - np.diagonal(A, 0, 0, 1).transpose(2, 0, 1)
+        low_ref = np.min(np.diagonal(M, 0, 0, 1).transpose(2, 0, 1) - off, axis=0)
+        norm_ref = np.max(A.sum(axis=1), axis=0)
+        low, norm = cy._gershgorin(M)
+        assert np.all(np.abs(low - low_ref) <= 8 * np.finfo(float).eps * norm_ref)
+        assert np.all(np.abs(norm - norm_ref) <= 8 * np.finfo(float).eps * norm_ref)
+        upper = np.triu_indices(k, 1)
+        skew = M.copy()
+        skew[upper] = rng.standard_normal(skew[upper].shape)
+        assert all(np.array_equal(a, b) for a, b in zip(cy._gershgorin(skew), (low, norm)))
+        base = _symmetric_field(rng, k, (1, 50))
+        pencil = cy._gershgorin(cy._pencil(M, 0.3, base))
+        assert all(np.array_equal(a, b) for a, b in zip(cy._gershgorin(M, 0.3, base), pencil))
+        for entry in ((k - 1, 0), (0, k - 1)):
+            bad = M.copy()
+            bad[entry + (1, 7)] = np.nan
+            with pytest.raises(NumericalError):
+                cy._gershgorin(bad)
+            with pytest.raises(NumericalError):
+                cy._gershgorin(M, 0.3, bad[:, :, 1:2])
+
+
 def _record_kernel_points(monkeypatch):
     """Per thread, in call order, (rank of the swept grid, grid flat indices
     of the call's points) for each kernel call of _pruned_min.  A call reads
@@ -844,8 +1019,10 @@ def test_no_point_reaches_a_kernel_twice_in_one_sweep(monkeypatch, workers):
     groups of 400-point blocks.  Each group's first call is a probe.  The
     metric (1 - c) I + c ones, c >= 0.4, whose Gershgorin bound is
     negative, sends whole blocks to the whitened kernel, and the dense
-    ones part of delta loosens the bound of the whitened matrices, so that
-    some nested sweep runs its kernel on probe points and on kept ones."""
+    ones part of delta loosens the bound of the whitened matrices so far
+    that every nested sweep, limited by the least value the outer sweep
+    holds, still runs its kernel, and some on probe points and on kept
+    ones."""
     monkeypatch.setattr(cy, "_cpus", lambda: workers)
     monkeypatch.setattr(cy, "SLAB_POINTS", 800)
     rng = np.random.default_rng(30)
@@ -853,7 +1030,7 @@ def test_no_point_reaches_a_kernel_twice_in_one_sweep(monkeypatch, workers):
     M = _symmetric_field(rng, 4, grid, diag=3.0)
     c = rng.uniform(0.4, 0.6, size=grid)
     g = (1.0 - c) * np.eye(4).reshape(4, 4, 1, 1, 1) + c * np.ones((4, 4, 1, 1, 1))
-    delta = _symmetric_field(rng, 4, grid, diag=0.0) + 4.0 * np.ones((4, 4, 1, 1, 1))
+    delta = _symmetric_field(rng, 4, grid, diag=0.0) + 16.0 * np.ones((4, 4, 1, 1, 1))
     for sweep in (lambda: cy.min_eigenvalue_field(M),
                   lambda: cy.min_eigenvalue_field(delta, 0.5, g),
                   lambda: cy._pencil_critical_scale(g, delta)):

@@ -194,6 +194,18 @@ def _manufactured(s):
     return phi_star, cy.F_total(s, phi_star)
 
 
+def test_newton_reports_t_reached_one_only_when_converged():
+    """A Newton solve has no continuation path: t_reached is 1.0 when it
+    converges and 0.0 when it stops short, here at max_iter."""
+    s = make_twisted([8] * 4)
+    _, f = _manufactured(s)
+    _, rep = sv.newton_solve(s, f, tol=1e-9, max_iter=1)
+    assert (rep.converged, rep.reason, rep.t_reached) == (False, "max_iter", 0.0)
+    assert rep.as_dict()["t_reached"] == 0.0
+    _, rep = sv.newton_solve(s, f, tol=1e-9)
+    assert (rep.converged, rep.reason, rep.t_reached) == (True, "", 1.0)
+
+
 def _recorded_solve(monkeypatch, s, f, **kwargs):
     """newton_solve with the potential of each d(J dphi) it forms and each
     taming margin it reads recorded: the start, then one per line-search
